@@ -2,7 +2,8 @@
 
 Build a region graph over a factor model, pick a bound variant, and descend
 the Kikuchi/Bethe free energy with a guaranteed-descent double loop whose
-inner problems are solved by generalized belief propagation.
+inner problems are solved by generalized belief propagation.  The command
+line lives in ``kikuchi.cli``, which this package does not import.
 """
 from .bounds import (
     VARIANTS,
@@ -14,13 +15,11 @@ from .bounds import (
     inner_potentials,
     make_bound_spec,
 )
-from .cli import ExperimentConfig, main
 from .doubleloop import (
     DescentError,
     OuterRecord,
     OuterSettings,
     RunTrace,
-    compare,
     iterations_to_reach,
     minimize,
     trace_metadata,
@@ -29,9 +28,7 @@ from .doubleloop import (
 )
 from .energy import (
     Beliefs,
-    bound_free_energy,
     free_energy,
-    kikuchi_free_energy,
     kl_marginals,
     random_consistent_beliefs,
     uniform_beliefs,
@@ -59,7 +56,6 @@ from .regions import (
     GraphError,
     Region,
     RegionGraph,
-    Variable,
     build_bethe,
     build_cvm,
     is_singly_connected,
@@ -80,7 +76,6 @@ __all__ = [
     "ConvexityError",
     "DescentError",
     "ExactResult",
-    "ExperimentConfig",
     "FactorModel",
     "GraphError",
     "InnerSettings",
@@ -94,14 +89,11 @@ __all__ = [
     "RegionGraph",
     "RunTrace",
     "VARIANTS",
-    "Variable",
     "active_subsets",
-    "bound_free_energy",
     "build_bethe",
     "build_cvm",
     "check_conv2_bound",
     "check_convex_over_constraints",
-    "compare",
     "constraint_residual",
     "exact_inference",
     "free_energy",
@@ -109,11 +101,9 @@ __all__ = [
     "inner_potentials",
     "is_singly_connected",
     "iterations_to_reach",
-    "kikuchi_free_energy",
     "kl_marginals",
     "load",
     "load_region_graph",
-    "main",
     "make_bound_spec",
     "minimize",
     "outer_log_potentials",

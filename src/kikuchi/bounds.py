@@ -126,6 +126,27 @@ def _max_flow(supply, demand, admissible):
     return total, flows
 
 
+def _strictly_contains(graph):
+    """Predicate over region ids (g, b): g's variables strictly contain b's."""
+    varsets = {r.id: set(r.vars) for r in graph.regions}
+    return lambda g, b: varsets[b] < varsets[g]
+
+
+def _certify(graph, supply, demand) -> Allocation | None:
+    """Charge all of ``demand`` to ``supply`` regions strictly containing it.
+
+    Returns the witness allocation when the max flow saturates the demand,
+    else None.
+    """
+    need = sum(c for _, c in demand)
+    if need <= FLOW_TOL:
+        return Allocation({})
+    total, flows = _max_flow(supply, demand, _strictly_contains(graph))
+    if total >= need - FLOW_TOL:
+        return Allocation(flows)
+    return None
+
+
 def check_convex_over_constraints(graph, counts) -> Allocation | None:
     """Certify convexity over the constraint set of a counted entropy sum.
 
@@ -133,20 +154,9 @@ def check_convex_over_constraints(graph, counts) -> Allocation | None:
     a witness allocation when the negative mass can be fully charged to
     containing positive regions, else None.
     """
-    varsets = {rid: set(graph.region_vars(rid)) for rid in counts}
     supply = [(rid, c) for rid, c in counts.items() if c > FLOW_TOL]
     demand = [(rid, -c) for rid, c in counts.items() if c < -FLOW_TOL]
-    need = sum(c for _, c in demand)
-    if need <= FLOW_TOL:
-        return Allocation({})
-
-    def admissible(g, b):
-        return varsets[b] < varsets[g]
-
-    total, flows = _max_flow(supply, demand, admissible)
-    if total >= need - FLOW_TOL:
-        return Allocation(flows)
-    return None
+    return _certify(graph, supply, demand)
 
 
 def check_conv2_bound(graph) -> Allocation | None:
@@ -157,20 +167,9 @@ def check_conv2_bound(graph) -> Allocation | None:
     of a convex subset term.  Returns the covering allocation or None.
     """
     counts = graph.subset_overcounts()
-    varsets = {b: set(graph.region_vars(b)) for b in graph.subset_ids}
     supply = [(b, -counts[b]) for b in graph.neg_ids]
     demand = [(b, counts[b]) for b in graph.pos_ids]
-    need = sum(c for _, c in demand)
-    if need <= FLOW_TOL:
-        return Allocation({})
-
-    def admissible(g, b):
-        return varsets[b] < varsets[g]
-
-    total, flows = _max_flow(supply, demand, admissible)
-    if total >= need - FLOW_TOL:
-        return Allocation(flows)
-    return None
+    return _certify(graph, supply, demand)
 
 
 def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
@@ -198,14 +197,10 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
         return BoundSpec(variant, {b: 0.0 for b in counts}, witness=witness)
 
     # conv3: keep as much negative mass as remains convex over the constraints.
-    varsets = {r.id: set(r.vars) for r in graph.regions}
+    contains = _strictly_contains(graph)
     all_counts = {r.id: float(r.overcount) for r in graph.regions}
     supply = [(g, c) for g, c in all_counts.items() if c > FLOW_TOL]
     demand = [(b, -counts[b]) for b in graph.neg_ids]
-
-    def contains(g, b):
-        return varsets[b] < varsets[g]
-
     _, flows = _max_flow(supply, demand, contains)
     ct = {b: 0.0 for b in counts}
     for b in graph.pos_ids:
@@ -229,12 +224,8 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
     demand2 = [
         (b, ct[b] - counts[b]) for b in graph.neg_ids if ct[b] - counts[b] > FLOW_TOL
     ]
-
-    def inside(g, b):
-        return varsets[g] < varsets[b]
-
     if supply2 and demand2:
-        _, flows2 = _max_flow(supply2, demand2, inside)
+        _, flows2 = _max_flow(supply2, demand2, lambda g, b: contains(b, g))
         for (g, b), f in flows2.items():
             ct[g] -= f
 

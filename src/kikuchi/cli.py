@@ -16,7 +16,7 @@ import argparse
 import math
 import statistics
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import combinations
 from pathlib import Path
 
@@ -31,7 +31,6 @@ from .bounds import (
 )
 from .doubleloop import (
     OuterSettings,
-    compare as run_variants,
     iterations_to_reach,
     minimize,
     trace_metadata,
@@ -89,48 +88,39 @@ class ExperimentConfig:
     consensus_window: float = 1e-4
 
 
-def _fmt_optional(v):
-    return "none" if v is None else str(v)
-
-
-def _parse_optional(s):
-    return None if s == "none" else s
-
-
-_FIELD_CODECS = {
-    "family": (str, str),
-    "model": (_fmt_optional, _parse_optional),
-    "rows": (str, int),
-    "cols": (str, int),
-    "nodes": (str, int),
-    "diseases": (str, int),
-    "findings": (str, int),
-    "w": (repr, float),
-    "observe": (_fmt_optional, _parse_optional),
-    "recipe": (str, str),
-    "variants": (
-        lambda v: ",".join(v),
-        lambda s: tuple(p for p in s.split(",") if p),
+# One (format, parse) pair per field type: the dataclass fields are the schema.
+_TYPE_CODECS = {
+    "str": (str, str),
+    "str | None": (
+        lambda v: "none" if v is None else str(v),
+        lambda s: None if s == "none" else s,
     ),
-    "seeds": (
-        lambda v: ",".join(str(x) for x in v),
-        lambda s: tuple(int(p) for p in s.split(",") if p),
-    ),
-    "outdir": (str, str),
-    "outer_tol": (repr, float),
-    "marginal_tol": (repr, float),
-    "max_outer": (str, int),
-    "inner_tol": (repr, float),
-    "inner_max_sweeps": (str, int),
-    "damping": (
+    "int": (str, int),
+    "float": (repr, float),
+    "float | None": (
         lambda v: "auto" if v is None else repr(v),
         lambda s: None if s == "auto" else float(s),
     ),
-    "warm_start": (
+    "bool": (
         lambda v: "true" if v else "false",
         lambda s: {"true": True, "false": False}[s],
     ),
-    "consensus_window": (repr, float),
+    "tuple[str, ...]": (
+        lambda v: ",".join(v),
+        lambda s: tuple(p for p in s.split(",") if p),
+    ),
+    "tuple[int, ...]": (
+        lambda v: ",".join(str(x) for x in v),
+        lambda s: tuple(int(p) for p in s.split(",") if p),
+    ),
+}
+_FIELD_CODECS = {f.name: _TYPE_CODECS[f.type] for f in fields(ExperimentConfig)}
+
+# Flags left as text for _resolve_config to parse with their field's codec, so
+# that a bad value is reported as "<name> must be <hint>" rather than by argparse.
+_TEXT_FLAGS = {
+    "seeds": "a comma list of integers",
+    "damping": "a number or 'auto'",
 }
 
 
@@ -185,27 +175,32 @@ def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
+def _generate_model(src, family: str, seed: int):
+    """Generate the synthetic model shaped by ``src``, a config or parsed flags."""
+    spec = ModelSpec(
+        family,
+        rows=src.rows,
+        cols=src.cols,
+        nodes=src.nodes,
+        diseases=src.diseases,
+        findings=src.findings,
+        weight_scale=src.w,
+        seed=seed,
+        observe=src.observe,
+    )
+    try:
+        return generate(spec)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+
+
 def config_model(cfg: ExperimentConfig, seed: int):
     family = FAMILIES.get(cfg.family, cfg.family)
     if family == "file":
         if not cfg.model:
             raise UsageError("family 'file' needs a model path")
         return load(cfg.model)
-    spec = ModelSpec(
-        family,
-        rows=cfg.rows,
-        cols=cfg.cols,
-        nodes=cfg.nodes,
-        diseases=cfg.diseases,
-        findings=cfg.findings,
-        weight_scale=cfg.w,
-        seed=seed,
-        observe=cfg.observe,
-    )
-    try:
-        return generate(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return _generate_model(cfg, family, seed)
 
 
 def recipe_graph(model, recipe: str):
@@ -291,27 +286,18 @@ def _kl_text(kl) -> str:
     return "unavailable" if kl is None else f"{kl:.17g}"
 
 
+def _write_trace(stem, model, graph, spec, trace, seed):
+    """Write ``stem``.csv and ``stem``.json; returns the trace's KL to the oracle."""
+    write_trace_csv(trace, f"{stem}.csv")
+    meta = trace_metadata(trace, spec, model.meta)
+    meta["seed"] = seed
+    meta["kl_to_oracle"] = kl_to_oracle(model, graph, trace.final_beliefs)
+    write_trace_json(meta, f"{stem}.json")
+    return meta["kl_to_oracle"]
+
+
 def cmd_generate(args) -> int:
-    family = FAMILIES.get(args.family)
-    if family is None:
-        raise UsageError(f"unknown model family {args.family!r}")
-    if family == "file":
-        raise UsageError("generate needs a synthetic family: grid, full, or qmr")
-    spec = ModelSpec(
-        family,
-        rows=args.rows,
-        cols=args.cols,
-        nodes=args.n,
-        diseases=args.diseases,
-        findings=args.findings,
-        weight_scale=args.w,
-        seed=args.seed,
-        observe=args.observe,
-    )
-    try:
-        model = generate(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    model = _generate_model(args, FAMILIES[args.family], args.seed)
     save(model, args.out)
     print(f"wrote {args.out}: {model.num_vars} variables, {len(model.scopes)} factors")
     return 0
@@ -351,63 +337,26 @@ def cmd_check(args) -> int:
 
 
 def _resolve_config(args) -> ExperimentConfig:
-    cfg = load_config(args.config) if args.config else ExperimentConfig()
-    over = {}
-    for key in (
-        "family",
-        "model",
-        "rows",
-        "cols",
-        "nodes",
-        "diseases",
-        "findings",
-        "w",
-        "observe",
-        "recipe",
-        "outdir",
-        "outer_tol",
-        "marginal_tol",
-        "max_outer",
-        "inner_tol",
-        "inner_max_sweeps",
-        "consensus_window",
-    ):
-        val = getattr(args, key, None)
-        if val is not None:
-            over[key] = val
-    if getattr(args, "variants", None):
-        over["variants"] = tuple(p for p in args.variants.split(",") if p)
-    if getattr(args, "seeds", None):
-        try:
-            over["seeds"] = tuple(int(p) for p in args.seeds.split(",") if p)
-        except ValueError:
-            raise UsageError(
-                f"seeds must be a comma list of integers, got {args.seeds!r}"
-            ) from None
-    if getattr(args, "seed", None) is not None:
-        over["seeds"] = (args.seed,)
-    if getattr(args, "damping", None) is not None:
-        if args.damping == "auto":
-            over["damping"] = None
-        else:
+    """The config file (or defaults) overridden by every field flag given."""
+    given = vars(args)
+    cfg = load_config(given["config"]) if "config" in given else ExperimentConfig()
+    over = {f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given}
+    for name, what in _TEXT_FLAGS.items():
+        if name in over:
             try:
-                over["damping"] = float(args.damping)
+                over[name] = _FIELD_CODECS[name][1](over[name])
             except ValueError:
-                raise UsageError(
-                    f"damping must be a number or 'auto', got {args.damping!r}"
-                ) from None
-    if getattr(args, "no_warm_start", False):
-        over["warm_start"] = False
-    if getattr(args, "model", None) and "family" not in over and not args.config:
+                raise UsageError(f"{name} must be {what}, got {over[name]!r}") from None
+    if "seed" in given:
+        over["seeds"] = (given["seed"],)
+    if "model" in over and "family" not in over and "config" not in given:
         over["family"] = "file"
     return _validate_config(replace(cfg, **over))
 
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    variant = args.variant or cfg.variants[0]
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {variant!r}; pick from {VARIANTS}")
+    variant = getattr(args, "variant", cfg.variants[0])
     seed = cfg.seeds[0]
     model = config_model(cfg, seed)
     graph = recipe_graph(model, cfg.recipe)
@@ -416,12 +365,7 @@ def cmd_run(args) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_config(replace(cfg, variants=(variant,)), outdir / "config.txt")
-    write_trace_csv(trace, outdir / f"trace_{variant}.csv")
-    meta = trace_metadata(trace, spec, model.meta)
-    meta["seed"] = seed
-    kl = kl_to_oracle(model, graph, trace.final_beliefs)
-    meta["kl_to_oracle"] = kl
-    write_trace_json(meta, outdir / f"trace_{variant}.json")
+    kl = _write_trace(outdir / f"trace_{variant}", model, graph, spec, trace, seed)
     print(
         f"variant {variant} outer_iterations {trace.outer_iterations} "
         f"total_inner_sweeps {trace.total_inner_sweeps} "
@@ -444,23 +388,20 @@ def cmd_compare(args) -> int:
     )
     plot = ["# plotdata v1: x = outer iterations / just-convex iterations, y = f_kik"]
     reach: dict[str, list[float]] = {v: [] for v in cfg.variants}
+    settings = outer_settings(cfg)
 
     for seed in cfg.seeds:
         model = config_model(cfg, seed)
         graph = recipe_graph(model, cfg.recipe)
         specs = [make_bound_spec(graph, v) for v in cfg.variants]
-        traces = run_variants(model, graph, specs, outer_settings(cfg))
+        traces = [minimize(model, graph, s, settings) for s in specs]
         consensus = min(tr.final_f for tr in traces)
         scale = 1.0
         if "conv3" in cfg.variants:
             scale = max(1.0, float(traces[cfg.variants.index("conv3")].outer_iterations))
         for spec, tr in zip(specs, traces):
-            write_trace_csv(tr, outdir / f"trace_seed{seed}_{spec.variant}.csv")
-            meta = trace_metadata(tr, spec, model.meta)
-            meta["seed"] = seed
-            kl = kl_to_oracle(model, graph, tr.final_beliefs)
-            meta["kl_to_oracle"] = kl
-            write_trace_json(meta, outdir / f"trace_seed{seed}_{spec.variant}.json")
+            stem = outdir / f"trace_seed{seed}_{spec.variant}"
+            kl = _write_trace(stem, model, graph, spec, tr, seed)
             summary.append(
                 f"row {seed} {spec.variant} {tr.outer_iterations} "
                 f"{tr.total_inner_sweeps} {tr.final_f:.17g} {_kl_text(kl)}"
@@ -490,34 +431,30 @@ def cmd_compare(args) -> int:
 
 
 def _add_model_flags(p, with_seed=True):
-    p.add_argument("--family", choices=sorted(FAMILIES), default=None)
+    p.add_argument("--family", choices=sorted(FAMILIES))
     p.add_argument("--model", help="model file path (family 'file')")
-    p.add_argument("--rows", type=int, default=None)
-    p.add_argument("--cols", type=int, default=None)
-    p.add_argument("--n", dest="nodes", type=int, default=None)
-    p.add_argument("--diseases", type=int, default=None)
-    p.add_argument("--findings", type=int, default=None)
-    p.add_argument("--w", type=float, default=None, help="weight scale")
-    p.add_argument("--observe", default=None, help="0/1 string, one per finding")
+    p.add_argument("--rows", type=int)
+    p.add_argument("--cols", type=int)
+    p.add_argument("--n", dest="nodes", type=int)
+    p.add_argument("--diseases", type=int)
+    p.add_argument("--findings", type=int)
+    p.add_argument("--w", type=float, help="weight scale")
+    p.add_argument("--observe", help="0/1 string, one per finding")
     if with_seed:
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int)
 
 
 def _add_solver_flags(p):
-    p.add_argument("--recipe", choices=RECIPES, default=None)
-    p.add_argument("--outdir", default=None)
-    p.add_argument("--config", default=None, help="experiment config file")
-    p.add_argument("--outer-tol", dest="outer_tol", type=float, default=None)
-    p.add_argument("--marginal-tol", dest="marginal_tol", type=float, default=None)
-    p.add_argument("--max-outer", dest="max_outer", type=int, default=None)
-    p.add_argument("--inner-tol", dest="inner_tol", type=float, default=None)
-    p.add_argument(
-        "--inner-max-sweeps", dest="inner_max_sweeps", type=int, default=None
-    )
-    p.add_argument("--damping", default=None, help="0..1 or 'auto'")
-    p.add_argument(
-        "--no-warm-start", dest="no_warm_start", action="store_true", default=False
-    )
+    p.add_argument("--recipe", choices=RECIPES)
+    p.add_argument("--outdir")
+    p.add_argument("--config", help="experiment config file")
+    p.add_argument("--outer-tol", dest="outer_tol", type=float)
+    p.add_argument("--marginal-tol", dest="marginal_tol", type=float)
+    p.add_argument("--max-outer", dest="max_outer", type=int)
+    p.add_argument("--inner-tol", dest="inner_tol", type=float)
+    p.add_argument("--inner-max-sweeps", dest="inner_max_sweeps", type=int)
+    p.add_argument("--damping", help="0..1 or 'auto'")
+    p.add_argument("--no-warm-start", dest="warm_start", action="store_false")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -531,7 +468,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--family", required=True, choices=sorted(set(FAMILIES) - {"file"}))
     g.add_argument("--rows", type=int, default=4)
     g.add_argument("--cols", type=int, default=4)
-    g.add_argument("--n", type=int, default=6, help="node count (full family)")
+    g.add_argument(
+        "--n", dest="nodes", metavar="N", type=int, default=6,
+        help="node count (full family)",
+    )
     g.add_argument("--diseases", type=int, default=8)
     g.add_argument("--findings", type=int, default=5)
     g.add_argument("--w", type=float, default=1.0, help="weight scale")
@@ -545,23 +485,28 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--recipe", choices=RECIPES, default="bethe")
     c.set_defaults(func=cmd_check)
 
-    r = sub.add_parser("run", help="minimize one bound variant")
+    r = sub.add_parser(
+        "run", help="minimize one bound variant", argument_default=argparse.SUPPRESS
+    )
     _add_model_flags(r)
     _add_solver_flags(r)
-    r.add_argument("--variant", choices=VARIANTS, default=None)
+    r.add_argument("--variant", choices=VARIANTS)
     r.set_defaults(func=cmd_run)
 
-    m = sub.add_parser("compare", help="run several variants over a seed list")
+    m = sub.add_parser(
+        "compare",
+        help="run several variants over a seed list",
+        argument_default=argparse.SUPPRESS,
+    )
     _add_model_flags(m, with_seed=False)
     _add_solver_flags(m)
-    m.add_argument("--variants", default=None, help="comma list from " + ",".join(VARIANTS))
-    m.add_argument("--seeds", default=None, help="comma list of integers")
     m.add_argument(
-        "--consensus-window",
-        dest="consensus_window",
-        type=float,
-        default=None,
+        "--variants",
+        type=_FIELD_CODECS["variants"][1],
+        help="comma list from " + ",".join(VARIANTS),
     )
+    m.add_argument("--seeds", help="comma list of integers")
+    m.add_argument("--consensus-window", dest="consensus_window", type=float)
     m.set_defaults(func=cmd_compare)
     return parser
 

@@ -14,12 +14,16 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .bounds import BoundSpec, check_convex_over_constraints, inner_potentials
-from .energy import Beliefs, bound_free_energy, kikuchi_free_energy, uniform_beliefs
+from .bounds import (
+    BoundSpec,
+    ConvexityError,
+    check_convex_over_constraints,
+    inner_potentials,
+)
+from .energy import Beliefs, free_energy, uniform_beliefs
 from .model import FactorModel
 from .propagation import InnerSettings, constraint_residual, run_gbp
 from .regions import RegionGraph
-from .bounds import ConvexityError
 
 DESCENT_SLACK = 1e-9
 
@@ -98,7 +102,7 @@ def minimize(
     )
 
     q = uniform_beliefs(graph, model.cards)
-    f_prev = kikuchi_free_energy(graph, model, q)
+    f_prev = free_energy(graph, model, q)
     records = [OuterRecord(0, f_prev, 0, constraint_residual(graph, q), 0.0)]
     messages = None
     converged = False
@@ -109,14 +113,14 @@ def minimize(
         q_new, messages, sweeps, inner_ok = run_gbp(
             inner_model, graph, spec.inner_overcounts, settings.inner, warm=warm
         )
-        f_new = kikuchi_free_energy(graph, model, q_new)
+        f_new = free_energy(graph, model, q_new)
         if f_new > f_prev + DESCENT_SLACK:
             # The bound evaluated at the anchor equals f_prev, so an exact
             # inner minimum can never raise the objective.  If the bound
             # still dominates at q_new the rise is inner-solve noise: keep
             # the anchor and stop.  A dominance violation is a bug.
             if pointwise:
-                f_surrogate = bound_free_energy(graph, model, spec, q_new, q)
+                f_surrogate = free_energy(graph, model, q_new, spec.inner_overcounts, q)
                 if f_new > f_surrogate + DESCENT_SLACK:
                     raise DescentError(
                         f"free energy {f_new!r} exceeds its upper bound "
@@ -154,19 +158,6 @@ def minimize(
             converged = True
             break
     return RunTrace(spec.variant, records, q, settings, converged)
-
-
-def compare(
-    model: FactorModel,
-    graph: RegionGraph,
-    specs,
-    settings: OuterSettings | None = None,
-) -> list[RunTrace]:
-    """Run several bound variants from the same start with the same settings."""
-    specs = list(specs)
-    if not specs:
-        raise ValueError("compare needs at least one bound variant")
-    return [minimize(model, graph, s, settings) for s in specs]
 
 
 def iterations_to_reach(trace: RunTrace, target: float, window: float = 1e-4):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FactorModel, outer_log_potentials
+from .model import outer_log_potentials
 from .regions import RegionGraph
 
 LOG_FLOOR = 1e-300
@@ -69,29 +69,15 @@ def _check_tables(graph, q, cards):
             raise ValueError(f"region {r.id}: belief table is not normalized")
 
 
-def free_energy(graph, model, q, subset_counts=None) -> float:
-    """Average energy minus counted entropy; counts default to the graph's."""
-    _check_tables(graph, q, model.cards)
-    pots = outer_log_potentials(model, graph)
-    total = 0.0
-    for a in graph.outer_ids:
-        t = q.tables[a]
-        total += float(-(t * pots[a]).sum())
-        total -= _entropy(t)
-    counts = graph.subset_overcounts() if subset_counts is None else subset_counts
-    for b in graph.subset_ids:
-        c = counts.get(b, 0.0)
-        if c:
-            total -= c * _entropy(q.tables[b])
-    return total
+def free_energy(graph, model, q, subset_counts=None, anchor=None) -> float:
+    """Average energy minus counted entropy.
 
-
-def kikuchi_free_energy(graph: RegionGraph, model: FactorModel, q: Beliefs) -> float:
-    return free_energy(graph, model, q)
-
-
-def bound_free_energy(graph, model, spec, q, anchor) -> float:
-    """Upper-bound functional: touches the plain free energy at q == anchor."""
+    Subset region ``b`` keeps ``subset_counts.get(b, c_b)`` of its exact
+    entropy, where ``c_b`` is the graph's count (all of it by default).  With
+    an ``anchor``, the remaining ``c_b - kept`` is charged as cross-entropy
+    against the anchor: the double loop's upper bound, which touches the plain
+    value at q == anchor.
+    """
     _check_tables(graph, q, model.cards)
     pots = outer_log_potentials(model, graph)
     total = 0.0
@@ -100,14 +86,15 @@ def bound_free_energy(graph, model, spec, q, anchor) -> float:
         total += float(-(t * pots[a]).sum())
         total -= _entropy(t)
     counts = graph.subset_overcounts()
+    kept = counts if subset_counts is None else subset_counts
     clamped = 0
     for b in graph.subset_ids:
         c = counts[b]
-        ct = spec.inner_overcounts.get(b, c)
+        ct = kept.get(b, c)
         t = q.tables[b]
         if ct:
             total -= ct * _entropy(t)
-        if c != ct:
+        if anchor is not None and c != ct:
             anch = anchor.tables[b]
             clamped += int(((anch < LOG_FLOOR) & (t > 1e-12)).sum())
             total -= (c - ct) * _cross_entropy(t, anch)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import GraphError, RegionGraph, Variable
+from .regions import GraphError, RegionGraph
 
 CLAMP_LOG = -1e3
 
@@ -45,7 +45,6 @@ class ModelSpec:
     findings: int = 0
     weight_scale: float = 1.0
     seed: int = 0
-    path: str | None = None
     observe: str | None = None
 
 
@@ -81,10 +80,6 @@ class FactorModel:
     def num_vars(self) -> int:
         return len(self.cards)
 
-    @property
-    def variables(self) -> tuple[Variable, ...]:
-        return tuple(Variable(i, c) for i, c in enumerate(self.cards))
-
     def equal(self, other: "FactorModel") -> bool:
         return (
             self.cards == other.cards
@@ -93,7 +88,7 @@ class FactorModel:
         )
 
 
-def _merged(scopes, tables, cards):
+def _merged(scopes, tables):
     """Collapse duplicate scopes by adding their tables, preserving order."""
     out_scopes, out_tables = [], []
     index = {}
@@ -231,7 +226,7 @@ def _generate_qmr(spec: ModelSpec) -> FactorModel:
             scopes.append((j,))
             tables.append(log_prior)
 
-    scopes, tables = _merged(scopes, tables, [2] * d)
+    scopes, tables = _merged(scopes, tables)
     meta = {
         "family": "qmr_like",
         "diseases": str(d),
@@ -253,10 +248,6 @@ def generate(spec: ModelSpec) -> FactorModel:
         return _generate_full(spec)
     if spec.family == "qmr_like":
         return _generate_qmr(spec)
-    if spec.family == "file":
-        if not spec.path:
-            raise ValueError("family 'file' needs a path")
-        return load(spec.path)
     raise ValueError(f"unknown model family {spec.family!r}")
 
 

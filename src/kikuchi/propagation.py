@@ -38,12 +38,6 @@ class MessageSet:
     up: dict[tuple[int, int], np.ndarray]
     down: dict[tuple[int, int], np.ndarray]
 
-    def copy(self) -> "MessageSet":
-        return MessageSet(
-            {k: v.copy() for k, v in self.up.items()},
-            {k: v.copy() for k, v in self.down.items()},
-        )
-
 
 @dataclass
 class InnerSettings:

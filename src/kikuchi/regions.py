@@ -24,16 +24,6 @@ class GraphError(ValueError):
 
 
 @dataclass(frozen=True)
-class Variable:
-    id: int
-    cardinality: int
-
-    def __post_init__(self):
-        if self.cardinality < 2:
-            raise GraphError(f"variable {self.id}: cardinality must be >= 2")
-
-
-@dataclass(frozen=True)
 class Region:
     id: int
     vars: tuple[int, ...]
@@ -121,9 +111,6 @@ class RegionGraph:
 
     def region_vars(self, rid: int) -> tuple[int, ...]:
         return self.by_id[rid].vars
-
-    def overcounts(self) -> dict[int, Fraction]:
-        return {r.id: r.overcount for r in self.regions}
 
     def subset_overcounts(self) -> dict[int, float]:
         return {b: float(self.by_id[b].overcount) for b in self.subset_ids}

@@ -2,9 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import kikuchi
 from kikuchi import load
 from kikuchi.cli import (
     ExperimentConfig,
@@ -32,6 +38,65 @@ def test_config_text_round_trip():
     for cfg in cases:
         text = config_to_text(cfg)
         assert parse_config(text) == cfg
+
+
+DEFAULT_CONFIG_TEXT = """\
+# experiment config v1
+family = file
+model = none
+rows = 0
+cols = 0
+nodes = 0
+diseases = 0
+findings = 0
+w = 1.0
+observe = none
+recipe = bethe
+variants = conv1,conv2,conv3,cccp
+seeds = 0
+outdir = out
+outer_tol = 1e-08
+marginal_tol = 1e-06
+max_outer = 10000
+inner_tol = 1e-08
+inner_max_sweeps = 2000
+damping = auto
+warm_start = true
+consensus_window = 0.0001
+"""
+
+
+def test_config_text_is_pinned():
+    # config.txt lands in every run's outdir; round trips cannot see a drift.
+    assert config_to_text(ExperimentConfig()) == DEFAULT_CONFIG_TEXT
+    cfg = ExperimentConfig(family="grid", rows=6, cols=6, w=2.0,
+                           seeds=(0, 1, 2), variants=("conv3", "cccp"),
+                           outdir="exp/run1", damping=0.3)
+    want = """\
+# experiment config v1
+family = grid
+model = none
+rows = 6
+cols = 6
+nodes = 0
+diseases = 0
+findings = 0
+w = 2.0
+observe = none
+recipe = bethe
+variants = conv3,cccp
+seeds = 0,1,2
+outdir = exp/run1
+outer_tol = 1e-08
+marginal_tol = 1e-06
+max_outer = 10000
+inner_tol = 1e-08
+inner_max_sweeps = 2000
+damping = 0.3
+warm_start = true
+consensus_window = 0.0001
+"""
+    assert config_to_text(cfg) == want
 
 
 def test_config_file_round_trip(tmp_path):
@@ -182,6 +247,14 @@ def test_config_file_drives_run(tmp_path, capsys):
     assert "variant cccp" in capsys.readouterr().out
     assert (tmp_path / "o" / "trace_cccp.csv").exists()
 
+    # a flag overrides the file, and --damping auto overrides a number
+    save_config(replace(cfg, damping=0.3), path)
+    rc = main(["run", "--config", str(path), "--damping", "auto",
+               "--outdir", str(tmp_path / "auto")])
+    assert rc == 0
+    assert load_config(tmp_path / "auto" / "config.txt").damping is None
+    assert "damping = auto\n" in (tmp_path / "auto" / "config.txt").read_text()
+
 
 def test_usage_errors_exit_2(tmp_path, capsys):
     model = tmp_path / "m.model"
@@ -194,6 +267,9 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["compare", "--family", "grid", "--rows", "2", "--cols", "2",
                  "--variants", "conv1", "--recipe", "grid-plaquettes",
                  "--outdir", str(tmp_path / "c"), "--seeds", "0,zero"]) == 2
+    assert main(["compare", "--family", "grid", "--rows", "2", "--cols", "2",
+                 "--variants", ",", "--outdir", str(tmp_path / "c")]) == 2
+    assert "variant list is empty" in capsys.readouterr().err
     assert main(["frobnicate"]) == 2  # argparse rejection is a usage error
 
 
@@ -224,3 +300,18 @@ def test_qmr_generate_respects_observation_length(tmp_path, capsys):
     assert rc == 0
     m = load(out)
     assert m.num_vars == 6
+
+
+def test_package_does_not_import_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(Path(kikuchi.__file__).parents[1]))
+    probe = "import sys, kikuchi; print('kikuchi.cli' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+    # running the module must not warn that it was imported before execution
+    proc = subprocess.run([sys.executable, "-m", "kikuchi.cli", "generate",
+                           "--family", "grid", "--rows", "2", "--cols", "2",
+                           "-o", str(tmp_path / "g.model")],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""

@@ -13,10 +13,9 @@ from kikuchi import (
     OuterSettings,
     build_bethe,
     build_cvm,
-    compare,
     exact_inference,
+    free_energy,
     iterations_to_reach,
-    kikuchi_free_energy,
     make_bound_spec,
     minimize,
     trace_metadata,
@@ -125,7 +124,7 @@ def test_trace_rows_and_uniform_start():
     trace = minimize(m, g, make_bound_spec(g, "conv1"))
     assert trace.outer[0].outer_index == 0
     assert trace.outer[0].inner_sweeps == 0
-    f0 = kikuchi_free_energy(g, m, uniform_beliefs(g, m.cards))
+    f0 = free_energy(g, m, uniform_beliefs(g, m.cards))
     assert trace.outer[0].f_kik == pytest.approx(f0, abs=1e-12)
     idx = [r.outer_index for r in trace.outer]
     assert idx == list(range(len(idx)))
@@ -150,16 +149,6 @@ def test_cold_inner_starts_still_descend():
     assert cold.converged
     assert abs(cold.final_f - warm.final_f) < 1e-6
     assert cold.total_inner_sweeps >= warm.total_inner_sweeps
-
-
-def test_compare_runs_each_variant():
-    m = k4_model(seed=2)
-    g = build_bethe(m.scopes, m.num_vars)
-    specs = [make_bound_spec(g, v) for v in ("conv1", "cccp")]
-    traces = compare(m, g, specs)
-    assert [t.variant for t in traces] == ["conv1", "cccp"]
-    with pytest.raises(ValueError):
-        compare(m, g, [])
 
 
 def test_iterations_to_reach_window():

@@ -10,12 +10,10 @@ import pytest
 from kikuchi import (
     Beliefs,
     VARIANTS,
-    bound_free_energy,
     build_bethe,
     build_cvm,
     constraint_residual,
     free_energy,
-    kikuchi_free_energy,
     kl_marginals,
     make_bound_spec,
     outer_log_potentials,
@@ -59,7 +57,7 @@ def test_uniform_free_energy_closed_form():
     g = build_bethe(m.scopes, m.num_vars)
     q = uniform_beliefs(g, m.cards)
     want = -3 * math.log(4.0) + 3 * math.log(2.0)
-    assert abs(kikuchi_free_energy(g, m, q) - want) < 1e-12
+    assert abs(free_energy(g, m, q) - want) < 1e-12
 
 
 def test_belief_validation():
@@ -116,11 +114,11 @@ def test_touching_and_bounding_consistent_beliefs():
         for _ in range(20):
             q = random_consistent_beliefs(g, m.cards, rng)
             anchor = random_consistent_beliefs(g, m.cards, rng)
-            f = kikuchi_free_energy(g, m, q)
+            f = free_energy(g, m, q)
             vals = {}
             for v, spec in specs.items():
-                assert abs(bound_free_energy(g, m, spec, q, q) - f) < 1e-10
-                vals[v] = bound_free_energy(g, m, spec, q, anchor)
+                assert abs(free_energy(g, m, q, spec.inner_overcounts, q) - f) < 1e-10
+                vals[v] = free_energy(g, m, q, spec.inner_overcounts, anchor)
                 assert vals[v] >= f - 1e-9
             assert vals["conv2"] <= vals["conv1"] + 1e-9
             assert vals["conv1"] <= vals["cccp"] + 1e-9
@@ -144,8 +142,8 @@ def test_pointwise_bounding_without_consistency():
                 a = rng.gamma(1.0, size=shape)
                 anch[r.id] = a / a.sum()
             q, anchor = Beliefs(tabs), Beliefs(anch)
-            f = kikuchi_free_energy(g, m, q)
-            assert bound_free_energy(g, m, spec, q, anchor) >= f - 1e-9
+            f = free_energy(g, m, q)
+            assert free_energy(g, m, q, spec.inner_overcounts, anchor) >= f - 1e-9
 
 
 def test_dense_sampler_consistency():
@@ -196,7 +194,7 @@ def test_bound_warns_on_floored_anchor():
     b = g.neg_ids[0]  # only gapped subsets consult the anchor
     anchor.tables[b] = np.array([1.0, 0.0])
     with pytest.warns(UserWarning, match="floor"):
-        bound_free_energy(g, m, spec, q, anchor)
+        free_energy(g, m, q, spec.inner_overcounts, anchor)
 
 
 def test_delta_ignores_extra_ids():

@@ -14,7 +14,7 @@ from kikuchi import (
     build_cvm,
     constraint_residual,
     exact_inference,
-    kikuchi_free_energy,
+    free_energy,
     make_bound_spec,
     outer_log_potentials,
     run_gbp,
@@ -35,7 +35,7 @@ def test_chain_reaches_exact_marginals():
     for rid in g.by_id:
         assert np.max(np.abs(q.tables[rid] - exact.marginals.tables[rid])) < 1e-7
     assert constraint_residual(g, q) < 1e-8
-    f = kikuchi_free_energy(g, m, q)
+    f = free_energy(g, m, q)
     assert abs(f + exact.log_z) < 1e-7
 
 
@@ -136,7 +136,7 @@ def test_triangle_matches_projected_gradient():
     g = build_bethe(m.scopes, m.num_vars)
     q, _, _, converged = run_gbp(m, g, _true_counts(g))
     assert converged
-    f_gbp = kikuchi_free_energy(g, m, q)
+    f_gbp = free_energy(g, m, q)
     f_pg, tables = _projected_gradient_minimum(g, m)
     assert abs(f_gbp - f_pg) < 1e-8
     for rid, t in tables.items():
@@ -149,7 +149,7 @@ def test_square_cycle_matches_projected_gradient():
     q, _, _, converged = run_gbp(m, g, _true_counts(g))
     assert converged
     f_pg, _ = _projected_gradient_minimum(g, m)
-    assert abs(kikuchi_free_energy(g, m, q) - f_pg) < 1e-8
+    assert abs(free_energy(g, m, q) - f_pg) < 1e-8
 
 
 def test_exponent_must_stay_positive():
@@ -254,5 +254,5 @@ def test_zero_potentials_fix_uniform_beliefs():
     assert converged
     for rid, t in q.tables.items():
         assert np.max(np.abs(t - 1.0 / t.size)) < 1e-12
-    f = kikuchi_free_energy(g, m, q)
+    f = free_energy(g, m, q)
     assert abs(f - (-4 * math.log(4.0) + 4 * math.log(2.0))) < 1e-10
