@@ -48,7 +48,6 @@ from .propagation import (
     ConfigurationError,
     InnerSettings,
     MessageSet,
-    active_subsets,
     constraint_residual,
     run_gbp,
 )
@@ -89,7 +88,6 @@ __all__ = [
     "RegionGraph",
     "RunTrace",
     "VARIANTS",
-    "active_subsets",
     "build_bethe",
     "build_cvm",
     "check_conv2_bound",

@@ -37,6 +37,7 @@ from .doubleloop import (
     write_trace_csv,
     write_trace_json,
 )
+from .energy import Beliefs, kl_marginals
 from .model import ModelFormatError, ModelSpec, generate, load, save
 from .oracle import OracleLimitError, exact_inference
 from .propagation import ConfigurationError, InnerSettings
@@ -272,14 +273,9 @@ def kl_to_oracle(model, graph, beliefs):
         exact = exact_inference(model, regions=[(v,) for v in range(model.num_vars)])
     except OracleLimitError:
         return None
-    approx = single_variable_marginals(graph, beliefs, model.num_vars)
-    total = 0.0
-    for v in range(model.num_vars):
-        p = exact.marginals.tables[v]
-        q = np.maximum(approx[v], 1e-300)
-        mask = p > 0
-        total += float((p[mask] * (np.log(p[mask]) - np.log(q[mask]))).sum())
-    return total / model.num_vars
+    approx = Beliefs(single_variable_marginals(graph, beliefs, model.num_vars))
+    n = model.num_vars
+    return kl_marginals(exact.marginals, approx, range(n)) / n
 
 
 def _kl_text(kl) -> str:
@@ -349,7 +345,7 @@ def _resolve_config(args) -> ExperimentConfig:
                 raise UsageError(f"{name} must be {what}, got {over[name]!r}") from None
     if "seed" in given:
         over["seeds"] = (given["seed"],)
-    if "model" in over and "family" not in over and "config" not in given:
+    if "model" in over and "family" not in over:
         over["family"] = "file"
     return _validate_config(replace(cfg, **over))
 

@@ -1,8 +1,8 @@
 """Generalized belief propagation on a two-layer view of the region graph.
 
 Every active subset region exchanges messages with every outer cluster whose
-variables contain it.  One sweep visits the active subsets in a fixed order;
-for each subset the containing clusters are queried (cluster belief
+variables contain it.  One sweep visits the active subsets in ascending id
+order; for each subset the containing clusters are queried (cluster belief
 marginalized, divided by the last downward message), the subset belief is
 rebuilt from the geometric mean of the upward messages with exponent
 1 / (number of containing clusters + effective overcounting number), and the
@@ -11,10 +11,12 @@ downward messages and cluster beliefs are refreshed in place.
 With Bethe counting numbers (1 - n per variable) the exponent is one and the
 sweep reduces to ordinary loopy belief propagation.
 
-Subset regions with an effective count of zero are dropped from the sweep
-unless they are a direct pairwise intersection of outer clusters; those must
-stay so the consistency constraints they carry keep being enforced.  Beliefs
-for dropped regions are reconstructed from a containing cluster afterwards.
+A subset region leaves the sweep only when its effective count is zero and a
+single outer cluster contains it: its update exponent is then one and its
+downward message stays uniform, so visiting it would change nothing.  Every
+region inside two or more clusters carries a consistency constraint and is
+swept.  Beliefs for the regions left out are read off their one containing
+cluster afterwards.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .regions import RegionGraph
 
 
 class ConfigurationError(ValueError):
-    """Inner-loop setup that cannot run (bad exponent, bad schedule)."""
+    """Inner-loop setup that cannot run (bad exponent, bad damping)."""
 
 
 @dataclass
@@ -44,7 +46,6 @@ class InnerSettings:
     tol: float = 1e-8
     max_sweeps: int = 2000
     damping: float | None = None  # None picks 0, or 0.5 if any count is negative
-    schedule: tuple[int, ...] | None = None
 
 
 def _softmax(logt: np.ndarray) -> np.ndarray:
@@ -52,21 +53,16 @@ def _softmax(logt: np.ndarray) -> np.ndarray:
     return t / t.sum()
 
 
-def active_subsets(graph: RegionGraph, c_eff, prune=True) -> list[int]:
-    act = []
-    for b in graph.subset_ids:
-        c = float(c_eff.get(b, 0.0))
-        if abs(c) > 1e-15 or not prune or b in graph.direct_intersection_ids:
-            act.append(b)
-    return act
-
-
-def run_gbp(model, graph, c_eff, settings=None, warm=None, prune=True):
+def run_gbp(model, graph, c_eff, settings=None, warm=None):
     """Sweep to a fixed point; returns (beliefs, messages, sweeps, converged)."""
     settings = settings or InnerSettings()
     cards = model.cards
     pots = outer_log_potentials(model, graph)
-    act = active_subsets(graph, c_eff, prune)
+    act = [
+        b
+        for b in graph.subset_ids
+        if abs(float(c_eff.get(b, 0.0))) > 1e-15 or graph.outer_count[b] != 1
+    ]
 
     denom = {}
     for b in act:
@@ -77,13 +73,6 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None, prune=True):
                 f"overcounting number is {d}; the update exponent needs it positive"
             )
         denom[b] = d
-
-    if settings.schedule is not None:
-        order = list(settings.schedule)
-        if sorted(order) != sorted(act):
-            raise ConfigurationError("schedule must visit each active subset once")
-    else:
-        order = sorted(act)
 
     if settings.damping is None:
         damping = 0.0 if all(float(c_eff.get(b, 0.0)) >= 0 for b in act) else 0.5
@@ -131,7 +120,7 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None, prune=True):
     logacc = {a: rebuild_cluster(a) for a in graph.outer_ids}
     q_out = {a: _softmax(logacc[a]) for a in graph.outer_ids}
     q_sub = {}
-    for b in order:
+    for b in act:
         acc = None
         for a in graph.containing_outers[b]:
             lu = np.log(up[(a, b)])
@@ -143,7 +132,7 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None, prune=True):
     for sweep in range(1, settings.max_sweeps + 1):
         sweeps = sweep
         prev = dict(q_sub)
-        for b in order:
+        for b in act:
             acc = None
             for a in graph.containing_outers[b]:
                 marg = q_out[a].sum(axis=sum_axes[(a, b)])
@@ -168,7 +157,7 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None, prune=True):
                 down[(b, a)] = nd
                 q_out[a] = _softmax(logacc[a])
         delta = 0.0
-        for b in order:
+        for b in act:
             delta = max(delta, float(np.max(np.abs(q_sub[b] - prev[b]))))
         if sweep % 64 == 0:
             # Incremental cluster updates accumulate round-off; rebuild.

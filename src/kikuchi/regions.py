@@ -86,15 +86,6 @@ class RegionGraph:
             if p not in self.by_id or c not in self.by_id:
                 raise GraphError(f"edge ({p},{c}) references unknown region")
 
-        inter = set()
-        for a, b in combinations(self.outer_ids, 2):
-            s = varsets[a] & varsets[b]
-            if s:
-                inter.add(s)
-        self.direct_intersection_ids = frozenset(
-            b for b in subset_ids if varsets[b] in inter
-        )
-
     def _transitive_reduction(self):
         varsets = self._varsets
         ids = [r.id for r in self.regions]

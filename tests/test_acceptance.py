@@ -76,6 +76,9 @@ def test_criterion_1_monotone_descent():
                             f"{name} seed {seed} {variant}: rise at outer {t + 1}"
                         )
                     assert trace.converged, f"{name} seed {seed} {variant}"
+                    assert trace.outer[-1].constraint_residual <= 1e-6, (
+                        f"{name} seed {seed} {variant}: inconsistent beliefs"
+                    )
         assert time.monotonic() - start < 120.0
 
 

@@ -255,6 +255,20 @@ def test_config_file_drives_run(tmp_path, capsys):
     assert load_config(tmp_path / "auto" / "config.txt").damping is None
     assert "damping = auto\n" in (tmp_path / "auto" / "config.txt").read_text()
 
+    # --model without --family runs the file even when the config names a
+    # synthetic family, and the written config says so
+    model = tmp_path / "q.model"
+    main(["generate", "--family", "qmr", "--diseases", "4", "--findings", "3",
+          "--seed", "2", "-o", str(model)])
+    rc = main(["run", "--config", str(path), "--model", str(model),
+               "--outdir", str(tmp_path / "file")])
+    assert rc == 0
+    text = (tmp_path / "file" / "config.txt").read_text()
+    assert "family = file\n" in text
+    assert f"model = {model}\n" in text
+    meta = json.loads((tmp_path / "file" / "trace_cccp.json").read_text())
+    assert meta["model"]["family"] == "qmr_like"
+
 
 def test_usage_errors_exit_2(tmp_path, capsys):
     model = tmp_path / "m.model"

@@ -10,12 +10,15 @@ from kikuchi import (
     ConfigurationError,
     InnerSettings,
     MessageSet,
+    ModelSpec,
     build_bethe,
     build_cvm,
     constraint_residual,
     exact_inference,
     free_energy,
+    generate,
     make_bound_spec,
+    minimize,
     outer_log_potentials,
     run_gbp,
 )
@@ -162,19 +165,6 @@ def test_exponent_must_stay_positive():
         run_gbp(m, g, bad)
 
 
-def test_schedule_must_cover_active_subsets():
-    m = cycle_model(4, seed=1)
-    g = build_bethe(m.scopes, m.num_vars)
-    c = _true_counts(g)
-    with pytest.raises(ConfigurationError, match="schedule"):
-        run_gbp(m, g, c, InnerSettings(schedule=(g.subset_ids[0],)))
-    order = tuple(reversed(sorted(g.subset_ids)))
-    q1, _, _, ok1 = run_gbp(m, g, c, InnerSettings(schedule=order))
-    q2, _, _, ok2 = run_gbp(m, g, c)
-    assert ok1 and ok2
-    assert q1.delta(q2) < 1e-6
-
-
 def test_damping_range_is_validated():
     m = chain_model(3, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
@@ -210,6 +200,24 @@ def test_direct_intersections_stay_active_at_zero_count():
     assert converged
     assert any(k[1] == shared for k in msgs.up)
     assert constraint_residual(g, q) < 1e-8
+
+
+def test_zero_count_regions_outside_intersections_stay_active():
+    # A Bethe graph is not closed under intersection: clusters (1, 8, 10)
+    # and (5, 8, 10) meet in (8, 10), so region (10,) lies in two clusters
+    # without being a pairwise intersection.  conv1 zeroes its count;
+    # dropping it from the sweep used to stop conv1 at f = 9.24425 with a
+    # constraint residual of 0.064.
+    m = generate(ModelSpec("qmr_like", diseases=12, findings=8, seed=1))
+    g = build_bethe(m.scopes, m.num_vars)
+    finals = []
+    for variant in ("conv1", "conv3", "cccp"):
+        trace = minimize(m, g, make_bound_spec(g, variant))
+        assert trace.converged, variant
+        assert trace.outer[-1].constraint_residual < 1e-6, variant
+        finals.append(trace.final_f)
+    assert max(finals) - min(finals) < 1e-6
+    assert abs(finals[0] - 9.26281) < 1e-5
 
 
 def test_warm_start_resumes_at_fixed_point():

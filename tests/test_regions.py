@@ -56,9 +56,7 @@ def test_plaquette_cvm_counts_and_structure():
     assert [g.by_id[b].vars for b in g.pos_ids] == [(4,)]
     sums = per_variable_counting_sums(g)
     assert all(s == 1 for s in sums.values())
-    # the center is a direct intersection of diagonally opposite plaquettes
     center = next(b for b in g.subset_ids if g.by_id[b].vars == (4,))
-    assert center in g.direct_intersection_ids
     # and its Hasse parents are the four edge regions, not the plaquettes
     parents = {p for p, c in g.hasse_edges if c == center}
     edge_ids = {b for b in g.subset_ids if len(g.by_id[b].vars) == 2}
