@@ -267,27 +267,34 @@ def single_variable_marginals(graph, beliefs, num_vars):
     return out
 
 
-def kl_to_oracle(model, graph, beliefs):
-    """Mean per-variable KL from the exact marginals; None beyond oracle reach."""
+def oracle_marginals(model):
+    """Exact single-variable marginals keyed by variable; None beyond oracle reach."""
     try:
         exact = exact_inference(model, regions=[(v,) for v in range(model.num_vars)])
     except OracleLimitError:
         return None
-    approx = Beliefs(single_variable_marginals(graph, beliefs, model.num_vars))
-    n = model.num_vars
-    return kl_marginals(exact.marginals, approx, range(n)) / n
+    return exact.marginals
+
+
+def kl_to_oracle(exact, graph, beliefs):
+    """Mean per-variable KL from ``oracle_marginals``; None when those are None."""
+    if exact is None:
+        return None
+    n = len(exact.tables)
+    approx = Beliefs(single_variable_marginals(graph, beliefs, n))
+    return kl_marginals(exact, approx, range(n)) / n
 
 
 def _kl_text(kl) -> str:
     return "unavailable" if kl is None else f"{kl:.17g}"
 
 
-def _write_trace(stem, model, graph, spec, trace, seed):
-    """Write ``stem``.csv and ``stem``.json; returns the trace's KL to the oracle."""
+def _write_trace(stem, model, graph, spec, trace, seed, exact):
+    """Write ``stem``.csv and ``stem``.json; returns the trace's KL to ``exact``."""
     write_trace_csv(trace, f"{stem}.csv")
     meta = trace_metadata(trace, spec, model.meta)
     meta["seed"] = seed
-    meta["kl_to_oracle"] = kl_to_oracle(model, graph, trace.final_beliefs)
+    meta["kl_to_oracle"] = kl_to_oracle(exact, graph, trace.final_beliefs)
     write_trace_json(meta, f"{stem}.json")
     return meta["kl_to_oracle"]
 
@@ -361,7 +368,8 @@ def cmd_run(args) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     save_config(replace(cfg, variants=(variant,)), outdir / "config.txt")
-    kl = _write_trace(outdir / f"trace_{variant}", model, graph, spec, trace, seed)
+    exact = oracle_marginals(model)
+    kl = _write_trace(outdir / f"trace_{variant}", model, graph, spec, trace, seed, exact)
     print(
         f"variant {variant} outer_iterations {trace.outer_iterations} "
         f"total_inner_sweeps {trace.total_inner_sweeps} "
@@ -392,12 +400,13 @@ def cmd_compare(args) -> int:
         specs = [make_bound_spec(graph, v) for v in cfg.variants]
         traces = [minimize(model, graph, s, settings) for s in specs]
         consensus = min(tr.final_f for tr in traces)
+        exact = oracle_marginals(model)
         scale = 1.0
         if "conv3" in cfg.variants:
             scale = max(1.0, float(traces[cfg.variants.index("conv3")].outer_iterations))
         for spec, tr in zip(specs, traces):
             stem = outdir / f"trace_seed{seed}_{spec.variant}"
-            kl = _write_trace(stem, model, graph, spec, tr, seed)
+            kl = _write_trace(stem, model, graph, spec, tr, seed, exact)
             summary.append(
                 f"row {seed} {spec.variant} {tr.outer_iterations} "
                 f"{tr.total_inner_sweeps} {tr.final_f:.17g} {_kl_text(kl)}"

@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .energy import Beliefs, free_energy, uniform_beliefs
 from .model import FactorModel
-from .propagation import InnerSettings, constraint_residual, run_gbp
+from .propagation import InnerSettings, MessageSet, constraint_residual, run_gbp
 from .regions import RegionGraph
 
 DESCENT_SLACK = 1e-9
@@ -109,9 +109,11 @@ def minimize(
 
     for outer_index in range(1, settings.max_outer + 1):
         inner_model = inner_potentials(model, graph, spec, q)
-        warm = messages if settings.warm_start else None
+        if messages is not None and not settings.warm_start:
+            # No message tables: a cold start on the compiled sweep plan.
+            messages = MessageSet({}, {}, messages.plan)
         q_new, messages, sweeps, inner_ok = run_gbp(
-            inner_model, graph, spec.inner_overcounts, settings.inner, warm=warm
+            inner_model, graph, spec.inner_overcounts, settings.inner, warm=messages
         )
         f_new = free_energy(graph, model, q_new)
         if f_new > f_prev + DESCENT_SLACK:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import kikuchi
-from kikuchi import load
+from kikuchi import cli, load
 from kikuchi.cli import (
     ExperimentConfig,
     UsageError,
@@ -224,6 +224,27 @@ def test_compare_outputs(tmp_path, capsys):
     block = plot.split("series conv3 seed 0\n", 1)[1].split("\nend", 1)[0]
     last_x = float(block.splitlines()[-1].split()[0])
     assert last_x == pytest.approx(1.0)
+
+
+def test_compare_enumerates_the_oracle_once_per_seed(tmp_path, monkeypatch):
+    # The model changes per seed, not per variant, so one enumeration serves
+    # every trace of a seed.
+    calls = []
+    real = cli.exact_inference
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "exact_inference", counted)
+    rc = main(["compare", "--family", "qmr", "--diseases", "6", "--findings", "3",
+               "--seeds", "0,1", "--variants", "conv1,conv3,cccp",
+               "--outdir", str(tmp_path / "cmp")])
+    assert rc == 0
+    assert len(calls) == 2
+    metas = [json.loads(p.read_text()) for p in sorted((tmp_path / "cmp").glob("*.json"))]
+    assert len(metas) == 6
+    assert all(m["kl_to_oracle"] is not None for m in metas)
 
 
 def test_compare_is_reproducible(tmp_path):

@@ -3,18 +3,22 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
 
 from kikuchi import (
     ConvexityError,
+    GraphError,
     InnerSettings,
+    ModelSpec,
     OuterSettings,
     build_bethe,
     build_cvm,
     exact_inference,
     free_energy,
+    generate,
     iterations_to_reach,
     make_bound_spec,
     minimize,
@@ -207,3 +211,15 @@ def test_deterministic_repeat():
     b = minimize(m, g, make_bound_spec(g, "conv1"))
     assert [r.f_kik for r in a.outer] == [r.f_kik for r in b.outer]
     assert a.final_beliefs.delta(b.final_beliefs) == 0.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.xfail(strict=True, raises=GraphError,
+                   reason="probability-domain messages underflow to zero under cccp")
+def test_cccp_on_strong_triplets_stays_finite():
+    # Strong couplings on all triplets drive inner messages below the log
+    # floor's reach; inner_potentials then meets non-finite logs and raises.
+    m = generate(ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0))
+    g = build_cvm(list(combinations(range(5), 3)), 5)
+    trace = minimize(m, g, make_bound_spec(g, "cccp"))
+    assert all(math.isfinite(r.f_kik) for r in trace.outer)

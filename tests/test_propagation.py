@@ -2,12 +2,17 @@
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from kikuchi import (
+    Beliefs,
     ConfigurationError,
+    ConvexityError,
     InnerSettings,
     MessageSet,
     ModelSpec,
@@ -22,6 +27,7 @@ from kikuchi import (
     outer_log_potentials,
     run_gbp,
 )
+from kikuchi.energy import LOG_FLOOR
 from conftest import chain_model, cycle_model, pairwise_model
 
 
@@ -264,3 +270,207 @@ def test_zero_potentials_fix_uniform_beliefs():
         assert np.max(np.abs(t - 1.0 / t.size)) < 1e-12
     f = free_energy(g, m, q)
     assert abs(f - (-4 * math.log(4.0) + 4 * math.log(2.0))) < 1e-10
+
+
+def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
+    """The sweep one subset region at a time, in ascending id order.
+
+    The oracle for ``run_gbp``'s level-by-level sweep: the same floors,
+    normalizations, damping rule, rebuild period and stopping test.
+    """
+    settings = settings or InnerSettings()
+    cards, pots, cont = model.cards, outer_log_potentials(model, graph), graph.containing_outers
+    count = {b: float(c_eff.get(b, 0.0)) for b in graph.subset_ids}
+    act = [b for b in graph.subset_ids if abs(count[b]) > 1e-15 or graph.outer_count[b] != 1]
+    denom = {b: graph.outer_count[b] + count[b] for b in act}
+    damping = settings.damping
+    if damping is None:
+        damping = 0.0 if all(count[b] >= 0 for b in act) else 0.5
+
+    def softmax(t):
+        t = np.exp(t - t.max())
+        return t / t.sum()
+
+    def inside(a, b):
+        """Axes of a summed out to reach b, and b's shape broadcast in a."""
+        va, vb = graph.region_vars(a), set(graph.region_vars(b))
+        return (tuple(i for i, v in enumerate(va) if v not in vb),
+                tuple(cards[v] if v in vb else 1 for v in va))
+
+    up, down = {}, {}
+    for b in act:
+        shape = tuple(cards[v] for v in graph.region_vars(b))
+        for a in cont[b]:
+            if warm is not None and (a, b) in warm.up and (b, a) in warm.down:
+                u = np.maximum(warm.up[(a, b)].astype(float), LOG_FLOOR)
+                d = np.maximum(warm.down[(b, a)].astype(float), LOG_FLOOR)
+                up[(a, b)], down[(b, a)] = u / u.sum(), d / d.sum()
+            else:
+                up[(a, b)] = down[(b, a)] = np.full(shape, 1.0 / math.prod(shape))
+
+    def rebuild(a):
+        acc = pots[a].copy()
+        for b in act:
+            if a in cont[b]:
+                acc += np.log(down[(b, a)]).reshape(inside(a, b)[1])
+        return acc
+
+    logacc = {a: rebuild(a) for a in graph.outer_ids}
+    q_out = {a: softmax(logacc[a]) for a in graph.outer_ids}
+    q_sub = {b: softmax(sum(np.log(up[(a, b)]) for a in cont[b]) / denom[b]) for b in act}
+    sweeps, converged = 0, False
+    while sweeps < settings.max_sweeps and not converged:
+        sweeps += 1
+        prev = dict(q_sub)
+        for b in act:
+            for a in cont[b]:
+                u = np.maximum(q_out[a].sum(axis=inside(a, b)[0]) / down[(b, a)], LOG_FLOOR)
+                up[(a, b)] = u / u.sum()
+            logq = sum(np.log(up[(a, b)]) for a in cont[b]) / denom[b]
+            if damping:
+                logq = (1.0 - damping) * logq + damping * np.log(np.maximum(q_sub[b], LOG_FLOOR))
+            q_sub[b] = q = softmax(logq)
+            for a in cont[b]:
+                nd = np.maximum(q / up[(a, b)], LOG_FLOOR)
+                nd /= nd.sum()
+                logacc[a] += (np.log(nd) - np.log(down[(b, a)])).reshape(inside(a, b)[1])
+                down[(b, a)] = nd
+                q_out[a] = softmax(logacc[a])
+        delta = 0.0
+        for b in act:
+            delta = max(delta, float(np.max(np.abs(q_sub[b] - prev[b]))))
+        if sweeps % 64 == 0:
+            logacc = {a: rebuild(a) for a in graph.outer_ids}
+            q_out = {a: softmax(logacc[a]) for a in graph.outer_ids}
+        converged = delta < settings.tol
+
+    tabs = {a: softmax(rebuild(a)) for a in graph.outer_ids}
+    tabs.update(q_sub)
+    for b in graph.subset_ids:
+        if b not in tabs:
+            t = tabs[cont[b][0]].sum(axis=inside(cont[b][0], b)[0])
+            tabs[b] = t / t.sum()
+    return Beliefs(tabs), MessageSet(up, down), sweeps, converged
+
+
+def _plaquettes(rows, cols):
+    return [(r * cols + c, r * cols + c + 1, (r + 1) * cols + c, (r + 1) * cols + c + 1)
+            for r in range(rows - 1) for c in range(cols - 1)]
+
+
+def _problem(kind, size, seed):
+    """A (model, region graph) pair of one of the families the sweep serves."""
+    if kind == "bethe-cycle":
+        m = cycle_model(3 + size, seed=seed, scale=1.5)
+        return m, build_bethe(m.scopes, m.num_vars)
+    if kind in ("bethe-grid", "plaquettes"):
+        rows = 2 + size % 2
+        m = generate(ModelSpec("grid_boltzmann", rows=rows, cols=3, seed=seed))
+        if kind == "bethe-grid":
+            return m, build_bethe(m.scopes, m.num_vars)
+        return m, build_cvm(_plaquettes(rows, 3), m.num_vars)
+    if kind == "triplets":
+        m = generate(ModelSpec("full_boltzmann", nodes=4 + size % 2, weight_scale=1.0, seed=seed))
+        return m, build_cvm(list(combinations(range(m.num_vars), 3)), m.num_vars)
+    m = generate(ModelSpec("qmr_like", diseases=3 + size, findings=2 + size % 3, seed=seed))
+    return m, build_bethe(m.scopes, m.num_vars)
+
+
+def _assert_same_run(got, want):
+    (q, msgs, sweeps, ok), (q_ref, msgs_ref, sweeps_ref, ok_ref) = got, want
+    assert (sweeps, ok) == (sweeps_ref, ok_ref)
+    assert q.tables.keys() == q_ref.tables.keys()
+    assert q.delta(q_ref) < 1e-12
+    for mine, ref in ((msgs.up, msgs_ref.up), (msgs.down, msgs_ref.down)):
+        assert mine.keys() == ref.keys()
+        for k in ref:
+            assert np.max(np.abs(mine[k] - ref[k])) < 1e-12, k
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("bethe-cycle", "bethe-grid", "plaquettes", "triplets", "qmr")),
+    size=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    counts=st.sampled_from(("true", "conv1", "conv3", "cccp")),
+    damping=st.sampled_from((None, 0.3)),
+)
+def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts, damping):
+    m, g = _problem(kind, size, seed)
+    if counts == "true":
+        c = g.subset_overcounts()
+    else:
+        try:
+            c = make_bound_spec(g, counts).inner_overcounts
+        except ConvexityError:
+            assume(False)
+    short = InnerSettings(max_sweeps=7, damping=damping)
+    full = InnerSettings(max_sweeps=300, damping=damping)
+    want = _reference_gbp(m, g, c, short)
+    cold = run_gbp(m, g, c, short)
+    _assert_same_run(cold, want)
+    # Warm starts: the level sweep from its own messages (reusing their plan)
+    # and the reference from its own.
+    _assert_same_run(run_gbp(m, g, c, full, warm=cold[1]), _reference_gbp(m, g, c, full, warm=want[1]))
+
+
+def test_levels_group_regions_with_disjoint_clusters():
+    plaq = generate(ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0))
+    plaq_graph = build_cvm(_plaquettes(5, 5), plaq.num_vars)
+    cases = [(plaq, plaq_graph, "conv3")]
+    cases += [(*_problem(kind, 3, 1), "conv1") for kind in ("triplets", "qmr", "bethe-grid")]
+    for m, g, variant in cases:
+        _, msgs, _, _ = run_gbp(m, g, make_bound_spec(g, variant).inner_overcounts,
+                                InnerSettings(max_sweeps=1))
+        levels = msgs.plan.levels
+        level_of = {b: i for i, level in enumerate(levels) for b in level}
+        assert sorted(level_of) == sorted(msgs.plan.act)
+        for level in levels:
+            clusters = [a for b in level for a in g.containing_outers[b]]
+            assert len(clusters) == len(set(clusters))
+        for b, b2 in combinations(sorted(level_of), 2):
+            if set(g.containing_outers[b]) & set(g.containing_outers[b2]):
+                assert level_of[b] < level_of[b2]
+    levels = run_gbp(plaq, plaq_graph, make_bound_spec(plaq_graph, "conv3").inner_overcounts,
+                     InnerSettings(max_sweeps=1))[1].plan.levels
+    assert (len(levels), sum(map(len, levels))) == (14, 33)
+
+
+def test_warm_start_reuses_the_plan_and_returns_fresh_tables():
+    m = chain_model(5, seed=6)
+    g = build_bethe(m.scopes, m.num_vars)
+    c = _true_counts(g)
+    q1, msgs1, _, _ = run_gbp(m, g, c, InnerSettings(max_sweeps=3))
+    q2, msgs2, _, _ = run_gbp(m, g, c, warm=msgs1)
+    assert msgs2.plan is msgs1.plan
+    for k in msgs1.up:
+        assert not np.shares_memory(msgs1.up[k], msgs2.up[k])
+        assert not np.shares_memory(msgs1.down[k[::-1]], msgs2.down[k[::-1]])
+    for rid in q1.tables:
+        assert not np.shares_memory(q1.tables[rid], q2.tables[rid])
+    # An equal graph that is another object, or another active set, compiles anew.
+    g_copy = build_bethe(m.scopes, m.num_vars)
+    assert run_gbp(m, g_copy, c, warm=msgs1)[1].plan is not msgs1.plan
+    kept_ends = {b: c[b] or 0.5 for b in g.subset_ids}  # chain ends join the sweep
+    assert run_gbp(m, g, kept_ends, warm=msgs2)[1].plan.act != msgs1.plan.act
+
+
+def test_stopping_test_passes_over_nan_regions():
+    # As in the per-region loop's running max, a region whose change is NaN
+    # does not hold the sweep open.
+    m = cycle_model(5, seed=6)
+    g = build_bethe(m.scopes, m.num_vars)
+    c = _true_counts(g)
+    _, msgs, _, _ = run_gbp(m, g, c, InnerSettings(max_sweeps=3))
+    down = dict(msgs.down)
+    key = next(iter(down))
+    down[key] = np.full_like(down[key], np.nan)
+    warm = MessageSet(msgs.up, down)
+    with np.errstate(invalid="ignore"):
+        q, _, sweeps, converged = run_gbp(m, g, c, warm=warm)
+        q_ref, _, sweeps_ref, converged_ref = _reference_gbp(m, g, c, warm=warm)
+    assert (sweeps, converged) == (sweeps_ref, converged_ref)
+    assert converged and sweeps < InnerSettings().max_sweeps
+    assert any(np.isnan(t).any() for t in q.tables.values())
+    for rid, t in q_ref.tables.items():
+        np.testing.assert_allclose(q.tables[rid], t, rtol=0, atol=1e-12)
