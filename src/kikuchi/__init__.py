@@ -52,7 +52,9 @@ from .propagation import (
     run_gbp,
 )
 from .regions import (
+    RECIPES,
     GraphError,
+    RecipeError,
     Region,
     RegionGraph,
     build_bethe,
@@ -60,6 +62,7 @@ from .regions import (
     is_singly_connected,
     load_region_graph,
     per_variable_counting_sums,
+    recipe_graph,
     recompute_overcounts,
     save_region_graph,
 )
@@ -84,6 +87,8 @@ __all__ = [
     "OracleLimitError",
     "OuterRecord",
     "OuterSettings",
+    "RECIPES",
+    "RecipeError",
     "Region",
     "RegionGraph",
     "RunTrace",
@@ -107,6 +112,7 @@ __all__ = [
     "outer_log_potentials",
     "per_variable_counting_sums",
     "random_consistent_beliefs",
+    "recipe_graph",
     "recompute_overcounts",
     "run_gbp",
     "save",

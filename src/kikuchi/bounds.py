@@ -10,7 +10,10 @@ entropy mass sitting on containing regions: an allocation matrix with
   4. column sums at least the magnitude of the receiver's negative number.
 
 Existence is decided by a max-flow: donors feed receivers through admissible
-arcs, and feasibility means the flow saturates the total receiver demand.
+arcs, and feasibility means the flow saturates the total receiver demand.  The
+arcs come from the region graph's containment map (``RegionGraph.supersets``),
+never from an all-pairs test, and the augmenting-path search visits nodes in
+ascending index order, so the same graph always yields the same witness.
 
 Variants differ in which subset entropies keep their exact (possibly concave)
 term and which are linearized around the anchor:
@@ -24,6 +27,7 @@ term and which are linearized around the anchor:
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,45 +66,66 @@ class BoundSpec:
     used_resources: dict[int, float] | None = None
 
 
-def _max_flow(supply, demand, admissible):
+def _max_flow(supply, demand, arcs):
     """Deterministic max flow on a bipartite donor/receiver network.
 
-    ``supply`` and ``demand`` are lists of (region id, capacity); ``admissible``
-    is a predicate over (donor id, receiver id).  Augmenting paths are found by
-    breadth-first search over nodes in sorted-id order, so the resulting flow
-    is reproducible.  Returns (total flow, {(donor, receiver): flow}).
+    ``supply`` and ``demand`` are lists of (region id, capacity); ``arcs`` lists
+    the (donor id, receiver id) pairs that may carry flow, read off the
+    containment map ``RegionGraph.supersets``.  Nodes are numbered source, sink,
+    donors by id, receivers by id; each adjacency list is sorted once, and the
+    breadth-first search visits neighbours in ascending node index and stops as
+    soon as the sink's parent is known.  So the augmenting paths, and with them
+    the flow on every arc, depend only on the network, which keeps witnesses
+    and conv3 counts reproducible.  Returns (total flow, {(donor, receiver):
+    flow}), its keys in ascending (donor, receiver) order.
     """
     supply = sorted(supply)
     demand = sorted(demand)
-    ns, nd = len(supply), len(demand)
+    arcs = sorted(arcs)
     source, sink = 0, 1
-    s_off, d_off = 2, 2 + ns
-    size = 2 + ns + nd
+    s_node = {gid: 2 + i for i, (gid, _) in enumerate(supply)}
+    d_node = {bid: 2 + len(supply) + j for j, (bid, _) in enumerate(demand)}
+    size = 2 + len(supply) + len(demand)
     cap = [dict() for _ in range(size)]
     big = sum(c for _, c in supply) + sum(c for _, c in demand) + 1.0
-    for i, (_, c) in enumerate(supply):
-        cap[source][s_off + i] = float(c)
-        cap[s_off + i][source] = 0.0
-    for j, (_, c) in enumerate(demand):
-        cap[d_off + j][sink] = float(c)
-        cap[sink][d_off + j] = 0.0
-    for i, (gid, _) in enumerate(supply):
-        for j, (bid, _) in enumerate(demand):
-            if admissible(gid, bid):
-                cap[s_off + i][d_off + j] = big
-                cap[d_off + j][s_off + i] = 0.0
 
+    def link(u, v, c):
+        cap[u][v] = c
+        cap[v][u] = 0.0
+
+    for gid, c in supply:
+        link(source, s_node[gid], float(c))
+    for bid, c in demand:
+        link(d_node[bid], sink, float(c))
+    for gid, bid in arcs:
+        link(s_node[gid], d_node[bid], big)
+    adj = [sorted(c) for c in cap]
+
+    eps = FLOW_TOL * 1e-3
+    # Every search starts as the source's scan leaves it: each donor the source
+    # still feeds labelled, queued in index order.  A source arc only closes
+    # when an augmenting path saturates it.
+    fed = [v for v in adj[source] if cap[source][v] > eps]
+    root = [-1] * size
+    for v in [source] + fed:
+        root[v] = source
     total = 0.0
     while True:
-        prev = {source: source}
-        queue = [source]
-        while queue and sink not in prev:
-            u = queue.pop(0)
-            for v in sorted(cap[u]):
-                if v not in prev and cap[u][v] > FLOW_TOL * 1e-3:
+        prev = root[:]
+        queue = deque(fed)
+        while queue and prev[sink] < 0:
+            u = queue.popleft()
+            cap_u = cap[u]
+            for v in adj[u]:
+                if prev[v] < 0 and cap_u[v] > eps:
                     prev[v] = u
                     queue.append(v)
-        if sink not in prev:
+                    # The first labelled node with a residual arc into the sink
+                    # is the first dequeued one: it labels the sink.
+                    if cap[v].get(sink, 0.0) > eps:
+                        prev[sink] = v
+                        break
+        if prev[sink] < 0:
             break
         bottleneck = big
         v = sink
@@ -113,23 +138,24 @@ def _max_flow(supply, demand, admissible):
             u = prev[v]
             cap[u][v] -= bottleneck
             cap[v][u] += bottleneck
+            if u == source and cap[u][v] <= eps:
+                fed.remove(v)
+                root[v] = -1
             v = u
         total += bottleneck
 
     flows = {}
-    for i, (gid, _) in enumerate(supply):
-        for j, (bid, _) in enumerate(demand):
-            if admissible(gid, bid):
-                f = cap[d_off + j].get(s_off + i, 0.0)
-                if f > FLOW_TOL * 1e-3:
-                    flows[(gid, bid)] = f
+    for gid, bid in arcs:
+        f = cap[d_node[bid]][s_node[gid]]
+        if f > eps:
+            flows[(gid, bid)] = f
     return total, flows
 
 
-def _strictly_contains(graph):
-    """Predicate over region ids (g, b): g's variables strictly contain b's."""
-    varsets = {r.id: set(r.vars) for r in graph.regions}
-    return lambda g, b: varsets[b] < varsets[g]
+def _arcs_down(graph, supply, demand):
+    """Arcs (g, b) from each donor g to each receiver b that g strictly contains."""
+    donors = {g for g, _ in supply}
+    return [(g, b) for b, _ in demand for g in graph.supersets[b] if g in donors]
 
 
 def _certify(graph, supply, demand) -> Allocation | None:
@@ -141,7 +167,7 @@ def _certify(graph, supply, demand) -> Allocation | None:
     need = sum(c for _, c in demand)
     if need <= FLOW_TOL:
         return Allocation({})
-    total, flows = _max_flow(supply, demand, _strictly_contains(graph))
+    total, flows = _max_flow(supply, demand, _arcs_down(graph, supply, demand))
     if total >= need - FLOW_TOL:
         return Allocation(flows)
     return None
@@ -197,11 +223,10 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
         return BoundSpec(variant, {b: 0.0 for b in counts}, witness=witness)
 
     # conv3: keep as much negative mass as remains convex over the constraints.
-    contains = _strictly_contains(graph)
     all_counts = {r.id: float(r.overcount) for r in graph.regions}
     supply = [(g, c) for g, c in all_counts.items() if c > FLOW_TOL]
     demand = [(b, -counts[b]) for b in graph.neg_ids]
-    _, flows = _max_flow(supply, demand, contains)
+    _, flows = _max_flow(supply, demand, _arcs_down(graph, supply, demand))
     ct = {b: 0.0 for b in counts}
     for b in graph.pos_ids:
         ct[b] = counts[b]
@@ -225,7 +250,11 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
         (b, ct[b] - counts[b]) for b in graph.neg_ids if ct[b] - counts[b] > FLOW_TOL
     ]
     if supply2 and demand2:
-        _, flows2 = _max_flow(supply2, demand2, lambda g, b: contains(b, g))
+        receivers = {b for b, _ in demand2}
+        arcs_up = [
+            (g, b) for g, _ in supply2 for b in graph.supersets[g] if b in receivers
+        ]
+        _, flows2 = _max_flow(supply2, demand2, arcs_up)
         for (g, b), f in flows2.items():
             ct[g] -= f
 

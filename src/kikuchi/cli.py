@@ -17,7 +17,6 @@ import math
 import statistics
 import sys
 from dataclasses import dataclass, fields, replace
-from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -42,11 +41,12 @@ from .model import ModelFormatError, ModelSpec, generate, load, save
 from .oracle import OracleLimitError, exact_inference
 from .propagation import ConfigurationError, InnerSettings
 from .regions import (
+    RECIPES,
     GraphError,
-    build_bethe,
-    build_cvm,
+    RecipeError,
     is_singly_connected,
     per_variable_counting_sums,
+    recipe_graph,
 )
 
 FAMILIES = {
@@ -55,7 +55,6 @@ FAMILIES = {
     "qmr": "qmr_like",
     "file": "file",
 }
-RECIPES = ("bethe", "grid-plaquettes", "all-triplets")
 
 
 class UsageError(ValueError):
@@ -202,35 +201,6 @@ def config_model(cfg: ExperimentConfig, seed: int):
             raise UsageError("family 'file' needs a model path")
         return load(cfg.model)
     return _generate_model(cfg, family, seed)
-
-
-def recipe_graph(model, recipe: str):
-    if recipe == "bethe":
-        return build_bethe(model.scopes, model.num_vars)
-    if recipe == "grid-plaquettes":
-        try:
-            rows = int(model.meta["rows"])
-            cols = int(model.meta["cols"])
-        except (KeyError, ValueError):
-            raise UsageError(
-                "grid-plaquettes needs a grid model carrying rows/cols metadata"
-            ) from None
-        if rows < 2 or cols < 2:
-            raise UsageError("grid-plaquettes needs at least a 2x2 grid")
-        if rows * cols != model.num_vars:
-            raise UsageError("grid metadata does not match the variable count")
-        outers = []
-        for r in range(rows - 1):
-            for c in range(cols - 1):
-                v = r * cols + c
-                outers.append((v, v + 1, v + cols, v + cols + 1))
-        return build_cvm(outers, model.num_vars)
-    if recipe == "all-triplets":
-        n = model.num_vars
-        if n < 3:
-            raise UsageError("all-triplets needs at least three variables")
-        return build_cvm(list(combinations(range(n), 3)), n)
-    raise UsageError(f"unknown recipe {recipe!r}; pick from {RECIPES}")
 
 
 def outer_settings(cfg: ExperimentConfig) -> OuterSettings:
@@ -525,7 +495,7 @@ def main(argv=None) -> int:
         return 0 if code in (0, None) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, RecipeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (

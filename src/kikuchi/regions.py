@@ -9,6 +9,11 @@ rationals and only converted to floats at the numerical boundary.
 Overcounting numbers follow the standard recursion: outer clusters count once,
 and every subset region gets one minus the sum over all regions strictly
 containing it.
+
+Containment is derived once per graph from a variable -> regions index: the
+regions strictly containing a region are those that hold every one of its
+variables.  The overcounts, the Hasse edges, the containing-outer map and the
+max-flow arcs of ``bounds`` are all read off that one map, ``supersets``.
 """
 from __future__ import annotations
 
@@ -16,11 +21,18 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
+
+
+RECIPES = ("bethe", "grid-plaquettes", "all-triplets")
 
 
 class GraphError(ValueError):
     """Structurally invalid cluster input or region graph."""
+
+
+class RecipeError(ValueError):
+    """A region recipe that does not fit the model it is asked to cover."""
 
 
 @dataclass(frozen=True)
@@ -44,10 +56,12 @@ class Region:
 class RegionGraph:
     """Immutable-by-convention poset of regions.
 
-    Derived structure (Hasse edges, sign groupings, containing-outer maps) is
-    computed once at construction.  ``strict`` requires every subset region to
-    sit strictly inside at least one outer cluster, which holds for all built
-    graphs; synthetic test posets may disable it.
+    Derived structure (containment, Hasse edges, sign groupings,
+    containing-outer maps) is computed once at construction; ``supersets[rid]``
+    is the sorted tuple of the ids of the regions strictly containing ``rid``.
+    ``strict`` requires every subset region to sit strictly inside at least one
+    outer cluster, which holds for all built graphs; synthetic test posets may
+    disable it.
     """
 
     def __init__(self, regions: Sequence[Region], hasse_edges=None, strict=True):
@@ -67,8 +81,10 @@ class RegionGraph:
         self.pos_ids = tuple(b for b in subset_ids if self.by_id[b].overcount > 0)
         self.zero_ids = tuple(b for b in subset_ids if self.by_id[b].overcount == 0)
 
+        self.supersets = _supersets(varsets)
+        outer_set = set(self.outer_ids)
         self.containing_outers = {
-            b: tuple(a for a in self.outer_ids if varsets[b] < varsets[a])
+            b: tuple(a for a in self.supersets[b] if a in outer_set)
             for b in subset_ids
         }
         self.outer_count = {b: len(self.containing_outers[b]) for b in subset_ids}
@@ -87,17 +103,12 @@ class RegionGraph:
                 raise GraphError(f"edge ({p},{c}) references unknown region")
 
     def _transitive_reduction(self):
-        varsets = self._varsets
-        ids = [r.id for r in self.regions]
+        # p is a direct parent of c unless it contains another superset of c.
+        supersets = self.supersets
         edges = []
-        for c in ids:
-            sups = [p for p in ids if varsets[c] < varsets[p]]
-            for p in sups:
-                direct = not any(
-                    varsets[c] < varsets[m] < varsets[p] for m in sups
-                )
-                if direct:
-                    edges.append((p, c))
+        for c, sups in supersets.items():
+            indirect = set().union(*(supersets[m] for m in sups))
+            edges.extend((p, c) for p in sups if p not in indirect)
         return edges
 
     def region_vars(self, rid: int) -> tuple[int, ...]:
@@ -127,28 +138,42 @@ def _canonical_clusters(clusters, num_vars=None):
         if t not in seen:
             uniq.append(t)
             seen.add(t)
-    kept = [t for t in uniq if not any(set(t) < set(u) for u in uniq)]
+    sups = _supersets({i: frozenset(t) for i, t in enumerate(uniq)})
+    kept = [t for i, t in enumerate(uniq) if not sups[i]]
     dropped = len(cooked) - len(kept)
     if dropped:
         warnings.warn(f"absorbed {dropped} duplicate or contained cluster(s)")
     return kept
 
 
-def _moebius(varsets: dict[int, frozenset]) -> dict[int, Fraction]:
+def _supersets(varsets: dict[int, frozenset]) -> dict[int, tuple[int, ...]]:
+    """Map each id to the sorted ids whose variable sets strictly contain its own.
+
+    A region containing ``rid`` holds every variable of ``rid``, so it lies in
+    the intersection of those variables' member sets; the variable sets are
+    distinct, so every other member of that intersection contains it strictly.
+    """
+    members: dict[int, set[int]] = {}
+    for rid, vs in varsets.items():
+        for v in vs:
+            members.setdefault(v, set()).add(rid)
+    return {
+        rid: tuple(sorted(set.intersection(*(members[v] for v in vs)) - {rid}))
+        for rid, vs in varsets.items()
+    }
+
+
+def _moebius(varsets: dict[int, frozenset], supersets) -> dict[int, Fraction]:
     order = sorted(varsets, key=lambda i: (-len(varsets[i]), i))
     counts: dict[int, Fraction] = {}
     for i in order:
-        above = sum(
-            (counts[j] for j in counts if varsets[i] < varsets[j]),
-            Fraction(0),
-        )
-        counts[i] = Fraction(1) - above
+        counts[i] = Fraction(1) - sum((counts[j] for j in supersets[i]), Fraction(0))
     return counts
 
 
 def recompute_overcounts(g: RegionGraph) -> dict[int, Fraction]:
     """Re-derive every overcounting number from the containment poset alone."""
-    return _moebius(dict(g._varsets))
+    return _moebius(g._varsets, g.supersets)
 
 
 def _assemble(outer_varsets, subset_varsets):
@@ -159,7 +184,7 @@ def _assemble(outer_varsets, subset_varsets):
     subs = sorted(subset_varsets, key=lambda s: (-len(s), tuple(sorted(s))))
     for k, s in enumerate(subs):
         varsets[base + k] = frozenset(s)
-    counts = _moebius(varsets)
+    counts = _moebius(varsets, _supersets(varsets))
     regions = [
         Region(i, tuple(t), Fraction(1), "outer") for i, t in enumerate(outer_varsets)
     ]
@@ -179,15 +204,20 @@ def build_cvm(outer_clusters, num_vars=None) -> RegionGraph:
     outers = _canonical_clusters(outer_clusters, num_vars)
     outer_sets = [frozenset(t) for t in outers]
     closure = set(outer_sets)
-    while True:
-        fresh = set()
-        pool = sorted(closure, key=lambda s: tuple(sorted(s)))
-        for a, b in combinations(pool, 2):
-            s = a & b
-            if s and s not in closure:
-                fresh.add(s)
-        if not fresh:
-            break
+    # Each round intersects every set found in the last round once with every
+    # set before it that shares a variable; other pairs are empty or were
+    # intersected in an earlier round.
+    members: dict[int, list[frozenset]] = {}
+    fresh = outer_sets
+    while fresh:
+        found = set()
+        for a in fresh:
+            partners = set()
+            for v in a:
+                partners.update(members.setdefault(v, []))
+                members[v].append(a)
+            found.update(a & b for b in partners)
+        fresh = found - closure
         closure |= fresh
     subsets = closure - set(outer_sets)
     return _assemble(outers, subsets)
@@ -205,6 +235,41 @@ def build_bethe(clusters, num_vars=None) -> RegionGraph:
     singles = sorted({v for t in outers for v in t})
     subsets = [frozenset((v,)) for v in singles if frozenset((v,)) not in outer_sets]
     return _assemble(outers, subsets)
+
+
+def recipe_graph(model, recipe: str) -> RegionGraph:
+    """The region graph that ``recipe`` (one of ``RECIPES``) builds on ``model``.
+
+    ``grid-plaquettes`` reads the grid shape from the model's ``rows``/``cols``
+    metadata.  Raises ``RecipeError`` for an unknown recipe or a model it does
+    not fit.
+    """
+    if recipe == "bethe":
+        return build_bethe(model.scopes, model.num_vars)
+    if recipe == "grid-plaquettes":
+        try:
+            rows = int(model.meta["rows"])
+            cols = int(model.meta["cols"])
+        except (KeyError, ValueError):
+            raise RecipeError(
+                "grid-plaquettes needs a grid model carrying rows/cols metadata"
+            ) from None
+        if rows < 2 or cols < 2:
+            raise RecipeError("grid-plaquettes needs at least a 2x2 grid")
+        if rows * cols != model.num_vars:
+            raise RecipeError("grid metadata does not match the variable count")
+        outers = []
+        for r in range(rows - 1):
+            for c in range(cols - 1):
+                v = r * cols + c
+                outers.append((v, v + 1, v + cols, v + cols + 1))
+        return build_cvm(outers, model.num_vars)
+    if recipe == "all-triplets":
+        n = model.num_vars
+        if n < 3:
+            raise RecipeError("all-triplets needs at least three variables")
+        return build_cvm(list(combinations(range(n), 3)), n)
+    raise RecipeError(f"unknown recipe {recipe!r}; pick from {RECIPES}")
 
 
 def is_singly_connected(g: RegionGraph) -> bool:

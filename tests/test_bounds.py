@@ -1,11 +1,15 @@
 """Bound construction: feasibility checks, effective counts, inner potentials."""
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 from itertools import chain, combinations
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kikuchi import (
     Allocation,
@@ -23,6 +27,8 @@ from kikuchi import (
     random_consistent_beliefs,
     uniform_beliefs,
 )
+from kikuchi import bounds
+from kikuchi.bounds import FLOW_TOL
 from conftest import cycle_model, k4_model, pairwise_model
 
 PLAQUETTES_3X3 = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
@@ -272,3 +278,146 @@ def test_flow_certificate_matches_subset_enumeration():
         assert (got is not None) == want
         if got is not None:
             _verify_witness(g, counts, got)
+
+
+def _reference_max_flow(supply, demand, admissible):
+    """Max flow over an all-pairs admissibility predicate, one BFS per path.
+
+    The oracle for ``bounds._max_flow``: the same node numbering, the same
+    ascending-index BFS from the source, the same capacities and tolerances.
+    """
+    supply = sorted(supply)
+    demand = sorted(demand)
+    ns, nd = len(supply), len(demand)
+    source, sink = 0, 1
+    s_off, d_off = 2, 2 + ns
+    size = 2 + ns + nd
+    cap = [dict() for _ in range(size)]
+    big = sum(c for _, c in supply) + sum(c for _, c in demand) + 1.0
+    for i, (_, c) in enumerate(supply):
+        cap[source][s_off + i] = float(c)
+        cap[s_off + i][source] = 0.0
+    for j, (_, c) in enumerate(demand):
+        cap[d_off + j][sink] = float(c)
+        cap[sink][d_off + j] = 0.0
+    for i, (gid, _) in enumerate(supply):
+        for j, (bid, _) in enumerate(demand):
+            if admissible(gid, bid):
+                cap[s_off + i][d_off + j] = big
+                cap[d_off + j][s_off + i] = 0.0
+
+    total = 0.0
+    while True:
+        prev = {source: source}
+        queue = [source]
+        while queue and sink not in prev:
+            u = queue.pop(0)
+            for v in sorted(cap[u]):
+                if v not in prev and cap[u][v] > FLOW_TOL * 1e-3:
+                    prev[v] = u
+                    queue.append(v)
+        if sink not in prev:
+            break
+        bottleneck = big
+        v = sink
+        while v != source:
+            u = prev[v]
+            bottleneck = min(bottleneck, cap[u][v])
+            v = u
+        v = sink
+        while v != source:
+            u = prev[v]
+            cap[u][v] -= bottleneck
+            cap[v][u] += bottleneck
+            v = u
+        total += bottleneck
+
+    flows = {}
+    for i, (gid, _) in enumerate(supply):
+        for j, (bid, _) in enumerate(demand):
+            if admissible(gid, bid):
+                f = cap[d_off + j].get(s_off + i, 0.0)
+                if f > FLOW_TOL * 1e-3:
+                    flows[(gid, bid)] = f
+    return total, flows
+
+
+def _with_reference_flows(graph, call, upward=()):
+    """``call()`` with every max flow checked against, and replaced by, the reference.
+
+    The reference sees brute-force containment: donor strictly contains
+    receiver, except for the flows whose call index is in ``upward``, where
+    the receiver contains the donor.  Returns the outcome of ``call`` (its
+    value, or the type and message of what it raised) and the flow count.
+    """
+    varsets = {r.id: set(r.vars) for r in graph.regions}
+    real, calls = bounds._max_flow, []
+
+    def checked(supply, demand, arcs):
+        if len(calls) in upward:
+            admissible = lambda g, b: varsets[g] < varsets[b]  # noqa: E731
+        else:
+            admissible = lambda g, b: varsets[b] < varsets[g]  # noqa: E731
+        want = _reference_max_flow(supply, demand, admissible)
+        calls.append(supply)
+        assert real(supply, demand, arcs) == want
+        return want
+
+    with mock.patch.object(bounds, "_max_flow", checked):
+        return _outcome(call), len(calls)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ConvexityError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _region_graphs(draw):
+    kind = draw(st.sampled_from(("poset", "cvm", "bethe", "triplets", "plaquettes")))
+    if kind == "triplets":
+        n = draw(st.integers(4, 7))
+        return build_cvm(list(combinations(range(n), 3)), n)
+    if kind == "plaquettes":
+        rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
+        return build_cvm([
+            (r * cols + c, r * cols + c + 1, (r + 1) * cols + c, (r + 1) * cols + c + 1)
+            for r in range(rows - 1) for c in range(cols - 1)
+        ], rows * cols)
+    n = draw(st.integers(3, 7))
+    sets = draw(st.lists(
+        st.frozensets(st.integers(0, n - 1), min_size=1, max_size=4),
+        min_size=2, max_size=10, unique=True,
+    ))
+    if kind == "poset":
+        # synthetic: the first sets are outer clusters, the rest carry random counts
+        n_outer = draw(st.integers(1, len(sets) - 1))
+        regions = [
+            Region(i, tuple(sorted(s)), Fraction(1), "outer") if i < n_outer
+            else Region(i, tuple(sorted(s)), Fraction(draw(st.integers(-8, 8)), 4), "subset")
+            for i, s in enumerate(sets)
+        ]
+        return RegionGraph(regions, strict=False)
+    clusters = [tuple(sorted(s)) for s in sets]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return (build_cvm if kind == "cvm" else build_bethe)(clusters, n)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(graph=_region_graphs())
+def test_max_flow_matches_the_predicate_reference(graph):
+    counts = {r.id: float(r.overcount) for r in graph.regions}
+    # Both certificates.
+    for call in (lambda: check_convex_over_constraints(graph, counts),
+                 lambda: check_conv2_bound(graph)):
+        assert _with_reference_flows(graph, call)[0] == _outcome(call)
+    # Every variant; conv3's second flow runs from a subset up to a superset.
+    for variant in VARIANTS:
+        call = lambda: make_bound_spec(graph, variant)  # noqa: E731
+        want, flows = _with_reference_flows(graph, call, upward={1} if variant == "conv3" else ())
+        assert want == _outcome(call)
+        if variant in ("none", "conv1", "cccp"):
+            assert flows == 0

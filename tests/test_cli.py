@@ -1,6 +1,7 @@
 """Command line surface: config files, subcommands, exit codes, outputs."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -166,6 +167,25 @@ def test_check_prints_verifiable_witness(tmp_path, capsys):
     assert len(received) == 4
 
 
+@pytest.mark.parametrize("model_flags, recipe, digest", [
+    (["grid", "--rows", "10", "--cols", "10"], "grid-plaquettes",
+     "b698db7f772e7fe8070953ebb77e99f312e718f9225911b56da0ebd8a0c9e2d9"),
+    (["grid", "--rows", "10", "--cols", "10"], "bethe",
+     "791fe2bd7d69a52ca370f3e0d552eebac500bb8e898e327fdc2dff018c47e5eb"),
+    (["full", "--n", "8"], "all-triplets",
+     "fa47655bbc34a7cf2f24c4b1d83d76802339463be95ccd2af20cd57a0c300d7e"),
+])
+def test_check_output_is_pinned(tmp_path, capsys, model_flags, recipe, digest):
+    # The output lists every region, every witness entry at %.17g and every
+    # conv3 count, so it changes if a different maximum flow is found.
+    model = tmp_path / "m.model"
+    main(["generate", "--family", *model_flags, "-o", str(model)])
+    capsys.readouterr()
+    assert main(["check", str(model), "--recipe", recipe]) == 1
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_run_writes_trace_and_reports(tmp_path, capsys):
     model = tmp_path / "m.model"
     main(["generate", "--family", "grid", "--rows", "2", "--cols", "3",
@@ -306,6 +326,17 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--variants", ",", "--outdir", str(tmp_path / "c")]) == 2
     assert "variant list is empty" in capsys.readouterr().err
     assert main(["frobnicate"]) == 2  # argparse rejection is a usage error
+    # a recipe that does not fit the model
+    qmr = tmp_path / "q.model"
+    main(["generate", "--family", "qmr", "-o", str(qmr)])
+    capsys.readouterr()
+    assert main(["check", str(qmr), "--recipe", "grid-plaquettes"]) == 2
+    assert "rows/cols metadata" in capsys.readouterr().err
+    pair = tmp_path / "pair.model"
+    main(["generate", "--family", "grid", "--rows", "1", "--cols", "2", "-o", str(pair)])
+    capsys.readouterr()
+    assert main(["check", str(pair), "--recipe", "all-triplets"]) == 2
+    assert "at least three variables" in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_3(tmp_path, capsys):

@@ -1,19 +1,85 @@
-"""Property tests: the promises of a returned trace on random small models."""
+"""Property tests: region graphs against brute-force definitions, and the
+promises of a returned trace on random small models."""
 from __future__ import annotations
 
 import math
+import warnings
+from fractions import Fraction
+from itertools import combinations
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kikuchi import (
     ConvexityError,
     ModelSpec,
     build_bethe,
+    build_cvm,
     generate,
     make_bound_spec,
     minimize,
+    recompute_overcounts,
 )
+
+
+def _brute_poset(g):
+    """Supersets, containing outers, Hasse edges and overcounts by all-pairs tests."""
+    vs = {r.id: set(r.vars) for r in g.regions}
+    ids = sorted(vs)
+    sups = {c: tuple(p for p in ids if vs[c] < vs[p]) for c in ids}
+    outers = {b: tuple(a for a in g.outer_ids if vs[b] < vs[a]) for b in g.subset_ids}
+    hasse = sorted(
+        (p, c) for c in ids for p in sups[c]
+        if not any(vs[c] < vs[m] < vs[p] for m in ids)
+    )
+    counts = {}
+    for i in sorted(ids, key=lambda i: -len(vs[i])):
+        counts[i] = 1 - sum((counts[j] for j in sups[i]), Fraction(0))
+    return sups, outers, hasse, counts
+
+
+def _brute_closure(clusters):
+    """Every non-empty intersection of two or more clusters, by all-pairs rounds."""
+    closure = {frozenset(t) for t in clusters}
+    while True:
+        fresh = {a & b for a, b in combinations(closure, 2)} - closure - {frozenset()}
+        if not fresh:
+            return closure
+        closure |= fresh
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 8),
+    raw=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=9),
+    bethe=st.booleans(),
+)
+@example(n=7, raw=[[0, 1, 2, 3], [2, 3, 4, 5], [0, 3, 4, 6]], bethe=False)  # {3} takes two rounds
+def test_region_graphs_match_brute_force_definitions(n, raw, bethe):
+    clusters = [tuple(v % n for v in cl) for cl in raw]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = (build_bethe if bethe else build_cvm)(clusters, n)
+    # Absorption: duplicates and clusters inside another one go, with one warning.
+    uniq = list(dict.fromkeys(tuple(sorted(set(cl))) for cl in clusters))
+    kept = [t for t in uniq if not any(set(t) < set(u) for u in uniq)]
+    assert [g.region_vars(a) for a in g.outer_ids] == kept
+    dropped = len(clusters) - len(kept)
+    assert [str(w.message) for w in caught] == (
+        [f"absorbed {dropped} duplicate or contained cluster(s)"] if dropped else []
+    )
+    # The subset regions: the intersection closure, or the single variables.
+    if bethe:
+        want = {frozenset((v,)) for t in kept for v in t}
+    else:
+        want = _brute_closure(kept)
+    assert {frozenset(r.vars) for r in g.regions} == want | {frozenset(t) for t in kept}
+    sups, outers, hasse, counts = _brute_poset(g)
+    assert g.supersets == sups
+    assert g.containing_outers == outers
+    assert list(g.hasse_edges) == hasse
+    assert {r.id: r.overcount for r in g.regions} == counts
+    assert recompute_overcounts(g) == counts
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)

@@ -9,13 +9,17 @@ import pytest
 
 from kikuchi import (
     GraphError,
+    ModelSpec,
+    RecipeError,
     Region,
     RegionGraph,
     build_bethe,
     build_cvm,
+    generate,
     is_singly_connected,
     load_region_graph,
     per_variable_counting_sums,
+    recipe_graph,
     recompute_overcounts,
     save_region_graph,
 )
@@ -193,3 +197,17 @@ def test_load_malformed_region_line(tmp_path):
     path.write_text("0 outer 1\n")
     with pytest.raises(GraphError):
         load_region_graph(path)
+
+
+def test_recipe_graph_builds_and_rejects():
+    grid = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
+    plaq = recipe_graph(grid, "grid-plaquettes")
+    assert [plaq.region_vars(a) for a in plaq.outer_ids] == PLAQUETTES_3X3
+    assert len(recipe_graph(grid, "bethe").outer_ids) == 12
+    full = generate(ModelSpec("full_boltzmann", nodes=5, seed=0))
+    assert len(recipe_graph(full, "all-triplets").outer_ids) == 10
+    qmr = generate(ModelSpec("qmr_like", diseases=4, findings=2, seed=0))
+    for model, recipe in ((qmr, "grid-plaquettes"), (grid, "plaquettes")):
+        with pytest.raises(RecipeError) as info:
+            recipe_graph(model, recipe)
+        assert not isinstance(info.value, GraphError)
