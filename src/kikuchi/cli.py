@@ -83,8 +83,6 @@ class ExperimentConfig:
     max_outer: int = 10000
     inner_tol: float = 1e-8
     inner_max_sweeps: int = 2000
-    damping: float | None = None
-    warm_start: bool = True
     consensus_window: float = 1e-4
 
 
@@ -97,14 +95,6 @@ _TYPE_CODECS = {
     ),
     "int": (str, int),
     "float": (repr, float),
-    "float | None": (
-        lambda v: "auto" if v is None else repr(v),
-        lambda s: None if s == "auto" else float(s),
-    ),
-    "bool": (
-        lambda v: "true" if v else "false",
-        lambda s: {"true": True, "false": False}[s],
-    ),
     "tuple[str, ...]": (
         lambda v: ",".join(v),
         lambda s: tuple(p for p in s.split(",") if p),
@@ -116,12 +106,10 @@ _TYPE_CODECS = {
 }
 _FIELD_CODECS = {f.name: _TYPE_CODECS[f.type] for f in fields(ExperimentConfig)}
 
-# Flags left as text for _resolve_config to parse with their field's codec, so
-# that a bad value is reported as "<name> must be <hint>" rather than by argparse.
-_TEXT_FLAGS = {
-    "seeds": "a comma list of integers",
-    "damping": "a number or 'auto'",
-}
+# Keys that config files written by earlier versions hold, each with the one
+# value that still describes how the solver runs: the kept counts decide how
+# much inner updates are damped, and each inner solve starts from the last.
+_RETIRED = {"damping": "auto", "warm_start": "true"}
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:
@@ -141,11 +129,18 @@ def parse_config(text: str) -> ExperimentConfig:
             raise UsageError(f"config line {ln}: expected 'key = value'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
+        if key in _RETIRED:
+            if val != _RETIRED[key]:
+                raise UsageError(
+                    f"config line {ln}: {key!r} was removed; "
+                    f"only {key} = {_RETIRED[key]} is accepted"
+                )
+            continue
         if key not in _FIELD_CODECS:
             raise UsageError(f"config line {ln}: unknown key {key!r}")
         try:
             values[key] = _FIELD_CODECS[key][1](val)
-        except (ValueError, KeyError):
+        except ValueError:
             raise UsageError(f"config line {ln}: bad value for {key!r}") from None
     return ExperimentConfig(**values)
 
@@ -208,12 +203,7 @@ def outer_settings(cfg: ExperimentConfig) -> OuterSettings:
         outer_tol=cfg.outer_tol,
         marginal_tol=cfg.marginal_tol,
         max_outer=cfg.max_outer,
-        inner=InnerSettings(
-            tol=cfg.inner_tol,
-            max_sweeps=cfg.inner_max_sweeps,
-            damping=cfg.damping,
-        ),
-        warm_start=cfg.warm_start,
+        inner=InnerSettings(tol=cfg.inner_tol, max_sweeps=cfg.inner_max_sweeps),
     )
 
 
@@ -314,12 +304,6 @@ def _resolve_config(args) -> ExperimentConfig:
     given = vars(args)
     cfg = load_config(given["config"]) if "config" in given else ExperimentConfig()
     over = {f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given}
-    for name, what in _TEXT_FLAGS.items():
-        if name in over:
-            try:
-                over[name] = _FIELD_CODECS[name][1](over[name])
-            except ValueError:
-                raise UsageError(f"{name} must be {what}, got {over[name]!r}") from None
     if "seed" in given:
         over["seeds"] = (given["seed"],)
     if "model" in over and "family" not in over:
@@ -428,8 +412,15 @@ def _add_solver_flags(p):
     p.add_argument("--max-outer", dest="max_outer", type=int)
     p.add_argument("--inner-tol", dest="inner_tol", type=float)
     p.add_argument("--inner-max-sweeps", dest="inner_max_sweeps", type=int)
-    p.add_argument("--damping", help="0..1 or 'auto'")
-    p.add_argument("--no-warm-start", dest="warm_start", action="store_false")
+
+
+def _seed_list(text):
+    try:
+        return _FIELD_CODECS["seeds"][1](text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a comma list of integers, got {text!r}"
+        ) from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -480,7 +471,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=_FIELD_CODECS["variants"][1],
         help="comma list from " + ",".join(VARIANTS),
     )
-    m.add_argument("--seeds", help="comma list of integers")
+    m.add_argument("--seeds", type=_seed_list, help="comma list of integers")
     m.add_argument("--consensus-window", dest="consensus_window", type=float)
     m.set_defaults(func=cmd_compare)
     return parser

@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .energy import Beliefs, free_energy, uniform_beliefs
 from .model import FactorModel
-from .propagation import InnerSettings, MessageSet, constraint_residual, run_gbp
+from .propagation import InnerSettings, constraint_residual, run_gbp
 from .regions import RegionGraph
 
 DESCENT_SLACK = 1e-9
@@ -48,7 +48,6 @@ class OuterSettings:
     marginal_tol: float = 1e-6
     max_outer: int = 10000
     inner: InnerSettings = field(default_factory=InnerSettings)
-    warm_start: bool = True
 
 
 @dataclass
@@ -109,9 +108,6 @@ def minimize(
 
     for outer_index in range(1, settings.max_outer + 1):
         inner_model = inner_potentials(model, graph, spec, q)
-        if messages is not None and not settings.warm_start:
-            # No message tables: a cold start on the compiled sweep plan.
-            messages = MessageSet({}, {}, messages.plan)
         q_new, messages, sweeps, inner_ok = run_gbp(
             inner_model, graph, spec.inner_overcounts, settings.inner, warm=messages
         )
@@ -193,8 +189,6 @@ def trace_metadata(trace: RunTrace, spec: BoundSpec, model_meta=None) -> dict:
             "max_outer": s.max_outer,
             "inner_tol": s.inner.tol,
             "inner_max_sweeps": s.inner.max_sweeps,
-            "damping": s.inner.damping,
-            "warm_start": s.warm_start,
         },
         "outer_iterations": trace.outer_iterations,
         "total_inner_sweeps": trace.total_inner_sweeps,

@@ -9,7 +9,10 @@ rebuilt from the geometric mean of the upward messages with exponent
 downward messages and cluster beliefs are refreshed.
 
 With Bethe counting numbers (1 - n per variable) the exponent is one and the
-sweep reduces to ordinary loopy belief propagation.
+sweep reduces to ordinary loopy belief propagation.  When any kept count is
+negative every subset update is damped by one half: the new log belief is
+the mean of the updated and the previous one.  A sweep whose largest change
+is NaN stops the run unconverged.
 
 A subset region leaves the sweep only when its effective count is zero and a
 single outer cluster contains it: its update exponent is then one and its
@@ -42,7 +45,7 @@ from .regions import RegionGraph
 
 
 class ConfigurationError(ValueError):
-    """Inner-loop setup that cannot run (bad exponent, bad damping)."""
+    """Inner-loop setup that cannot run (bad exponent, bad warm tables)."""
 
 
 def _levels(graph: RegionGraph, act) -> tuple[tuple[int, ...], ...]:
@@ -220,15 +223,18 @@ class MessageSet:
 
 @dataclass
 class InnerSettings:
+    """Stopping rule of the inner sweep: change tolerance and sweep budget."""
+
     tol: float = 1e-8
     max_sweeps: int = 2000
-    damping: float | None = None  # None picks 0, or 0.5 if any count is negative
 
 
 def run_gbp(model, graph, c_eff, settings=None, warm=None):
     """Sweep to a fixed point; returns (beliefs, messages, sweeps, converged).
 
-    The returned tables are views into arrays of this call alone.
+    ``converged`` is true only when the largest change of a sweep fell below
+    ``settings.tol`` and every returned table is finite.  The returned tables
+    are views into arrays of this call alone.
     """
     settings = settings or InnerSettings()
     cards = model.cards
@@ -249,12 +255,10 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
             )
         denom.append(d)
 
-    if settings.damping is None:
-        damping = 0.0 if all(float(c_eff.get(b, 0.0)) >= 0 for b in act) else 0.5
-    else:
-        damping = float(settings.damping)
-        if not 0.0 <= damping < 1.0:
-            raise ConfigurationError("damping must lie in [0, 1)")
+    # A negative count c lifts the power n / (n + c) of the geometric mean of
+    # a region's n upward messages above one, so the update overshoots; then
+    # every update is damped by one half.
+    damping = 0.0 if all(float(c_eff.get(b, 0.0)) >= 0 for b in act) else 0.5
 
     plan = warm.plan if warm is not None else None
     if plan is None or not plan.fits(graph, cards, act):
@@ -292,10 +296,9 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
             nd = _normalized(q[msg_sub] / u, msg_starts, msg_pair)
             logacc[clu] = la + (np.log(nd) - np.log(d_old))[clu_msg]
             down[msg] = nd
-        # The largest change of a region's table; a region whose change is
-        # NaN is passed over, as a running max() over the regions does.
-        change = np.maximum.reduceat(np.abs(q_sub - prev), plan.sub_starts)
-        delta = float(np.fmax.reduce(change, initial=0.0))
+        delta = float(np.max(np.abs(q_sub - prev), initial=0.0))
+        if math.isnan(delta):
+            break
         if sweep % 64 == 0:
             # Incremental cluster updates accumulate round-off; rebuild.
             logacc = plan.cluster_logs(pots_flat, down)
@@ -304,6 +307,8 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
             break
 
     q_out = _softmax(plan.cluster_logs(pots_flat, down), plan.outer_starts, plan.outer_seg)
+    # The pruned tables are marginals of q_out, finite when it is.
+    converged = converged and bool(np.isfinite(q_out).all() and np.isfinite(q_sub).all())
     tabs: dict[int, np.ndarray] = {}
     for a, (lo, hi, shape) in plan.outer_views.items():
         tabs[a] = q_out[lo:hi].reshape(shape)

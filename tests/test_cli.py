@@ -29,12 +29,10 @@ def test_config_text_round_trip():
         ExperimentConfig(),
         ExperimentConfig(family="grid", rows=6, cols=6, w=2.0,
                          seeds=(0, 1, 2), variants=("conv3", "cccp"),
-                         outdir="exp/run1", damping=0.3),
+                         outdir="exp/run1"),
         ExperimentConfig(family="qmr", diseases=8, findings=5,
-                         observe="01101", damping=None,
-                         outer_tol=3.0000000000000004e-09),
-        ExperimentConfig(family="file", model="m.txt", warm_start=False,
-                         consensus_window=5e-05),
+                         observe="01101", outer_tol=3.0000000000000004e-09),
+        ExperimentConfig(family="file", model="m.txt", consensus_window=5e-05),
     ]
     for cfg in cases:
         text = config_to_text(cfg)
@@ -61,8 +59,6 @@ marginal_tol = 1e-06
 max_outer = 10000
 inner_tol = 1e-08
 inner_max_sweeps = 2000
-damping = auto
-warm_start = true
 consensus_window = 0.0001
 """
 
@@ -72,7 +68,7 @@ def test_config_text_is_pinned():
     assert config_to_text(ExperimentConfig()) == DEFAULT_CONFIG_TEXT
     cfg = ExperimentConfig(family="grid", rows=6, cols=6, w=2.0,
                            seeds=(0, 1, 2), variants=("conv3", "cccp"),
-                           outdir="exp/run1", damping=0.3)
+                           outdir="exp/run1")
     want = """\
 # experiment config v1
 family = grid
@@ -93,8 +89,6 @@ marginal_tol = 1e-06
 max_outer = 10000
 inner_tol = 1e-08
 inner_max_sweeps = 2000
-damping = 0.3
-warm_start = true
 consensus_window = 0.0001
 """
     assert config_to_text(cfg) == want
@@ -113,8 +107,8 @@ def test_parse_config_reports_line_numbers():
         parse_config("# experiment config v1\nfamily = grid\nwhat = 1\n")
     with pytest.raises(UsageError, match="rows"):
         parse_config(good.replace("rows = 0", "rows = many"))
-    with pytest.raises(UsageError, match="warm_start"):
-        parse_config(good.replace("warm_start = true", "warm_start = maybe"))
+    with pytest.raises(UsageError, match="max_outer"):
+        parse_config(good.replace("max_outer = 10000", "max_outer = many"))
 
 
 def test_generate_and_load(tmp_path, capsys):
@@ -288,13 +282,23 @@ def test_config_file_drives_run(tmp_path, capsys):
     assert "variant cccp" in capsys.readouterr().out
     assert (tmp_path / "o" / "trace_cccp.csv").exists()
 
-    # a flag overrides the file, and --damping auto overrides a number
-    save_config(replace(cfg, damping=0.3), path)
-    rc = main(["run", "--config", str(path), "--damping", "auto",
-               "--outdir", str(tmp_path / "auto")])
+    # a config file written before the damping and warm_start keys were
+    # removed still runs; a flag overrides the file, and the config the run
+    # writes drops the two keys
+    old = path.read_text().replace(
+        "inner_max_sweeps = 2000\n",
+        "inner_max_sweeps = 2000\ndamping = auto\nwarm_start = true\n")
+    path.write_text(old)
+    rc = main(["run", "--config", str(path), "--outdir", str(tmp_path / "old")])
     assert rc == 0
-    assert load_config(tmp_path / "auto" / "config.txt").damping is None
-    assert "damping = auto\n" in (tmp_path / "auto" / "config.txt").read_text()
+    assert (tmp_path / "old" / "config.txt").read_text() == config_to_text(
+        replace(cfg, outdir=str(tmp_path / "old")))
+    # any other value for a removed key is refused
+    capsys.readouterr()
+    path.write_text(old.replace("damping = auto", "damping = 0.3"))
+    assert main(["run", "--config", str(path), "--outdir", str(tmp_path / "bad")]) == 2
+    assert "'damping' was removed" in capsys.readouterr().err
+    save_config(cfg, path)
 
     # --model without --family runs the file even when the config names a
     # synthetic family, and the written config says so
@@ -322,6 +326,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["compare", "--family", "grid", "--rows", "2", "--cols", "2",
                  "--variants", "conv1", "--recipe", "grid-plaquettes",
                  "--outdir", str(tmp_path / "c"), "--seeds", "0,zero"]) == 2
+    err = capsys.readouterr().err
+    assert "--seeds" in err and "comma list of integers" in err
     assert main(["compare", "--family", "grid", "--rows", "2", "--cols", "2",
                  "--variants", ",", "--outdir", str(tmp_path / "c")]) == 2
     assert "variant list is empty" in capsys.readouterr().err

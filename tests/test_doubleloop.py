@@ -143,18 +143,6 @@ def test_max_outer_truncation_flags_not_converged():
     assert not trace.converged
 
 
-def test_cold_inner_starts_still_descend():
-    m = k4_model(seed=4)
-    g = build_bethe(m.scopes, m.num_vars)
-    warm = minimize(m, g, make_bound_spec(g, "conv1"))
-    cold = minimize(m, g, make_bound_spec(g, "conv1"),
-                    OuterSettings(warm_start=False))
-    _assert_monotone(cold)
-    assert cold.converged
-    assert abs(cold.final_f - warm.final_f) < 1e-6
-    assert cold.total_inner_sweeps >= warm.total_inner_sweeps
-
-
 def test_iterations_to_reach_window():
     m = k4_model(seed=5)
     g = build_bethe(m.scopes, m.num_vars)
