@@ -287,13 +287,8 @@ def inner_potentials(
         clamped += int((anch < LOG_FLOOR).sum())
         log_anchor = np.log(np.maximum(anch, LOG_FLOOR))
         share = (gap / graph.outer_count[b]) * log_anchor
-        vars_b = graph.region_vars(b)
         for a in graph.containing_outers[b]:
-            vars_a = graph.region_vars(a)
-            shape = tuple(
-                model.cards[v] if v in vars_b else 1 for v in vars_a
-            )
-            pots[a] = pots[a] - share.reshape(shape)
+            pots[a] = pots[a] - np.expand_dims(share, graph.outside_axes(a, b))
     meta = dict(model.meta)
     meta["inner_variant"] = spec.variant
     meta["clamped_log_terms"] = str(clamped)

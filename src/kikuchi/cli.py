@@ -209,18 +209,14 @@ def outer_settings(cfg: ExperimentConfig) -> OuterSettings:
 
 def single_variable_marginals(graph, beliefs, num_vars):
     """Per-variable marginals read off the beliefs, smallest carrier first."""
-    singleton = {}
-    for r in graph.regions:
-        if len(r.vars) == 1 and r.vars[0] not in singleton:
-            singleton[r.vars[0]] = r.id
+    singleton = {r.vars[0]: r.id for r in graph.regions if len(r.vars) == 1}
     out = {}
     for v in range(num_vars):
         if v in singleton:
             t = beliefs.tables[singleton[v]]
         else:
-            a = next(a for a in graph.outer_ids if v in graph.region_vars(a))
-            va = graph.region_vars(a)
-            axes = tuple(i for i, u in enumerate(va) if u != v)
+            a = graph.outer_containing((v,))
+            axes = tuple(i for i, u in enumerate(graph.region_vars(a)) if u != v)
             t = beliefs.tables[a].sum(axis=axes)
         t = np.maximum(t, 0.0)
         out[v] = t / t.sum()

@@ -63,9 +63,12 @@ def _check_tables(graph, q, cards):
         want = tuple(cards[v] for v in r.vars)
         if t.shape != want:
             raise ValueError(f"region {r.id}: belief shape {t.shape}, expected {want}")
+        total = float(t.sum())
+        if not math.isfinite(total):
+            raise ValueError(f"region {r.id}: belief table has non-finite entries")
         if float(t.min()) < -1e-12:
             raise ValueError(f"region {r.id}: negative belief entry")
-        if abs(float(t.sum()) - 1.0) > 1e-9:
+        if abs(total - 1.0) > 1e-9:
             raise ValueError(f"region {r.id}: belief table is not normalized")
 
 

@@ -373,23 +373,14 @@ def outer_log_potentials(model: FactorModel, graph: RegionGraph) -> dict[int, np
     Assignment is deterministic: the lowest-id containing outer wins.  A factor
     contained in no outer cluster is an error; the region graph cannot carry it.
     """
-    tabs = {}
-    outer_sets = {}
-    for a in graph.outer_ids:
-        vars_a = graph.region_vars(a)
-        outer_sets[a] = set(vars_a)
-        tabs[a] = np.zeros(tuple(model.cards[v] for v in vars_a))
+    tabs = {
+        a: np.zeros(tuple(model.cards[v] for v in graph.region_vars(a)))
+        for a in graph.outer_ids
+    }
     for scope, table in zip(model.scopes, model.tables):
-        target = None
-        for a in graph.outer_ids:
-            if set(scope) <= outer_sets[a]:
-                target = a
-                break
+        target = graph.outer_containing(scope)
         if target is None:
             raise GraphError(f"factor {scope} fits in no outer cluster")
-        vars_t = graph.region_vars(target)
-        shape = tuple(
-            model.cards[v] if v in scope else 1 for v in vars_t
-        )
+        shape = tuple(model.cards[v] if v in scope else 1 for v in graph.region_vars(target))
         tabs[target] += table.reshape(shape)
     return tabs

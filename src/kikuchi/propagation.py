@@ -121,14 +121,13 @@ class SweepPlan:
         self.sub_views = _views(self.act, shape.get)
         self.edge_views = _views(edges, pair_shape)
 
-        # Index into b's flat table of every entry of a's flat table; vars
-        # are sorted, so b's axes keep their order inside a.
+        # Index into b's flat table of every entry of a's flat table: b's axes
+        # keep their order inside a, so b's entry numbers broadcast along a's.
         entry_map = {}
         for a, b in edges:
-            va, vb = graph.region_vars(a), set(graph.region_vars(b))
-            coords = np.indices(shape[a]).reshape(len(va), -1)
-            keep = tuple(coords[i] for i, v in enumerate(va) if v in vb)
-            entry_map[(a, b)] = np.ravel_multi_index(keep, shape[b])
+            at_b = np.arange(math.prod(shape[b])).reshape(shape[b])
+            at_a = np.broadcast_to(np.expand_dims(at_b, graph.outside_axes(a, b)), shape[a])
+            entry_map[(a, b)] = at_a.ravel()
 
         def span(views, key):
             return np.arange(views[key][0], views[key][1])
@@ -171,13 +170,7 @@ class SweepPlan:
         self.rebuild_clu = np.concatenate((np.arange(sum(sizes)), clu))
         # 1 / (entries of its table) at each message entry
         self.uniform = 1.0 / np.bincount(self.msg_pair)[self.msg_pair]
-        self.pruned = []
-        for b in graph.subset_ids:
-            if b not in self.sub_views:
-                a = cont[b][0]
-                vb = set(graph.region_vars(b))
-                axes = tuple(i for i, v in enumerate(graph.region_vars(a)) if v not in vb)
-                self.pruned.append((b, a, axes))
+        self.pruned = [(b, cont[b][0]) for b in graph.subset_ids if b not in self.sub_views]
 
     def fits(self, graph, cards, act) -> bool:
         return self.graph is graph and self.cards == tuple(cards) and self.act == tuple(act)
@@ -190,13 +183,16 @@ class SweepPlan:
         cold = ~hot[self.msg_pair]
 
         def flat(tabs, key):
-            x = np.concatenate([
-                np.ravel(tabs[key(a, b)]) if h else self.uniform[lo:hi]
-                for ((a, b), (lo, hi, _)), h in zip(self.edge_views.items(), hot)
-            ], dtype=float)
-            if x.size != self.uniform.size:
-                raise ConfigurationError("warm message tables do not match the region shapes")
-            x = _normalized(x, self.msg_starts, self.msg_pair)
+            parts = []
+            for ((a, b), (lo, hi, shape)), h in zip(self.edge_views.items(), hot):
+                t = tabs[key(a, b)] if h else self.uniform[lo:hi].reshape(shape)
+                if np.shape(t) != shape:
+                    raise ConfigurationError(
+                        f"warm message table of (cluster {a}, subset {b}) has shape "
+                        f"{np.shape(t)}; the subset's table has shape {shape}"
+                    )
+                parts.append(np.ravel(t))
+            x = _normalized(np.concatenate(parts, dtype=float), self.msg_starts, self.msg_pair)
             x[cold] = self.uniform[cold]
             return x
 
@@ -314,8 +310,8 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
         tabs[a] = q_out[lo:hi].reshape(shape)
     for b, (lo, hi, shape) in plan.sub_views.items():
         tabs[b] = q_sub[lo:hi].reshape(shape)
-    for b, a, axes in plan.pruned:
-        t = tabs[a].sum(axis=axes)
+    for b, a in plan.pruned:
+        t = tabs[a].sum(axis=graph.outside_axes(a, b))
         tabs[b] = t / t.sum()
     ups, downs = {}, {}
     for (a, b), (lo, hi, shape) in plan.edge_views.items():
@@ -328,9 +324,6 @@ def constraint_residual(graph: RegionGraph, q: Beliefs) -> float:
     """Worst consistency violation over the parent/child containment pairs."""
     worst = 0.0
     for p, c in graph.hasse_edges:
-        vp = graph.region_vars(p)
-        vc = set(graph.region_vars(c))
-        axes = tuple(i for i, v in enumerate(vp) if v not in vc)
-        marg = q.tables[p].sum(axis=axes)
+        marg = q.tables[p].sum(axis=graph.outside_axes(p, c))
         worst = max(worst, float(np.max(np.abs(marg - q.tables[c]))))
     return worst

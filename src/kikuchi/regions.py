@@ -13,7 +13,12 @@ containing it.
 Containment is derived once per graph from a variable -> regions index: the
 regions strictly containing a region are those that hold every one of its
 variables.  The overcounts, the Hasse edges, the containing-outer map and the
-max-flow arcs of ``bounds`` are all read off that one map, ``supersets``.
+max-flow arcs of ``bounds`` are all read off that one map, ``supersets``.  The
+graph keeps the index to place factor scopes (``outer_containing``, read by
+``outer_log_potentials`` and the CLI's single-variable marginals) and to find
+the axes of a region's table that a contained region lacks (``outside_axes``,
+read by the sweep plan's entry maps, ``inner_potentials`` and
+``constraint_residual``).  Both answers are derived once, on first use.
 """
 from __future__ import annotations
 
@@ -81,8 +86,10 @@ class RegionGraph:
         self.pos_ids = tuple(b for b in subset_ids if self.by_id[b].overcount > 0)
         self.zero_ids = tuple(b for b in subset_ids if self.by_id[b].overcount == 0)
 
-        self.supersets = _supersets(varsets)
-        outer_set = set(self.outer_ids)
+        self._members, self.supersets = _index(varsets)
+        self._placement: dict[tuple[int, ...], int | None] = {}
+        self._axes: dict[tuple[int, int], tuple[int, ...]] = {}
+        outer_set = self._outer_set = set(self.outer_ids)
         self.containing_outers = {
             b: tuple(a for a in self.supersets[b] if a in outer_set)
             for b in subset_ids
@@ -114,6 +121,20 @@ class RegionGraph:
     def region_vars(self, rid: int) -> tuple[int, ...]:
         return self.by_id[rid].vars
 
+    def outer_containing(self, vars: tuple[int, ...]) -> int | None:
+        """The lowest-id outer cluster holding every variable of ``vars``, else None."""
+        if vars not in self._placement:
+            holders = set.intersection(*(self._members.get(v, set()) for v in vars))
+            self._placement[vars] = min(holders & self._outer_set, default=None)
+        return self._placement[vars]
+
+    def outside_axes(self, p: int, c: int) -> tuple[int, ...]:
+        """The axes of ``p``'s table over variables that ``c``'s table lacks."""
+        if (p, c) not in self._axes:
+            vc = self._varsets[c]
+            self._axes[(p, c)] = tuple(i for i, v in enumerate(self.by_id[p].vars) if v not in vc)
+        return self._axes[(p, c)]
+
     def subset_overcounts(self) -> dict[int, float]:
         return {b: float(self.by_id[b].overcount) for b in self.subset_ids}
 
@@ -138,7 +159,7 @@ def _canonical_clusters(clusters, num_vars=None):
         if t not in seen:
             uniq.append(t)
             seen.add(t)
-    sups = _supersets({i: frozenset(t) for i, t in enumerate(uniq)})
+    _, sups = _index({i: frozenset(t) for i, t in enumerate(uniq)})
     kept = [t for i, t in enumerate(uniq) if not sups[i]]
     dropped = len(cooked) - len(kept)
     if dropped:
@@ -146,8 +167,8 @@ def _canonical_clusters(clusters, num_vars=None):
     return kept
 
 
-def _supersets(varsets: dict[int, frozenset]) -> dict[int, tuple[int, ...]]:
-    """Map each id to the sorted ids whose variable sets strictly contain its own.
+def _index(varsets: dict[int, frozenset]):
+    """The variable -> ids index, and each id's sorted strict supersets.
 
     A region containing ``rid`` holds every variable of ``rid``, so it lies in
     the intersection of those variables' member sets; the variable sets are
@@ -157,7 +178,7 @@ def _supersets(varsets: dict[int, frozenset]) -> dict[int, tuple[int, ...]]:
     for rid, vs in varsets.items():
         for v in vs:
             members.setdefault(v, set()).add(rid)
-    return {
+    return members, {
         rid: tuple(sorted(set.intersection(*(members[v] for v in vs)) - {rid}))
         for rid, vs in varsets.items()
     }
@@ -184,7 +205,7 @@ def _assemble(outer_varsets, subset_varsets):
     subs = sorted(subset_varsets, key=lambda s: (-len(s), tuple(sorted(s))))
     for k, s in enumerate(subs):
         varsets[base + k] = frozenset(s)
-    counts = _moebius(varsets, _supersets(varsets))
+    counts = _moebius(varsets, _index(varsets)[1])
     regions = [
         Region(i, tuple(t), Fraction(1), "outer") for i, t in enumerate(outer_varsets)
     ]

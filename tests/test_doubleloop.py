@@ -10,7 +10,6 @@ import pytest
 
 from kikuchi import (
     ConvexityError,
-    GraphError,
     InnerSettings,
     ModelSpec,
     OuterSettings,
@@ -202,11 +201,11 @@ def test_deterministic_repeat():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.xfail(strict=True, raises=GraphError,
+@pytest.mark.xfail(strict=True, raises=ValueError,
                    reason="probability-domain messages underflow to zero under cccp")
 def test_cccp_on_strong_triplets_stays_finite():
     # Strong couplings on all triplets drive inner messages below the log
-    # floor's reach; inner_potentials then meets non-finite logs and raises.
+    # floor's reach; free_energy then meets non-finite beliefs and raises.
     m = generate(ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0))
     g = build_cvm(list(combinations(range(5), 3)), 5)
     trace = minimize(m, g, make_bound_spec(g, "cccp"))

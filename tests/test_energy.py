@@ -84,6 +84,17 @@ def test_belief_validation():
     with pytest.raises(ValueError, match="negative"):
         free_energy(g, m, negative)
 
+    # Every comparison with NaN is false, so a NaN table passes the sign and
+    # normalization tests; it needs a check of its own, in both forms.
+    bound = make_bound_spec(g, "conv1").inner_overcounts
+    for bad in (np.nan, np.inf, -np.inf):
+        for rid in (g.outer_ids[1], g.subset_ids[1]):
+            nonfinite = q.copy()
+            nonfinite.tables[rid].flat[0] = bad
+            for args in ((), (bound, q)):
+                with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
+                    free_energy(g, m, nonfinite, *args)
+
 
 def test_zero_entries_contribute_zero_entropy():
     m = pairwise_model(2, [(0, 1)], np.random.default_rng(1), 1.0)

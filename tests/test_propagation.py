@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -28,6 +29,7 @@ from kikuchi import (
     run_gbp,
 )
 from kikuchi.energy import LOG_FLOOR
+from kikuchi.propagation import SweepPlan
 from conftest import chain_model, cycle_model, pairwise_model
 
 
@@ -243,6 +245,27 @@ def test_random_message_inits_agree():
         assert q.delta(ref) < 1e-5
 
 
+def test_warm_tables_of_the_wrong_shape_are_rejected():
+    # A 3-entry and a 1-entry table in place of two 2-entry ones keep the
+    # total size; each pair's shape is checked, not only the total.
+    m = chain_model(4, seed=5, cards=[2, 3, 2, 2])
+    g = build_bethe(m.scopes, m.num_vars)
+    c = _true_counts(g)
+    _, msgs, _, _ = run_gbp(m, g, c)
+    first, second = [k for k, t in msgs.up.items() if t.shape == (2,)]
+    for side in ("up", "down"):
+        tabs = {"up": dict(msgs.up), "down": dict(msgs.down)}
+        key = (lambda k: k) if side == "up" else (lambda k: k[::-1])
+        tabs[side][key(first)] = np.full(3, 1 / 3)
+        tabs[side][key(second)] = np.ones(1)
+        with pytest.raises(ConfigurationError, match=rf"\(cluster {first[0]}, subset {first[1]}\)"):
+            run_gbp(m, g, c, warm=MessageSet(tabs["up"], tabs["down"]))
+    wide = next(k for k, t in msgs.up.items() if t.shape == (3,))
+    up = {**msgs.up, wide: msgs.up[wide].reshape(1, 3)}
+    with pytest.raises(ConfigurationError, match=r"shape \(1, 3\); the subset's table has shape \(3,\)"):
+        run_gbp(m, g, c, warm=MessageSet(up, msgs.down))
+
+
 def test_truncated_run_reports_not_converged():
     m = cycle_model(6, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
@@ -402,6 +425,32 @@ def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
     # Warm starts: the level sweep from its own messages (reusing their plan)
     # and the reference from its own.
     _assert_same_run(run_gbp(m, g, c, full, warm=cold[1]), _reference_gbp(m, g, c, full, warm=want[1]))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    n=st.integers(3, 6),
+    raw=st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=4), min_size=2, max_size=6),
+    card_seed=st.integers(0, 2**16),
+)
+def test_entry_maps_match_the_coordinate_reference(n, raw, card_seed):
+    # Each cluster entry's index into its subset's table, computed from the
+    # cluster's coordinates with np.indices and np.ravel_multi_index.
+    cards = tuple(int(c) for c in np.random.default_rng(card_seed).integers(2, 5, size=n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = build_cvm([tuple(v % n for v in cl) for cl in raw], n)
+    plan = SweepPlan(g, cards, g.subset_ids)
+    want, at = [], 0
+    for b in plan.act:
+        vb = g.region_vars(b)
+        for a in g.containing_outers[b]:
+            va = g.region_vars(a)
+            coords = np.indices([cards[v] for v in va]).reshape(len(va), -1)
+            keep = tuple(coords[i] for i, v in enumerate(va) if v in vb)
+            want.append(at + np.ravel_multi_index(keep, [cards[v] for v in vb]))
+            at += math.prod(cards[v] for v in vb)
+    np.testing.assert_array_equal(plan.clu_msg, np.concatenate(want) if want else [])
 
 
 def test_levels_group_regions_with_disjoint_clusters():

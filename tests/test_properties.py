@@ -80,6 +80,21 @@ def test_region_graphs_match_brute_force_definitions(n, raw, bethe):
     assert list(g.hasse_edges) == hasse
     assert {r.id: r.overcount for r in g.regions} == counts
     assert recompute_overcounts(g) == counts
+    # Factor placement: the lowest-id outer holding a scope, else None.  Every
+    # region is placed; pairs across outers, all variables together and a
+    # variable no region holds are not.
+    vs = {r.id: set(r.vars) for r in g.regions}
+    scopes = [r.vars for r in g.regions] + list(combinations(range(n + 1), 2))
+    scopes += [tuple(range(n)), (n,)]
+    for s in scopes:
+        want = next((a for a in g.outer_ids if set(s) <= vs[a]), None)
+        assert g.outer_containing(s) == want, s
+    assert g.outer_containing((n,)) is None
+    # Table axes: those of the larger region's variables the smaller one lacks.
+    for c, ps in sups.items():
+        for p in ps:
+            want = tuple(i for i, v in enumerate(g.region_vars(p)) if v not in vs[c])
+            assert g.outside_axes(p, c) == want, (p, c)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
