@@ -35,6 +35,7 @@ from .energy import (
 )
 from .model import (
     CLAMP_LOG,
+    ClusterPotentials,
     FactorModel,
     ModelFormatError,
     ModelSpec,
@@ -74,6 +75,7 @@ __all__ = [
     "Beliefs",
     "BoundSpec",
     "CLAMP_LOG",
+    "ClusterPotentials",
     "ConfigurationError",
     "ConvexityError",
     "DescentError",

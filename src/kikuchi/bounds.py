@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .energy import LOG_FLOOR
-from .model import FactorModel, outer_log_potentials
+from .model import ClusterPotentials
 from .regions import RegionGraph
 
 FLOW_TOL = 1e-9
@@ -266,32 +265,31 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
     return BoundSpec(variant, ct, witness=witness, used_resources=used)
 
 
-def inner_potentials(
-    model: FactorModel, graph: RegionGraph, spec: BoundSpec, anchor
-) -> FactorModel:
+def inner_potentials(model, graph: RegionGraph, spec: BoundSpec, anchor) -> ClusterPotentials:
     """Fold the linearized entropy terms into the outer log potentials.
 
     Each subset region whose entropy is (partially) linearized contributes the
-    anchor's log table, split evenly across the outer clusters containing it.
-    The result is a new model whose scopes are exactly the outer clusters;
-    the input model is untouched.
+    anchor's log table, split evenly across the outer clusters containing it:
+    one scatter over the graph's layout, subsets in ascending id order.
+    ``model`` is a ``FactorModel`` or its ``ClusterPotentials`` on ``graph``;
+    the result is new ``ClusterPotentials`` and the input is untouched.  An
+    anchor that ``run_gbp`` returned brings exact logs; a dict of tables is
+    floored at ``LOG_FLOOR``, and ``meta["clamped_log_terms"]`` counts the
+    floored entries that the fold reads.
     """
-    pots = outer_log_potentials(model, graph)
-    counts = graph.subset_overcounts()
-    clamped = 0
-    for b in graph.subset_ids:
-        gap = counts[b] - spec.inner_overcounts.get(b, counts[b])
-        if gap == 0.0:
-            continue
-        anch = anchor.tables[b]
-        clamped += int((anch < LOG_FLOOR).sum())
-        log_anchor = np.log(np.maximum(anch, LOG_FLOOR))
-        share = (gap / graph.outer_count[b]) * log_anchor
-        for a in graph.containing_outers[b]:
-            pots[a] = pots[a] - np.expand_dims(share, graph.outside_axes(a, b))
-    meta = dict(model.meta)
+    base = ClusterPotentials.of(model, graph)
+    layout = base.layout
+    _, logs, floored = anchor.flat(layout)
+    gap = layout.overcounts - layout.kept_counts(spec.inner_overcounts)
+    per_region = gap / np.concatenate(
+        (np.ones(len(graph.outer_ids)), [graph.outer_count[b] for b in graph.subset_ids])
+    )
+    share = per_region[layout.seg] * logs
+    src, group, _, at = layout.cluster_sums
+    weights = np.concatenate((base.logs, -share[at][group]))
+    pots = np.bincount(np.concatenate((np.arange(layout.outer_size), src)), weights=weights)
+    clamped = 0 if floored is None else int((floored & (per_region != 0)[layout.seg]).sum())
+    meta = dict(base.meta)
     meta["inner_variant"] = spec.variant
     meta["clamped_log_terms"] = str(clamped)
-    scopes = [graph.region_vars(a) for a in graph.outer_ids]
-    tables = [pots[a] for a in graph.outer_ids]
-    return FactorModel(model.cards, scopes, tables, meta)
+    return ClusterPotentials(layout, pots, meta)

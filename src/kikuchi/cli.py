@@ -207,15 +207,20 @@ def outer_settings(cfg: ExperimentConfig) -> OuterSettings:
     )
 
 
-def single_variable_marginals(graph, beliefs, num_vars):
-    """Per-variable marginals read off the beliefs, smallest carrier first."""
+def single_variable_marginals(graph, beliefs, cards):
+    """Per-variable marginals read off the beliefs, smallest carrier first.
+
+    A variable that no region holds (no factor touches it) is uniform, which
+    is its exact marginal.
+    """
     singleton = {r.vars[0]: r.id for r in graph.regions if len(r.vars) == 1}
     out = {}
-    for v in range(num_vars):
+    for v, card in enumerate(cards):
         if v in singleton:
             t = beliefs.tables[singleton[v]]
+        elif (a := graph.outer_containing((v,))) is None:
+            t = np.ones(card)
         else:
-            a = graph.outer_containing((v,))
             axes = tuple(i for i, u in enumerate(graph.region_vars(a)) if u != v)
             t = beliefs.tables[a].sum(axis=axes)
         t = np.maximum(t, 0.0)
@@ -237,7 +242,8 @@ def kl_to_oracle(exact, graph, beliefs):
     if exact is None:
         return None
     n = len(exact.tables)
-    approx = Beliefs(single_variable_marginals(graph, beliefs, n))
+    cards = [exact.tables[v].size for v in range(n)]
+    approx = Beliefs(single_variable_marginals(graph, beliefs, cards))
     return kl_marginals(exact, approx, range(n)) / n
 
 

@@ -21,7 +21,7 @@ from .bounds import (
     inner_potentials,
 )
 from .energy import Beliefs, free_energy, uniform_beliefs
-from .model import FactorModel
+from .model import ClusterPotentials, FactorModel
 from .propagation import InnerSettings, constraint_residual, run_gbp
 from .regions import RegionGraph
 
@@ -100,25 +100,29 @@ def minimize(
         for b in graph.subset_ids
     )
 
+    # The model is laid out on the graph once; every step below then works
+    # on flat arrays of the graph's layout, and the beliefs and messages
+    # that run_gbp returns are read as dicts only by the caller.
+    base = ClusterPotentials.of(model, graph)
     q = uniform_beliefs(graph, model.cards)
-    f_prev = free_energy(graph, model, q)
+    f_prev = free_energy(graph, base, q)
     records = [OuterRecord(0, f_prev, 0, constraint_residual(graph, q), 0.0)]
     messages = None
     converged = False
 
     for outer_index in range(1, settings.max_outer + 1):
-        inner_model = inner_potentials(model, graph, spec, q)
+        inner = inner_potentials(base, graph, spec, q)
         q_new, messages, sweeps, inner_ok = run_gbp(
-            inner_model, graph, spec.inner_overcounts, settings.inner, warm=messages
+            inner, graph, spec.inner_overcounts, settings.inner, warm=messages
         )
-        f_new = free_energy(graph, model, q_new)
+        f_new = free_energy(graph, base, q_new)
         if f_new > f_prev + DESCENT_SLACK:
             # The bound evaluated at the anchor equals f_prev, so an exact
             # inner minimum can never raise the objective.  If the bound
             # still dominates at q_new the rise is inner-solve noise: keep
             # the anchor and stop.  A dominance violation is a bug.
             if pointwise:
-                f_surrogate = free_energy(graph, model, q_new, spec.inner_overcounts, q)
+                f_surrogate = free_energy(graph, base, q_new, spec.inner_overcounts, q)
                 if f_new > f_surrogate + DESCENT_SLACK:
                     raise DescentError(
                         f"free energy {f_new!r} exceeds its upper bound "

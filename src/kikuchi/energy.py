@@ -4,36 +4,99 @@ The variational objective is average energy minus a counted sum of region
 entropies.  The upper-bound functional used by the double loop replaces part
 of each subset entropy with its linearization around an anchor belief set:
 entropy(q) <= -sum(q * log(anchor)), with equality at q == anchor.
+
+Both are one segment reduction over the graph's flat ``Layout``.  Beliefs
+that ``run_gbp`` returns already live there, with exact log tables; a dict
+of tables is checked and laid out first, its logs floored at ``LOG_FLOOR``.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
-from .model import outer_log_potentials
-from .regions import RegionGraph
+from .model import ClusterPotentials
+from .regions import Layout, RegionGraph
 
 LOG_FLOOR = 1e-300
 
 
-@dataclass
 class Beliefs:
-    """One nonnegative, normalized table per region id."""
+    """One nonnegative, normalized table per region id.
 
-    tables: dict[int, np.ndarray]
+    Built from a dict of tables, or by ``on_layout`` from one flat array of
+    log tables on a graph's ``Layout``, as ``run_gbp`` leaves them.  Beliefs
+    on a layout keep those exact logs next to their exponentials
+    (``probs``); their ``tables`` are a read-only mapping of read-only views,
+    made on first use, and ``copy()`` gives editable ones.
+    """
+
+    def __init__(self, tables: dict[int, np.ndarray] | None):
+        self._tables = tables
+        self.layout: Layout | None = None
+        self.probs: np.ndarray | None = None
+        self.logs: np.ndarray | None = None
+
+    @classmethod
+    def on_layout(cls, layout: Layout, logs: np.ndarray) -> "Beliefs":
+        q = cls(None)
+        q.layout, q.logs, q.probs = layout, logs, np.exp(logs)
+        logs.flags.writeable = q.probs.flags.writeable = False
+        return q
+
+    @property
+    def tables(self):
+        if self._tables is None:
+            self._tables = MappingProxyType(self.layout.tables(self.probs))
+        return self._tables
 
     def copy(self) -> "Beliefs":
         return Beliefs({k: v.copy() for k, v in self.tables.items()})
 
     def delta(self, other: "Beliefs", ids=None) -> float:
-        keys = self.tables.keys() if ids is None else ids
-        worst = 0.0
-        for k in keys:
-            worst = max(worst, float(np.max(np.abs(self.tables[k] - other.tables[k]))))
-        return worst
+        """Largest entry change over ``ids``, by default every region of ``self``."""
+        if ids is None and self.layout is not None and other.layout is self.layout:
+            a, b = self.probs, other.probs
+        else:
+            keys = list(self.tables if ids is None else ids)
+            a = np.concatenate([np.ravel(self.tables[k]) for k in keys] or [[]])
+            b = np.concatenate([np.ravel(other.tables[k]) for k in keys] or [[]])
+        return float(np.max(np.abs(a - b), initial=0.0))
+
+    def flat(self, layout: Layout):
+        """These beliefs on ``layout``, checked: (probabilities, logs, floored).
+
+        Beliefs on ``layout`` give their own arrays, and ``floored`` None, once
+        every entry is finite.  A dict of tables is checked table by table
+        (present, shaped, finite, nonnegative, normalized) and its logs are
+        floored at ``LOG_FLOOR``; ``floored`` marks the entries that were.
+        Raises ``ValueError`` naming the first region that fails.
+        """
+        if self.layout is layout:
+            bad = ~np.isfinite(self.probs)
+            if bad.any():
+                rid = layout.ids[layout.seg[bad.argmax()]]
+                raise ValueError(f"region {rid}: belief table has non-finite entries")
+            return self.probs, self.logs, None
+        probs = np.empty(layout.size)
+        for r in layout.graph.regions:
+            if r.id not in self.tables:
+                raise ValueError(f"beliefs missing a table for region {r.id}")
+            t = self.tables[r.id]
+            lo, hi, want = layout.views[r.id]
+            if np.shape(t) != want:
+                raise ValueError(f"region {r.id}: belief shape {np.shape(t)}, expected {want}")
+            total = float(t.sum())
+            if not math.isfinite(total):
+                raise ValueError(f"region {r.id}: belief table has non-finite entries")
+            if float(t.min()) < -1e-12:
+                raise ValueError(f"region {r.id}: negative belief entry")
+            if abs(total - 1.0) > 1e-9:
+                raise ValueError(f"region {r.id}: belief table is not normalized")
+            probs[lo:hi] = t.ravel()
+        return probs, np.log(np.maximum(probs, LOG_FLOOR)), probs < LOG_FLOOR
 
 
 def uniform_beliefs(graph: RegionGraph, cards) -> Beliefs:
@@ -47,31 +110,6 @@ def uniform_beliefs(graph: RegionGraph, cards) -> Beliefs:
     return Beliefs(tabs)
 
 
-def _entropy(t: np.ndarray) -> float:
-    return float(-(t * np.log(np.maximum(t, LOG_FLOOR))).sum())
-
-
-def _cross_entropy(t: np.ndarray, anchor: np.ndarray) -> float:
-    return float(-(t * np.log(np.maximum(anchor, LOG_FLOOR))).sum())
-
-
-def _check_tables(graph, q, cards):
-    for r in graph.regions:
-        if r.id not in q.tables:
-            raise ValueError(f"beliefs missing a table for region {r.id}")
-        t = q.tables[r.id]
-        want = tuple(cards[v] for v in r.vars)
-        if t.shape != want:
-            raise ValueError(f"region {r.id}: belief shape {t.shape}, expected {want}")
-        total = float(t.sum())
-        if not math.isfinite(total):
-            raise ValueError(f"region {r.id}: belief table has non-finite entries")
-        if float(t.min()) < -1e-12:
-            raise ValueError(f"region {r.id}: negative belief entry")
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"region {r.id}: belief table is not normalized")
-
-
 def free_energy(graph, model, q, subset_counts=None, anchor=None) -> float:
     """Average energy minus counted entropy.
 
@@ -79,30 +117,27 @@ def free_energy(graph, model, q, subset_counts=None, anchor=None) -> float:
     entropy, where ``c_b`` is the graph's count (all of it by default).  With
     an ``anchor``, the remaining ``c_b - kept`` is charged as cross-entropy
     against the anchor: the double loop's upper bound, which touches the plain
-    value at q == anchor.
+    value at q == anchor.  ``model`` is a ``FactorModel`` or its
+    ``ClusterPotentials`` on ``graph``; the value is one segment reduction
+    over the graph's layout.
     """
-    _check_tables(graph, q, model.cards)
-    pots = outer_log_potentials(model, graph)
-    total = 0.0
-    for a in graph.outer_ids:
-        t = q.tables[a]
-        total += float(-(t * pots[a]).sum())
-        total -= _entropy(t)
-    counts = graph.subset_overcounts()
-    kept = counts if subset_counts is None else subset_counts
-    clamped = 0
-    for b in graph.subset_ids:
-        c = counts[b]
-        ct = kept.get(b, c)
-        t = q.tables[b]
-        if ct:
-            total -= ct * _entropy(t)
-        if anchor is not None and c != ct:
-            anch = anchor.tables[b]
-            clamped += int(((anch < LOG_FLOOR) & (t > 1e-12)).sum())
-            total -= (c - ct) * _cross_entropy(t, anch)
-    if clamped:
-        warnings.warn(f"{clamped} anchor entries at the log floor")
+    pots = ClusterPotentials.of(model, graph)
+    layout = pots.layout
+    probs, logs, _ = q.flat(layout)
+    keep = layout.kept_counts(subset_counts)
+    region_sum = np.add.reduceat
+    # -sum q log pot - sum_r keep_r H_r, with H_r = -sum q_r log q_r
+    total = -float(probs[: layout.outer_size] @ pots.logs)
+    total += float(keep @ region_sum(probs * logs, layout.starts))
+    if anchor is not None:
+        _, anchor_logs, floored = anchor.flat(layout)
+        gap = layout.overcounts - keep
+        # each linearized entropy share is charged as cross-entropy
+        total += float(gap @ region_sum(probs * anchor_logs, layout.starts))
+        if floored is not None:
+            clamped = int((floored & (probs > 1e-12) & (gap != 0)[layout.seg]).sum())
+            if clamped:
+                warnings.warn(f"{clamped} anchor entries at the log floor")
     return total
 
 

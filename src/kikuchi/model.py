@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import GraphError, RegionGraph
+from .regions import GraphError, Layout, RegionGraph
 
 CLAMP_LOG = -1e3
 
@@ -384,3 +384,41 @@ def outer_log_potentials(model: FactorModel, graph: RegionGraph) -> dict[int, np
         shape = tuple(model.cards[v] if v in scope else 1 for v in graph.region_vars(target))
         tabs[target] += table.reshape(shape)
     return tabs
+
+
+class ClusterPotentials:
+    """Outer-cluster log potentials as one flat array on a graph's ``Layout``.
+
+    The form in which the inner loop reads a model: ``of`` lays a
+    ``FactorModel`` out once (through ``outer_log_potentials``), and
+    ``bounds.inner_potentials`` returns one per outer step.  ``meta`` carries
+    the model's metadata and, for inner potentials, the bound's.
+    """
+
+    def __init__(self, layout: Layout, logs: np.ndarray, meta=None):
+        self.layout = layout
+        self.logs = logs
+        self.meta = dict(meta or {})
+
+    @property
+    def cards(self) -> tuple[int, ...]:
+        return self.layout.cards
+
+    @property
+    def scopes(self) -> list[tuple[int, ...]]:
+        return [self.layout.graph.region_vars(a) for a in self.layout.graph.outer_ids]
+
+    @classmethod
+    def of(cls, model, graph: RegionGraph) -> "ClusterPotentials":
+        """``model`` laid out on ``graph``; a ``ClusterPotentials`` on it is returned as is."""
+        layout = graph.layout(model.cards)
+        if isinstance(model, ClusterPotentials):
+            if model.layout is not layout:
+                raise GraphError("cluster potentials laid out on another region graph")
+            return model
+        tabs = outer_log_potentials(model, graph)
+        logs = np.zeros(layout.outer_size)
+        for a in graph.outer_ids:
+            lo, hi, _ = layout.views[a]
+            logs[lo:hi] = tabs[a].ravel()
+        return cls(layout, logs, model.meta)

@@ -17,16 +17,26 @@ max-flow arcs of ``bounds`` are all read off that one map, ``supersets``.  The
 graph keeps the index to place factor scopes (``outer_containing``, read by
 ``outer_log_potentials`` and the CLI's single-variable marginals) and to find
 the axes of a region's table that a contained region lacks (``outside_axes``,
-read by the sweep plan's entry maps, ``inner_potentials`` and
-``constraint_residual``).  Both answers are derived once, on first use.
+read by the layout's index maps).  Both answers are derived once, on first
+use.
+
+``RegionGraph.layout(cards)`` places every region's table in one flat array
+(``Layout``), once per graph and cards.  Its ``sums`` index maps say which
+entries of a region's table sum into each entry of a region it contains; the
+free energy, the constraint residual, the linearization fold and the sweep
+are reductions over that one array.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
+
+import numpy as np
 
 
 RECIPES = ("bethe", "grid-plaquettes", "all-triplets")
@@ -89,6 +99,7 @@ class RegionGraph:
         self._members, self.supersets = _index(varsets)
         self._placement: dict[tuple[int, ...], int | None] = {}
         self._axes: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._layouts: dict[tuple[int, ...], Layout] = {}
         outer_set = self._outer_set = set(self.outer_ids)
         self.containing_outers = {
             b: tuple(a for a in self.supersets[b] if a in outer_set)
@@ -137,6 +148,94 @@ class RegionGraph:
 
     def subset_overcounts(self) -> dict[int, float]:
         return {b: float(self.by_id[b].overcount) for b in self.subset_ids}
+
+    def layout(self, cards) -> "Layout":
+        """The flat layout of this graph's tables for ``cards``, built on first use."""
+        cards = tuple(cards)
+        if cards not in self._layouts:
+            self._layouts[cards] = Layout(self, cards)
+        return self._layouts[cards]
+
+
+class Layout:
+    """Every region's table in one flat array: outer clusters, then subsets, by id.
+
+    ``views[rid]`` is the (start, stop, shape) of region ``rid``'s table and
+    ``starts``/``seg`` the start of each region's segment and the region
+    number of each entry, in that order; the outer clusters fill
+    ``[0, outer_size)``.  Only ``RegionGraph.layout`` builds one.
+    """
+
+    def __init__(self, graph: RegionGraph, cards: tuple[int, ...]):
+        self.graph = graph
+        self.cards = cards
+        self.ids = graph.outer_ids + graph.subset_ids
+        shapes = [tuple(cards[v] for v in graph.region_vars(r)) for r in self.ids]
+        sizes = np.array([math.prod(s) for s in shapes], dtype=np.intp)
+        self.starts = np.cumsum(sizes) - sizes
+        self.seg = np.repeat(np.arange(len(sizes)), sizes)
+        self.views = {
+            r: (int(lo), int(lo + n), s) for r, lo, n, s in zip(self.ids, self.starts, sizes, shapes)
+        }
+        self.size = int(sizes.sum())
+        self.outer_size = int(sizes[: len(graph.outer_ids)].sum())
+
+    @cached_property
+    def overcounts(self) -> np.ndarray:
+        """The overcounting number of each region, in layout order."""
+        return np.array([float(self.graph.by_id[r].overcount) for r in self.ids])
+
+    def kept_counts(self, subset_counts=None) -> np.ndarray:
+        """``overcounts`` with ``subset_counts.get(b, c_b)`` for each subset ``b``."""
+        if subset_counts is None:
+            return self.overcounts
+        keep = self.overcounts.copy()
+        for i, b in enumerate(self.graph.subset_ids, start=len(self.graph.outer_ids)):
+            keep[i] = subset_counts.get(b, keep[i])
+        return keep
+
+    def span(self, rid: int) -> np.ndarray:
+        lo, hi, _ = self.views[rid]
+        return np.arange(lo, hi)
+
+    def tables(self, flat: np.ndarray) -> dict[int, np.ndarray]:
+        """Each region's table as a view into ``flat``."""
+        return {r: flat[lo:hi].reshape(shape) for r, (lo, hi, shape) in self.views.items()}
+
+    def sums(self, pairs):
+        """How each (p, c) of ``pairs``, c inside p, sums p's table onto c's.
+
+        Returns ``src``, the flat entries of every p, pair by pair; ``group``,
+        for each of them the number of the (pair, entry of c) it sums into,
+        so that every group is one contiguous run of ``src`` and groups count
+        up from 0; ``starts``, the start of each group; and ``at``, the flat
+        entry of c of each group.  Within a group the entries of p keep their
+        order in p's table.
+        """
+        src, at, width = [], [], []
+        for p, c in pairs:
+            shape = self.views[p][2]
+            inside = [i for i in range(len(shape)) if i not in self.graph.outside_axes(p, c)]
+            src.append(np.moveaxis(self.span(p).reshape(shape), inside, range(len(inside))).ravel())
+            at.append(self.span(c))
+            width.append(np.full(len(at[-1]), len(src[-1]) // len(at[-1])))
+        src, at, width = (np.concatenate(x) if x else np.zeros(0, dtype=np.intp) for x in (src, at, width))
+        return src, np.repeat(np.arange(len(at)), width), np.cumsum(width) - width, at
+
+    @cached_property
+    def hasse_sums(self):
+        """``sums`` of the Hasse edges, which the constraint residual reads."""
+        return self.sums(self.graph.hasse_edges)
+
+    @cached_property
+    def cluster_sums(self):
+        """``sums`` of every (outer cluster, subset inside it), subset by subset.
+
+        The linearization fold scatters each subset's anchor table back
+        through them.
+        """
+        g = self.graph
+        return self.sums([(a, b) for b in g.subset_ids for a in g.containing_outers[b]])
 
 
 def _canonical_clusters(clusters, num_vars=None):

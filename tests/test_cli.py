@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -200,6 +201,20 @@ def test_run_writes_trace_and_reports(tmp_path, capsys):
     cfg = load_config(outdir / "config.txt")
     assert cfg.family == "file"
     assert cfg.variants == ("conv1",)
+
+
+def test_run_reports_variables_no_factor_touches(tmp_path, capsys):
+    # Variable 2 is in no factor, so no region holds it; its marginal is
+    # uniform, which the oracle agrees with.
+    model = tmp_path / "loose.model"
+    model.write_text("# kikuchi model v1\nvars 3\ncards 2 2 2\nfactors 1\n"
+                     "factor 0 1\n0 0.5 -0.25 1\n")
+    rc = main(["run", "--family", "file", "--model", str(model), "--recipe", "bethe",
+               "--variant", "conv1", "--outdir", str(tmp_path / "out")])
+    assert rc == 0
+    assert "converged yes" in capsys.readouterr().out
+    meta = json.loads((tmp_path / "out" / "trace_conv1.json").read_text())
+    assert math.isfinite(meta["kl_to_oracle"]) and meta["kl_to_oracle"] < 1e-12
 
 
 def test_run_plain_matches_exact_bound_on_convex_model(tmp_path, capsys):

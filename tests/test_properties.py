@@ -7,17 +7,25 @@ import warnings
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kikuchi import (
+    Beliefs,
+    BoundSpec,
     ConvexityError,
     ModelSpec,
     build_bethe,
     build_cvm,
+    constraint_residual,
+    free_energy,
     generate,
+    inner_potentials,
     make_bound_spec,
     minimize,
+    outer_log_potentials,
     recompute_overcounts,
 )
 
@@ -118,3 +126,113 @@ def test_qmr_bethe_traces_keep_their_promises(diseases, findings, seed, variant)
         assert b <= a + 1e-9, f"rise at outer {t + 1}"
     if trace.converged:
         assert trace.outer[-1].constraint_residual <= 1e-6
+
+
+def _graph_problem(kind, size, seed):
+    """A (model, region graph) pair: Bethe grid, plaquettes, all triplets or QMR Bethe."""
+    if kind in ("bethe-grid", "plaquettes"):
+        rows, cols = 2 + size % 2, 3
+        m = generate(ModelSpec("grid_boltzmann", rows=rows, cols=cols, seed=seed))
+        if kind == "bethe-grid":
+            return m, build_bethe(m.scopes, m.num_vars)
+        plaq = [(r * cols + c, r * cols + c + 1, (r + 1) * cols + c, (r + 1) * cols + c + 1)
+                for r in range(rows - 1) for c in range(cols - 1)]
+        return m, build_cvm(plaq, m.num_vars)
+    if kind == "triplets":
+        m = generate(ModelSpec("full_boltzmann", nodes=4 + size % 2, weight_scale=2.0, seed=seed))
+        return m, build_cvm(list(combinations(range(m.num_vars), 3)), m.num_vars)
+    m = generate(ModelSpec("qmr_like", diseases=3 + size, findings=2 + size % 3, seed=seed))
+    return m, build_bethe(m.scopes, m.num_vars)
+
+
+def _xlogy(t, a):
+    return float((t * np.log(np.maximum(a, 1e-300))).sum())
+
+
+def _outside(g, p, c):
+    return tuple(i for i, v in enumerate(g.region_vars(p)) if v not in g.region_vars(c))
+
+
+def _dict_free_energy(g, m, q, kept=None, anchor=None):
+    """The counted energy/entropy sum, table by table, with floored logs."""
+    pots = outer_log_potentials(m, g)
+    counts = g.subset_overcounts()
+    kept = counts if kept is None else kept
+    total = sum(-float((q.tables[a] * pots[a]).sum()) + _xlogy(q.tables[a], q.tables[a])
+                for a in g.outer_ids)
+    for b in g.subset_ids:
+        t, ct = q.tables[b], kept.get(b, counts[b])
+        total += ct * _xlogy(t, t)
+        if anchor is not None:
+            total += (counts[b] - ct) * _xlogy(t, anchor.tables[b])
+    return total
+
+
+def _dict_fold(g, m, kept, anchor):
+    """Outer log potentials minus each subset's anchored share, cluster by cluster."""
+    pots = outer_log_potentials(m, g)
+    counts = g.subset_overcounts()
+    for b in g.subset_ids:
+        share = (counts[b] - kept.get(b, counts[b])) / g.outer_count[b]
+        share = share * np.log(np.maximum(anchor.tables[b], 1e-300))
+        for a in g.containing_outers[b]:
+            pots[a] = pots[a] - np.expand_dims(share, _outside(g, a, b))
+    return np.concatenate([pots[a].ravel() for a in g.outer_ids])
+
+
+def _dict_residual(g, q):
+    return max((float(np.max(np.abs(q.tables[p].sum(axis=_outside(g, p, c)) - q.tables[c])))
+                for p, c in g.hasse_edges), default=0.0)
+
+
+def _laid_out(g, cards, rng):
+    """Independent random tables (so not consistent), as log tables on the layout."""
+    layout = g.layout(cards)
+    logs = []
+    for rid in layout.ids:
+        t = rng.gamma(0.5, size=layout.views[rid][2]) + 1e-12
+        logs.append(np.log(t / t.sum()).ravel())
+    return Beliefs.on_layout(layout, np.concatenate(logs))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("bethe-grid", "plaquettes", "triplets", "qmr")),
+    size=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    variant=st.sampled_from(("conv1", "conv2", "conv3", "cccp")),
+)
+def test_layout_reductions_match_the_dict_references(kind, size, seed, variant):
+    m, g = _graph_problem(kind, size, seed)
+    try:
+        kept = make_bound_spec(g, variant).inner_overcounts
+    except ConvexityError:
+        kept = make_bound_spec(g, "conv1").inner_overcounts
+    rng = np.random.default_rng(seed)
+    q, anchor = _laid_out(g, m.cards, rng), _laid_out(g, m.cards, rng)
+    # The same numbers as dicts of tables go through the adapters.
+    q_dict, anchor_dict = q.copy(), anchor.copy()
+    assert q_dict.layout is None
+    for args, dict_args in (((), ()), ((kept, anchor), (kept, anchor_dict))):
+        want = _dict_free_energy(g, m, q_dict, *dict_args)
+        assert abs(free_energy(g, m, q, *args) - want) <= 1e-12
+        assert abs(free_energy(g, m, q_dict, *dict_args) - want) <= 1e-12
+    want = _dict_residual(g, q_dict)
+    assert abs(constraint_residual(g, q) - want) <= 1e-12
+    assert abs(constraint_residual(g, q_dict) - want) <= 1e-12
+    spec = BoundSpec(variant, kept)
+    want = _dict_fold(g, m, kept, anchor_dict)
+    np.testing.assert_allclose(inner_potentials(m, g, spec, anchor).logs, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(inner_potentials(m, g, spec, anchor_dict).logs, want, rtol=0, atol=1e-12)
+    want = max(float(np.max(np.abs(q_dict.tables[r] - anchor_dict.tables[r]))) for r in q_dict.tables)
+    assert abs(q.delta(anchor) - want) <= 1e-12
+    assert q_dict.delta(anchor_dict) == want
+    # A non-finite entry is refused, naming its region, in both forms.
+    rid = g.regions[int(rng.integers(len(g.regions)))].id
+    logs = q.logs.copy()
+    logs[q.layout.views[rid][0]] = rng.choice([np.nan, np.inf])
+    bad = Beliefs.on_layout(q.layout, logs)
+    for beliefs in (bad, bad.copy()):
+        for args in ((), (kept, anchor)):
+            with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
+                free_energy(g, m, beliefs, *args)
