@@ -57,6 +57,10 @@ class RunTrace:
     final_beliefs: Beliefs
     settings: OuterSettings
     converged: bool
+    # Why the outer loop ended: "converged", "rejected_rise" (a rise was
+    # rejected and the run kept its anchor) or "max_outer".  Not written to
+    # the trace CSV or JSON.
+    stop_reason: str
 
     @property
     def final_f(self) -> float:
@@ -109,6 +113,7 @@ def minimize(
     records = [OuterRecord(0, f_prev, 0, constraint_residual(graph, q), 0.0)]
     messages = None
     converged = False
+    stop_reason = "max_outer"
 
     for outer_index in range(1, settings.max_outer + 1):
         inner = inner_potentials(base, graph, spec, q)
@@ -139,6 +144,7 @@ def minimize(
                 )
             )
             converged = inner_ok
+            stop_reason = "rejected_rise"
             break
         delta = q_new.delta(q)
         records.append(
@@ -153,13 +159,11 @@ def minimize(
         )
         stalled = abs(f_new - f_prev) < settings.outer_tol
         q, f_prev = q_new, f_new
-        if exact_bound and inner_ok:
+        if inner_ok and (exact_bound or (stalled and delta < settings.marginal_tol)):
             converged = True
+            stop_reason = "converged"
             break
-        if stalled and delta < settings.marginal_tol and inner_ok:
-            converged = True
-            break
-    return RunTrace(spec.variant, records, q, settings, converged)
+    return RunTrace(spec.variant, records, q, settings, converged, stop_reason)
 
 
 def iterations_to_reach(trace: RunTrace, target: float, window: float = 1e-4):

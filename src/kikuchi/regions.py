@@ -76,10 +76,13 @@ class RegionGraph:
     is the sorted tuple of the ids of the regions strictly containing ``rid``.
     ``strict`` requires every subset region to sit strictly inside at least one
     outer cluster, which holds for all built graphs; synthetic test posets may
-    disable it.
+    disable it.  ``_containment`` is the ``_index`` of the regions' variable
+    sets, for a builder that has already computed it.
     """
 
-    def __init__(self, regions: Sequence[Region], hasse_edges=None, strict=True):
+    def __init__(
+        self, regions: Sequence[Region], hasse_edges=None, strict=True, *, _containment=None
+    ):
         self.regions = tuple(regions)
         self.by_id = {r.id: r for r in self.regions}
         if len(self.by_id) != len(self.regions):
@@ -96,7 +99,7 @@ class RegionGraph:
         self.pos_ids = tuple(b for b in subset_ids if self.by_id[b].overcount > 0)
         self.zero_ids = tuple(b for b in subset_ids if self.by_id[b].overcount == 0)
 
-        self._members, self.supersets = _index(varsets)
+        self._members, self.supersets = _containment or _index(varsets)
         self._placement: dict[tuple[int, ...], int | None] = {}
         self._axes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._layouts: dict[tuple[int, ...], Layout] = {}
@@ -304,14 +307,15 @@ def _assemble(outer_varsets, subset_varsets):
     subs = sorted(subset_varsets, key=lambda s: (-len(s), tuple(sorted(s))))
     for k, s in enumerate(subs):
         varsets[base + k] = frozenset(s)
-    counts = _moebius(varsets, _index(varsets)[1])
+    containment = _index(varsets)
+    counts = _moebius(varsets, containment[1])
     regions = [
         Region(i, tuple(t), Fraction(1), "outer") for i, t in enumerate(outer_varsets)
     ]
     for k, s in enumerate(subs):
         rid = base + k
         regions.append(Region(rid, tuple(sorted(s)), counts[rid], "subset"))
-    return RegionGraph(regions)
+    return RegionGraph(regions, _containment=containment)
 
 
 def build_cvm(outer_clusters, num_vars=None) -> RegionGraph:

@@ -140,6 +140,30 @@ def test_max_outer_truncation_flags_not_converged():
                      OuterSettings(max_outer=1))
     assert trace.outer_iterations == 1
     assert not trace.converged
+    assert trace.stop_reason == "max_outer"
+
+
+def test_stop_reason_converged_on_grid():
+    m = _grid_model(3, 3, seed=4)
+    g = build_bethe(m.scopes, m.num_vars)
+    trace = minimize(m, g, make_bound_spec(g, "conv1"))
+    assert trace.converged
+    assert trace.stop_reason == "converged"
+
+
+def test_stop_reason_names_a_rejected_rise():
+    # A qmr_compare corpus case (seed 3, conv1) whose last inner solve rose
+    # above its anchor: the run keeps the anchor and says why it stopped,
+    # although the solve itself converged.
+    m = generate(ModelSpec("qmr_like", diseases=20, findings=10, seed=3))
+    g = build_bethe(m.scopes, m.num_vars)
+    spec = make_bound_spec(g, "conv1")
+    trace = minimize(m, g, spec)
+    last, prev = trace.outer[-1], trace.outer[-2]
+    assert trace.stop_reason == "rejected_rise"
+    assert trace.converged and last.inner_converged
+    assert (last.f_kik, last.marginal_delta) == (prev.f_kik, 0.0)
+    assert "stop_reason" not in json.dumps(trace_metadata(trace, spec))
 
 
 def test_iterations_to_reach_window():

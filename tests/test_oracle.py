@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kikuchi import (
     FactorModel,
@@ -65,3 +68,68 @@ def test_log_z_shift_stability():
     res = exact_inference(m, regions=[(0,)])
     assert math.isfinite(res.log_z)
     assert abs(res.log_z - (710.0 + math.log(1.0 + math.exp(-10.0)))) < 1e-9
+
+
+def _reference(model, regions):
+    """log Z, each region's marginal in ascending variable order, and the
+    joint, by one pass over the states."""
+    states = list(product(*(range(c) for c in model.cards)))
+    logw = [
+        sum(t[tuple(x[v] for v in scope)] for scope, t in zip(model.scopes, model.tables))
+        for x in states
+    ]
+    top = max(logw)
+    w = [math.exp(lw - top) for lw in logw]
+    z = math.fsum(w)
+    joint = np.zeros(model.cards)
+    tabs = [np.zeros(tuple(model.cards[v] for v in sorted(r))) for r in regions]
+    for x, wx in zip(states, w):
+        joint[x] = wx / z
+        for tab, r in zip(tabs, regions):
+            tab[tuple(x[v] for v in sorted(r))] += wx / z
+    return top + math.log(z), tabs, joint
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    cards=st.lists(st.integers(2, 3), min_size=1, max_size=7),
+    seed=st.integers(0, 2**16),
+    keep_joint=st.booleans(),
+)
+@example(cards=[3], seed=0, keep_joint=True)  # the first half is empty
+@example(cards=[2, 3], seed=1, keep_joint=False)
+def test_matches_per_state_enumeration(cards, seed, keep_joint):
+    rng = np.random.default_rng(seed)
+    n = len(cards)
+    scopes = sorted({
+        tuple(sorted(rng.choice(n, size=rng.integers(1, min(n, 3) + 1), replace=False)))
+        for _ in range(rng.integers(1, 6))
+    })
+    tables = [rng.normal(scale=2.0, size=tuple(cards[v] for v in s)) for s in scopes]
+    m = FactorModel(cards, scopes, tables)
+
+    # Regions of every kind: empty, one variable, inside the first half,
+    # inside the second half, straddling both, and the full scope; their
+    # variables come in shuffled order.
+    h = n // 2
+    first, second = list(range(h)), list(range(h, n))
+    regions = [(), tuple(range(n))] + [(v,) for v in range(n)]
+    for half in (first, second):
+        if half:
+            regions.append(tuple(rng.choice(half, size=rng.integers(1, len(half) + 1), replace=False)))
+    if first:
+        regions.append((int(rng.choice(first)), int(rng.choice(second))) + tuple(
+            rng.choice(n, size=rng.integers(0, n + 1), replace=False)))
+    regions = [tuple(rng.permutation(sorted({int(v) for v in r}))) for r in regions]
+
+    res = exact_inference(m, regions=regions, keep_joint=keep_joint)
+    log_z, tabs, joint = _reference(m, regions)
+    assert abs(res.log_z - log_z) <= 1e-12
+    for k, want in enumerate(tabs):
+        got = np.asarray(res.marginals.tables[k])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+    if keep_joint:
+        assert np.max(np.abs(res.joint - joint)) <= 1e-12
+    else:
+        assert res.joint is None
