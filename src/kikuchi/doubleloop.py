@@ -3,10 +3,18 @@
 Each outer iteration rebuilds the upper bound around the current beliefs and
 lets message passing solve the resulting convex inner problem.  Because the
 bound touches the objective at the anchor and dominates it elsewhere, an exact
-inner minimum can only lower the true free energy.  Inexact inner solves can
-produce sub-noise rises; those steps are rejected, keeping the recorded trace
-non-increasing, and the run stops at the anchor.  A rise that breaks the bound
-itself indicates a bug and raises rather than being papered over.
+inner minimum can only lower the true free energy.  An inner solve that does
+not converge within its sweep budget gives no such minimum: its beliefs are
+not taken, and the run stops at the anchor, unconverged.  Inexact inner solves
+can produce sub-noise rises; those steps are rejected, keeping the recorded
+trace non-increasing, and the run stops at the anchor.  A rise that breaks the
+bound itself indicates a bug and raises rather than being papered over.
+
+Before it returns, ``minimize`` checks the promises of its trace: every
+``f_kik`` is finite, none rises by more than ``DESCENT_SLACK``, ``converged``
+holds only with a final constraint residual within ``RESIDUAL_TOL``, and every
+accepted step came from a converged inner solve.  A broken promise raises
+``DescentError``.
 """
 from __future__ import annotations
 
@@ -26,10 +34,11 @@ from .propagation import InnerSettings, constraint_residual, run_gbp
 from .regions import RegionGraph
 
 DESCENT_SLACK = 1e-9
+RESIDUAL_TOL = 1e-6  # converged=True promises a final constraint residual within this
 
 
 class DescentError(RuntimeError):
-    """The recorded free energy increased beyond slack; implementation bug."""
+    """A returned trace would break one of its promises; implementation bug."""
 
 
 @dataclass
@@ -58,8 +67,9 @@ class RunTrace:
     settings: OuterSettings
     converged: bool
     # Why the outer loop ended: "converged", "rejected_rise" (a rise was
-    # rejected and the run kept its anchor) or "max_outer".  Not written to
-    # the trace CSV or JSON.
+    # rejected and the run kept its anchor), "inner_failed" (an inner solve
+    # ran out of sweeps; the run kept its anchor, unconverged) or
+    # "max_outer".  Not written to the trace CSV or JSON.
     stop_reason: str
 
     @property
@@ -120,6 +130,16 @@ def minimize(
         q_new, messages, sweeps, inner_ok = run_gbp(
             inner, graph, spec.inner_overcounts, settings.inner, warm=messages
         )
+        if not inner_ok:
+            # No inner minimum, so no descent guarantee: keep the anchor.
+            records.append(
+                OuterRecord(
+                    outer_index, f_prev, sweeps, records[-1].constraint_residual, 0.0,
+                    inner_converged=False,
+                )
+            )
+            stop_reason = "inner_failed"
+            break
         f_new = free_energy(graph, base, q_new)
         if f_new > f_prev + DESCENT_SLACK:
             # The bound evaluated at the anchor equals f_prev, so an exact
@@ -134,36 +154,46 @@ def minimize(
                         f"{f_surrogate!r} at outer iteration {outer_index}"
                     )
             records.append(
-                OuterRecord(
-                    outer_index,
-                    f_prev,
-                    sweeps,
-                    records[-1].constraint_residual,
-                    0.0,
-                    inner_converged=inner_ok,
-                )
+                OuterRecord(outer_index, f_prev, sweeps, records[-1].constraint_residual, 0.0)
             )
-            converged = inner_ok
+            converged = True
             stop_reason = "rejected_rise"
             break
         delta = q_new.delta(q)
         records.append(
-            OuterRecord(
-                outer_index,
-                f_new,
-                sweeps,
-                constraint_residual(graph, q_new),
-                delta,
-                inner_converged=inner_ok,
-            )
+            OuterRecord(outer_index, f_new, sweeps, constraint_residual(graph, q_new), delta)
         )
         stalled = abs(f_new - f_prev) < settings.outer_tol
         q, f_prev = q_new, f_new
-        if inner_ok and (exact_bound or (stalled and delta < settings.marginal_tol)):
+        if exact_bound or (stalled and delta < settings.marginal_tol):
             converged = True
             stop_reason = "converged"
             break
-    return RunTrace(spec.variant, records, q, settings, converged, stop_reason)
+    trace = RunTrace(spec.variant, records, q, settings, converged, stop_reason)
+    _check_promises(trace)
+    return trace
+
+
+def _check_promises(trace: RunTrace) -> None:
+    """Raise ``DescentError`` if ``trace`` breaks a promise of a returned trace."""
+    records = trace.outer
+    # A run that stops on a rejected rise or a failed inner solve ends with
+    # a record of the step it did not take.
+    accepted = records[:-1] if trace.stop_reason in ("rejected_rise", "inner_failed") else records
+    broken = None
+    if not all(math.isfinite(r.f_kik) for r in records):
+        broken = "a non-finite f_kik"
+    elif any(b.f_kik > a.f_kik + DESCENT_SLACK for a, b in zip(records, records[1:])):
+        broken = f"f_kik rising by more than {DESCENT_SLACK:g}"
+    elif trace.converged and not records[-1].constraint_residual <= RESIDUAL_TOL:
+        broken = (
+            f"converged=True with constraint residual {records[-1].constraint_residual!r} "
+            f"above {RESIDUAL_TOL:g}"
+        )
+    elif not all(r.inner_converged for r in accepted):
+        broken = "a step accepted from an inner solve that did not converge"
+    if broken is not None:
+        raise DescentError(f"{trace.variant} trace ({trace.stop_reason}) has {broken}")
 
 
 def iterations_to_reach(trace: RunTrace, target: float, window: float = 1e-4):

@@ -13,6 +13,13 @@ subset beliefs are log tables; a marginal is a log-sum-exp over the cluster
 entries that share a subset entry, each group shifted by its own maximum,
 and division is subtraction.  Nothing in the sweep is floored: a message
 far below 1e-300 stays exact and finite instead of underflowing to zero.
+Only ratios within a table matter to the update, so tables are normalized
+no more often than needed: a subset's new log belief is left unnormalized
+until the end of the sweep, when the whole subset block is normalized at
+once, before the stopping test.  That is exact: within the sweep the belief
+only enters its downward messages, which are shifted to a maximum of zero
+at once, so a constant per region cancels; and the damped mix below reads
+the previous sweep's belief, normalized by then.
 
 With Bethe counting numbers (1 - n per variable) the exponent is one and the
 sweep reduces to ordinary loopy belief propagation.  When any kept count is
@@ -146,8 +153,8 @@ class SweepPlan:
             batch-local message entry of each; the start of each group; the
             flat message entries, their starts and pairs; the batch-local
             subset entry of each message entry; the subset-block entries of
-            ``regions``, their starts and regions.  Within a level each
-            gathered cluster belongs to one pair only.
+            ``regions``.  Within a level each gathered cluster belongs to
+            one pair only.
             """
             pairs = [(a, b) for b in regions for a in cont[b]]
             clu, group, group_starts, _ = layout.sums(pairs)
@@ -158,7 +165,6 @@ class SweepPlan:
                 *_segments([size(b) for _, b in pairs]),
                 _cat([np.arange(*local_sub[b][:2]) for _, b in pairs]),
                 _cat([layout.span(b) - off for b in regions]),
-                *_segments([size(b) for b in regions]),
             )
 
         self.steps = [step(level) for level in self.levels]
@@ -330,33 +336,38 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
     log_sub = _log_normalized(acc / den, plan.sub_starts, plan.sub_seg)
     q_sub = np.exp(log_sub)
     logacc = plan.cluster_logs(pots, log_down)
+    # Each step's weight on its summed upward log messages: the update
+    # exponent times the undamped share.
+    shares = [(1.0 - damping) / den[step[-1]] for step in plan.steps]
 
     # A message shifted by a constant gives the same beliefs: the shift
     # cancels in the next normalization.  So the upward messages stay
     # unnormalized and the downward ones are only shifted to a maximum of
     # zero, which keeps the cluster tables bounded; both are normalized once,
-    # on return.
+    # on return.  A new subset belief, too, enters the sweep only through
+    # its downward messages and, when damped, through the next sweep's mix;
+    # so the subset block is normalized once per sweep, before the stopping
+    # test.
     sweeps = 0
     converged = False
     for sweep in range(1, settings.max_sweeps + 1):
         sweeps = sweep
-        for (
-            clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub,
-            sub, sub_starts, sub_region,
-        ) in plan.steps:
+        for (clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub, sub), share in zip(
+            plan.steps, shares
+        ):
             la = logacc[clu]
             d_old = log_down[msg]
             u = _lse(la, group_starts, group) - d_old
             log_up[msg] = u
-            logq = np.bincount(msg_sub, weights=u, minlength=len(sub)) / den[sub]
+            q = np.bincount(msg_sub, weights=u, minlength=len(sub)) * share
             if damping:
-                logq = (1.0 - damping) * logq + damping * log_sub[sub]
-            q = _log_normalized(logq, sub_starts, sub_region)
+                q += damping * log_sub[sub]
             log_sub[sub] = q
             nd = q[msg_sub] - u
             nd -= np.maximum.reduceat(nd, msg_starts)[msg_pair]
             logacc[clu] = la + (nd - d_old)[group]
             log_down[msg] = nd
+        log_sub = _log_normalized(log_sub, plan.sub_starts, plan.sub_seg)
         prev, q_sub = q_sub, np.exp(log_sub)
         delta = float(np.max(np.abs(q_sub - prev), initial=0.0))
         if math.isnan(delta):

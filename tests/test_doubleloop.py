@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -26,7 +27,7 @@ from kikuchi import (
     write_trace_csv,
     write_trace_json,
 )
-from kikuchi.doubleloop import DESCENT_SLACK
+from kikuchi.doubleloop import DESCENT_SLACK, DescentError, _check_promises
 from conftest import (
     chain_model,
     cycle_model,
@@ -164,6 +165,49 @@ def test_stop_reason_names_a_rejected_rise():
     assert trace.converged and last.inner_converged
     assert (last.f_kik, last.marginal_delta) == (prev.f_kik, 0.0)
     assert "stop_reason" not in json.dumps(trace_metadata(trace, spec))
+
+
+def test_stop_reason_names_a_failed_inner_solve():
+    # Three sweeps leave the first conv3 solve on 5x5 plaquettes far from
+    # its fixed point (its beliefs have a constraint residual of 4.7e-2):
+    # the run keeps the uniform start and stops, unconverged, rather than
+    # accept the step.
+    m = generate(ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0))
+    g = _plaquettes(5, 5)
+    spec = make_bound_spec(g, "conv3")
+    trace = minimize(m, g, spec, OuterSettings(inner=InnerSettings(max_sweeps=3)))
+    start, last = trace.outer
+    assert trace.stop_reason == "inner_failed" and not trace.converged
+    assert (last.outer_index, last.inner_sweeps, last.inner_converged) == (1, 3, False)
+    assert (last.f_kik, last.constraint_residual, last.marginal_delta) == (
+        start.f_kik, start.constraint_residual, 0.0)
+    assert trace.final_beliefs.delta(uniform_beliefs(g, m.cards)) == 0.0
+    assert trace_metadata(trace, spec)["inner_failures"] == 1
+
+
+def _broken(trace, defect):
+    """``trace`` with one of its promises broken."""
+    recs = list(trace.outer)
+    if defect == "non-finite":
+        recs[1] = replace(recs[1], f_kik=math.nan)
+    elif defect == "rise":
+        recs[1] = replace(recs[1], f_kik=recs[0].f_kik + 10 * DESCENT_SLACK)
+    elif defect == "residual":
+        recs[-1] = replace(recs[-1], constraint_residual=1e-3)
+    else:
+        recs[1] = replace(recs[1], inner_converged=False)
+    return replace(trace, outer=recs)
+
+
+@pytest.mark.parametrize("defect", ["non-finite", "rise", "residual", "failed-solve"])
+def test_broken_trace_promises_raise(defect):
+    m = k4_model(seed=7)
+    g = build_bethe(m.scopes, m.num_vars)
+    trace = minimize(m, g, make_bound_spec(g, "conv1"))
+    assert trace.converged and trace.stop_reason == "converged" and len(trace.outer) > 2
+    _check_promises(trace)
+    with pytest.raises(DescentError):
+        _check_promises(_broken(trace, defect))
 
 
 def test_iterations_to_reach_window():

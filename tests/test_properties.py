@@ -16,7 +16,9 @@ from kikuchi import (
     Beliefs,
     BoundSpec,
     ConvexityError,
+    InnerSettings,
     ModelSpec,
+    OuterSettings,
     build_bethe,
     build_cvm,
     constraint_residual,
@@ -119,17 +121,51 @@ def test_qmr_bethe_traces_keep_their_promises(diseases, findings, seed, variant)
         spec = make_bound_spec(g, variant)
     except ConvexityError:
         assume(False)
-    trace = minimize(m, g, spec)
+    _assert_promises(minimize(m, g, spec))
+
+
+def _assert_promises(trace):
     fs = [r.f_kik for r in trace.outer]
     assert all(math.isfinite(f) for f in fs)
     for t, (a, b) in enumerate(zip(fs, fs[1:])):
         assert b <= a + 1e-9, f"rise at outer {t + 1}"
     if trace.converged:
         assert trace.outer[-1].constraint_residual <= 1e-6
+    # Only the record of a step the run did not take may hold a failed solve.
+    taken = trace.outer[:-1] if trace.stop_reason in ("rejected_rise", "inner_failed") else trace.outer
+    assert all(r.inner_converged for r in taken)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(("bethe-grid", "plaquettes", "bethe-full", "triplets")),
+    size=st.integers(0, 3),
+    seed=st.integers(0, 2**16),
+    variant=st.sampled_from(("conv1", "conv2", "conv3", "cccp")),
+    max_sweeps=st.sampled_from((3, 2000)),
+)
+@example(kind="bethe-grid", size=1, seed=3, variant="conv1", max_sweeps=2000)
+def test_grid_and_full_traces_keep_their_promises(kind, size, seed, variant, max_sweeps):
+    m, g = _graph_problem(kind, size, seed)
+    try:
+        spec = make_bound_spec(g, variant)
+    except ConvexityError:
+        assume(False)
+    trace = minimize(m, g, spec, OuterSettings(inner=InnerSettings(max_sweeps=max_sweeps)))
+    _assert_promises(trace)
+    if max_sweeps == 3:
+        # Three sweeps reach no fixed point on these loopy graphs: the first
+        # solve fails and the run keeps the uniform start, unconverged.
+        assert trace.stop_reason == "inner_failed" and not trace.converged
+        assert trace.outer_iterations == 1 and not trace.outer[1].inner_converged
+        assert trace.final_f == trace.outer[0].f_kik
 
 
 def _graph_problem(kind, size, seed):
-    """A (model, region graph) pair: Bethe grid, plaquettes, all triplets or QMR Bethe."""
+    """A (model, region graph) pair: Bethe grid, plaquettes, full Bethe, all triplets or QMR Bethe."""
+    if kind == "bethe-full":
+        m = generate(ModelSpec("full_boltzmann", nodes=4 + size % 2, weight_scale=2.0, seed=seed))
+        return m, build_bethe(m.scopes, m.num_vars)
     if kind in ("bethe-grid", "plaquettes"):
         rows, cols = 2 + size % 2, 3
         m = generate(ModelSpec("grid_boltzmann", rows=rows, cols=cols, seed=seed))
