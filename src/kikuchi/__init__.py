@@ -61,11 +61,9 @@ from .regions import (
     build_bethe,
     build_cvm,
     is_singly_connected,
-    load_region_graph,
     per_variable_counting_sums,
     recipe_graph,
     recompute_overcounts,
-    save_region_graph,
 )
 
 __version__ = "0.1.0"
@@ -108,7 +106,6 @@ __all__ = [
     "iterations_to_reach",
     "kl_marginals",
     "load",
-    "load_region_graph",
     "make_bound_spec",
     "minimize",
     "outer_log_potentials",
@@ -118,7 +115,6 @@ __all__ = [
     "recompute_overcounts",
     "run_gbp",
     "save",
-    "save_region_graph",
     "trace_metadata",
     "uniform_beliefs",
     "write_trace_csv",

@@ -50,19 +50,12 @@ class Allocation:
 
     entries: dict[tuple[int, int], float] = field(default_factory=dict)
 
-    def given_by(self, donor: int) -> float:
-        return sum(v for (g, _), v in self.entries.items() if g == donor)
-
-    def received_by(self, receiver: int) -> float:
-        return sum(v for (_, b), v in self.entries.items() if b == receiver)
-
 
 @dataclass
 class BoundSpec:
     variant: str
     inner_overcounts: dict[int, float]
     witness: Allocation | None = None
-    used_resources: dict[int, float] | None = None
 
 
 def _max_flow(supply, demand, arcs):
@@ -262,7 +255,7 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
         ct[b] = max(ct[b], counts[b])
     for b in graph.pos_ids:
         ct[b] = min(max(ct[b], 0.0), counts[b])
-    return BoundSpec(variant, ct, witness=witness, used_resources=used)
+    return BoundSpec(variant, ct, witness=witness)
 
 
 def inner_potentials(model, graph: RegionGraph, spec: BoundSpec, anchor) -> ClusterPotentials:
@@ -273,13 +266,12 @@ def inner_potentials(model, graph: RegionGraph, spec: BoundSpec, anchor) -> Clus
     one scatter over the graph's layout, subsets in ascending id order.
     ``model`` is a ``FactorModel`` or its ``ClusterPotentials`` on ``graph``;
     the result is new ``ClusterPotentials`` and the input is untouched.  An
-    anchor that ``run_gbp`` returned brings exact logs; a dict of tables is
-    floored at ``LOG_FLOOR``, and ``meta["clamped_log_terms"]`` counts the
-    floored entries that the fold reads.
+    anchor on the layout brings exact logs; a dict of tables is floored at
+    ``LOG_FLOOR``.
     """
     base = ClusterPotentials.of(model, graph)
     layout = base.layout
-    _, logs, floored = anchor.flat(layout)
+    _, logs, _ = anchor.flat(layout)
     gap = layout.overcounts - layout.kept_counts(spec.inner_overcounts)
     per_region = gap / np.concatenate(
         (np.ones(len(graph.outer_ids)), [graph.outer_count[b] for b in graph.subset_ids])
@@ -288,8 +280,6 @@ def inner_potentials(model, graph: RegionGraph, spec: BoundSpec, anchor) -> Clus
     src, group, _, at = layout.cluster_sums
     weights = np.concatenate((base.logs, -share[at][group]))
     pots = np.bincount(np.concatenate((np.arange(layout.outer_size), src)), weights=weights)
-    clamped = 0 if floored is None else int((floored & (per_region != 0)[layout.seg]).sum())
     meta = dict(base.meta)
     meta["inner_variant"] = spec.variant
-    meta["clamped_log_terms"] = str(clamped)
     return ClusterPotentials(layout, pots, meta)

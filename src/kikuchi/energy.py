@@ -6,8 +6,9 @@ of each subset entropy with its linearization around an anchor belief set:
 entropy(q) <= -sum(q * log(anchor)), with equality at q == anchor.
 
 Both are one segment reduction over the graph's flat ``Layout``.  Beliefs
-that ``run_gbp`` returns already live there, with exact log tables; a dict
-of tables is checked and laid out first, its logs floored at ``LOG_FLOOR``.
+that ``uniform_beliefs`` and ``run_gbp`` return already live there, with
+exact log tables, so the double loop never leaves the layout; a dict of
+tables is checked and laid out first, its logs floored at ``LOG_FLOOR``.
 """
 from __future__ import annotations
 
@@ -27,10 +28,10 @@ class Beliefs:
     """One nonnegative, normalized table per region id.
 
     Built from a dict of tables, or by ``on_layout`` from one flat array of
-    log tables on a graph's ``Layout``, as ``run_gbp`` leaves them.  Beliefs
-    on a layout keep those exact logs next to their exponentials
-    (``probs``); their ``tables`` are a read-only mapping of read-only views,
-    made on first use, and ``copy()`` gives editable ones.
+    log tables on a graph's ``Layout``, as ``uniform_beliefs`` and ``run_gbp``
+    make them.  Beliefs on a layout keep those exact logs next to their
+    exponentials (``probs``); their ``tables`` are a read-only mapping of
+    read-only views, made on first use, and ``copy()`` gives editable ones.
     """
 
     def __init__(self, tables: dict[int, np.ndarray] | None):
@@ -55,14 +56,13 @@ class Beliefs:
     def copy(self) -> "Beliefs":
         return Beliefs({k: v.copy() for k, v in self.tables.items()})
 
-    def delta(self, other: "Beliefs", ids=None) -> float:
-        """Largest entry change over ``ids``, by default every region of ``self``."""
-        if ids is None and self.layout is not None and other.layout is self.layout:
+    def delta(self, other: "Beliefs") -> float:
+        """Largest entry change over every region of ``self``."""
+        if self.layout is not None and other.layout is self.layout:
             a, b = self.probs, other.probs
         else:
-            keys = list(self.tables if ids is None else ids)
-            a = np.concatenate([np.ravel(self.tables[k]) for k in keys] or [[]])
-            b = np.concatenate([np.ravel(other.tables[k]) for k in keys] or [[]])
+            a = np.concatenate([np.ravel(t) for t in self.tables.values()] or [[]])
+            b = np.concatenate([np.ravel(other.tables[k]) for k in self.tables] or [[]])
         return float(np.max(np.abs(a - b), initial=0.0))
 
     def flat(self, layout: Layout):
@@ -100,14 +100,10 @@ class Beliefs:
 
 
 def uniform_beliefs(graph: RegionGraph, cards) -> Beliefs:
-    tabs = {}
-    for r in graph.regions:
-        shape = tuple(cards[v] for v in r.vars)
-        size = 1
-        for s in shape:
-            size *= s
-        tabs[r.id] = np.full(shape, 1.0 / size)
-    return Beliefs(tabs)
+    """Every region's uniform table, on the graph's layout for ``cards``."""
+    layout = graph.layout(cards)
+    sizes = np.diff(layout.starts, append=layout.size)
+    return Beliefs.on_layout(layout, -np.log(sizes)[layout.seg])
 
 
 def free_energy(graph, model, q, subset_counts=None, anchor=None) -> float:

@@ -44,9 +44,9 @@ clusters and messages, so their updates commute, and one batched update per
 level, levels in order, replays the ascending-id sweep update for update;
 only the order of floating-point sums differs.  The returned ``Beliefs``
 and ``MessageSet`` hold the flat log arrays and make their dicts only when
-those are read.  A warm start from messages computed with the same plan
-(the same graph object, cards and active set) reads their logs directly;
-any other ``MessageSet`` is floored at ``LOG_FLOOR``, normalized and logged.
+those are read.  A warm start reads the logs of messages that ``run_gbp``
+computed with the same plan: the same graph object, cards and active set.
+Any other ``warm`` raises ``ConfigurationError``.
 """
 from __future__ import annotations
 
@@ -56,13 +56,13 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .energy import LOG_FLOOR, Beliefs
+from .energy import Beliefs
 from .model import ClusterPotentials
 from .regions import RegionGraph
 
 
 class ConfigurationError(ValueError):
-    """Inner-loop setup that cannot run (bad exponent, bad warm tables)."""
+    """Inner-loop setup that cannot run (bad exponent, foreign warm messages)."""
 
 
 def _levels(graph: RegionGraph, act) -> tuple[tuple[int, ...], ...]:
@@ -106,16 +106,9 @@ def _lse(x, starts, seg):
     return top + np.log(np.add.reduceat(np.exp(x - top[seg]), starts))
 
 
-def _log_normalized(x, starts, seg):
+def _log_normalize(x, starts, seg):
     """Segment-wise ``x - log(sum(exp(x)))``."""
     return x - _lse(x, starts, seg)[seg]
-
-
-def _normalized(x, starts, seg):
-    """Segment-wise ``max(x, LOG_FLOOR) / sum``."""
-    x = np.maximum(x, LOG_FLOOR)
-    x /= np.add.reduceat(x, starts)[seg]
-    return x
 
 
 class SweepPlan:
@@ -192,37 +185,6 @@ class SweepPlan:
     def fits(self, graph, cards, act) -> bool:
         return self.graph is graph and self.cards == tuple(cards) and self.act == tuple(act)
 
-    def start_messages(self, warm):
-        """Flat log up and down messages for one run.
-
-        Messages computed with this plan give copies of their logs; any
-        other ``warm`` gives its pair's tables where it has both, floored at
-        ``LOG_FLOOR`` and normalized; every other pair starts uniform.
-        """
-        if warm is not None and warm.plan is self and warm.logs is not None:
-            return warm.logs[0].copy(), warm.logs[1].copy()
-        if warm is None or not self.edge_views:
-            return self.uniform.copy(), self.uniform.copy()
-        hot = np.array([(a, b) in warm.up and (b, a) in warm.down for a, b in self.edge_views])
-        cold = ~hot[self.msg_pair]
-
-        def flat(tabs, key):
-            parts = []
-            for ((a, b), (lo, hi, shape)), h in zip(self.edge_views.items(), hot):
-                t = tabs[key(a, b)] if h else np.ones(shape)
-                if np.shape(t) != shape:
-                    raise ConfigurationError(
-                        f"warm message table of (cluster {a}, subset {b}) has shape "
-                        f"{np.shape(t)}; the subset's table has shape {shape}"
-                    )
-                parts.append(np.ravel(t))
-            x = np.concatenate(parts, dtype=float)
-            x = np.log(_normalized(x, self.msg_starts, self.msg_pair))
-            x[cold] = self.uniform[cold]
-            return x
-
-        return flat(warm.up, lambda a, b: (a, b)), flat(warm.down, lambda a, b: (b, a))
-
     def cluster_logs(self, pots, log_down) -> np.ndarray:
         """Cluster log tables rebuilt from the potentials and downward messages."""
         weights = np.concatenate((pots, log_down[self.clu_msg]))
@@ -235,10 +197,10 @@ class SweepPlan:
         subsets' are ``log_sub``, and each pruned subset's is its one
         containing cluster's, marginalized.
         """
-        outer = _log_normalized(self.cluster_logs(pots, log_down), self.outer_starts, self.outer_seg)
+        outer = _log_normalize(self.cluster_logs(pots, log_down), self.outer_starts, self.outer_seg)
         logs = np.concatenate((outer, log_sub))
         src, group, starts, at = self.pruned
-        logs[at] = _log_normalized(_lse(logs[src], starts, group), *self.pruned_segments)
+        logs[at] = _log_normalize(_lse(logs[src], starts, group), *self.pruned_segments)
         return logs
 
     def tables(self, logs, key) -> MappingProxyType:
@@ -253,22 +215,14 @@ class SweepPlan:
 class MessageSet:
     """Positive message tables keyed (cluster, subset) and (subset, cluster).
 
-    ``run_gbp`` returns its messages as flat log arrays, ``logs = (up,
-    down)``, on the ``plan`` that computed them; ``up`` and ``down`` are
-    then read-only mappings made on first use, and a warm start with the
-    same plan reads the logs directly.
+    The flat log arrays ``logs = (up, down)`` on the ``plan`` that computed
+    them; ``up`` and ``down`` are read-only mappings made on first use.
     """
 
-    def __init__(self, up, down, plan: SweepPlan | None = None):
-        self._up, self._down = up, down
+    def __init__(self, plan: SweepPlan, log_up, log_down):
         self.plan = plan
-        self.logs: tuple[np.ndarray, np.ndarray] | None = None
-
-    @classmethod
-    def on_plan(cls, plan: SweepPlan, log_up, log_down) -> "MessageSet":
-        m = cls(None, None, plan)
-        m.logs = (log_up, log_down)
-        return m
+        self.logs = (log_up, log_down)
+        self._up = self._down = None
 
     @property
     def up(self):
@@ -298,7 +252,9 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
     as ``inner_potentials`` returns them.  ``converged`` is true only when
     the largest change of a sweep fell below ``settings.tol`` and every
     returned table is finite.  The returned beliefs and messages hold flat
-    log arrays of this call alone.
+    log arrays of this call alone.  ``warm`` is the messages of an earlier
+    call on the same graph object, cards and active set; anything else
+    raises ``ConfigurationError``.
     """
     settings = settings or InnerSettings()
     pots = ClusterPotentials.of(model, graph).logs
@@ -323,17 +279,24 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
     # every update is damped by one half.
     damping = 0.0 if all(float(c_eff.get(b, 0.0)) >= 0 for b in act) else 0.5
 
-    plan = warm.plan if warm is not None else None
-    if plan is None or not plan.fits(graph, model.cards, act):
+    if warm is None:
         plan = SweepPlan(graph, model.cards, act)
-    log_up, log_down = plan.start_messages(warm)
+        log_up, log_down = plan.uniform.copy(), plan.uniform.copy()
+    elif isinstance(warm, MessageSet) and warm.plan.fits(graph, model.cards, act):
+        plan = warm.plan
+        log_up, log_down = warm.logs[0].copy(), warm.logs[1].copy()
+    else:
+        raise ConfigurationError(
+            "warm messages must come from run_gbp on this graph object, "
+            "with these cards and this active set"
+        )
     # The update exponent's denominator at every subset-block entry; a
     # pruned subset is never updated and keeps one.
     den = np.ones(len(graph.subset_ids))
     den[plan.act_at] = denom
     den = den[plan.sub_seg]
     acc = np.bincount(plan.msg_sub, weights=log_up, minlength=len(den))
-    log_sub = _log_normalized(acc / den, plan.sub_starts, plan.sub_seg)
+    log_sub = _log_normalize(acc / den, plan.sub_starts, plan.sub_seg)
     q_sub = np.exp(log_sub)
     logacc = plan.cluster_logs(pots, log_down)
     # Each step's weight on its summed upward log messages: the update
@@ -367,7 +330,7 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
             nd -= np.maximum.reduceat(nd, msg_starts)[msg_pair]
             logacc[clu] = la + (nd - d_old)[group]
             log_down[msg] = nd
-        log_sub = _log_normalized(log_sub, plan.sub_starts, plan.sub_seg)
+        log_sub = _log_normalize(log_sub, plan.sub_starts, plan.sub_seg)
         prev, q_sub = q_sub, np.exp(log_sub)
         delta = float(np.max(np.abs(q_sub - prev), initial=0.0))
         if math.isnan(delta):
@@ -381,10 +344,10 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
 
     q = Beliefs.on_layout(plan.layout, plan.belief_logs(pots, log_down, log_sub))
     converged = converged and bool(np.isfinite(q.probs).all())
-    messages = MessageSet.on_plan(
+    messages = MessageSet(
         plan,
-        _log_normalized(log_up, plan.msg_starts, plan.msg_pair),
-        _log_normalized(log_down, plan.msg_starts, plan.msg_pair),
+        _log_normalize(log_up, plan.msg_starts, plan.msg_pair),
+        _log_normalize(log_down, plan.msg_starts, plan.msg_pair),
     )
     return q, messages, sweeps, converged
 

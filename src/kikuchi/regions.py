@@ -80,9 +80,7 @@ class RegionGraph:
     sets, for a builder that has already computed it.
     """
 
-    def __init__(
-        self, regions: Sequence[Region], hasse_edges=None, strict=True, *, _containment=None
-    ):
+    def __init__(self, regions: Sequence[Region], strict=True, *, _containment=None):
         self.regions = tuple(regions)
         self.by_id = {r.id: r for r in self.regions}
         if len(self.by_id) != len(self.regions):
@@ -116,12 +114,7 @@ class RegionGraph:
                         f"subset region {b} is not strictly inside any outer cluster"
                     )
 
-        if hasse_edges is None:
-            hasse_edges = self._transitive_reduction()
-        self.hasse_edges = tuple(sorted(hasse_edges))
-        for p, c in self.hasse_edges:
-            if p not in self.by_id or c not in self.by_id:
-                raise GraphError(f"edge ({p},{c}) references unknown region")
+        self.hasse_edges = tuple(sorted(self._transitive_reduction()))
 
     def _transitive_reduction(self):
         # p is a direct parent of c unless it contains another superset of c.
@@ -430,41 +423,3 @@ def per_variable_counting_sums(g: RegionGraph) -> dict[int, Fraction]:
         for v in r.vars:
             sums[v] = sums.get(v, Fraction(0)) + r.overcount
     return dict(sorted(sums.items()))
-
-
-def save_region_graph(g: RegionGraph, path) -> None:
-    lines = ["# region graph v1"]
-    for r in g.regions:
-        vars_part = " ".join(str(v) for v in r.vars)
-        lines.append(f"{r.id} {r.kind} {r.overcount} {vars_part}")
-    for p, c in g.hasse_edges:
-        lines.append(f"edge {p} {c}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_region_graph(path) -> RegionGraph:
-    regions = []
-    edges = []
-    with open(path) as fh:
-        for ln, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if parts[0] == "edge":
-                if len(parts) != 3:
-                    raise GraphError(f"line {ln}: malformed edge line")
-                edges.append((int(parts[1]), int(parts[2])))
-                continue
-            if len(parts) < 4:
-                raise GraphError(f"line {ln}: malformed region line")
-            try:
-                rid = int(parts[0])
-                kind = parts[1]
-                count = Fraction(parts[2])
-                vars_ = tuple(int(v) for v in parts[3:])
-            except ValueError as exc:
-                raise GraphError(f"line {ln}: {exc}") from None
-            regions.append(Region(rid, vars_, count, kind))
-    return RegionGraph(regions, hasse_edges=edges)

@@ -1,9 +1,9 @@
-"""Shared model builders for the test suite."""
+"""Shared model builders and message draws for the test suite."""
 from __future__ import annotations
 
 import numpy as np
 
-from kikuchi import FactorModel
+from kikuchi import FactorModel, MessageSet
 
 
 def pairwise_model(n, edges, rng, scale=1.0, cards=None):
@@ -44,3 +44,13 @@ def two_cycles_sharing_edge_model(seed, scale=1.0):
     rng = np.random.default_rng(seed)
     edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
     return pairwise_model(4, edges, rng, scale)
+
+
+def random_messages(plan, rng):
+    """Warm messages on ``plan``: Gamma(1) tables, normalized, as flat logs."""
+
+    def draw():
+        x = np.log(rng.gamma(1.0, size=len(plan.msg_pair)))
+        return x - np.log(np.add.reduceat(np.exp(x), plan.msg_starts))[plan.msg_pair]
+
+    return MessageSet(plan, draw(), draw())

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from kikuchi import (
-    MessageSet,
     ModelSpec,
     Region,
     RegionGraph,
@@ -35,6 +34,7 @@ from conftest import (
     chain_model,
     cycle_model,
     k4_model,
+    random_messages,
     random_tree_model,
     two_cycles_sharing_edge_model,
 )
@@ -258,10 +258,7 @@ def test_criterion_7_initialization_robustness():
             ref, msgs, _, ok = run_gbp(m, g, counts)
             assert ok
             for _ in range(5):
-                up = {k: rng.gamma(1.0, size=v.shape) for k, v in msgs.up.items()}
-                down = {k: rng.gamma(1.0, size=v.shape)
-                        for k, v in msgs.down.items()}
-                q, _, _, ok = run_gbp(m, g, counts, warm=MessageSet(up, down))
+                q, _, _, ok = run_gbp(m, g, counts, warm=random_messages(msgs.plan, rng))
                 assert ok
                 assert q.delta(ref) < 1e-5
 

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kikuchi import (
-    Allocation,
     ConvexityError,
     Region,
     RegionGraph,
@@ -34,6 +33,14 @@ from conftest import cycle_model, k4_model, pairwise_model
 PLAQUETTES_3X3 = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
 
 
+def _given(alloc, donor):
+    return sum(v for (g, _), v in alloc.entries.items() if g == donor)
+
+
+def _received(alloc, receiver):
+    return sum(v for (_, b), v in alloc.entries.items() if b == receiver)
+
+
 def _verify_witness(graph, counts, alloc):
     """Check all witness conditions by direct summation."""
     for (g, b), v in alloc.entries.items():
@@ -41,9 +48,9 @@ def _verify_witness(graph, counts, alloc):
         assert set(graph.region_vars(b)) < set(graph.region_vars(g))
     for rid, c in counts.items():
         if c > 0:
-            assert alloc.given_by(rid) <= c + 1e-9
+            assert _given(alloc, rid) <= c + 1e-9
         elif c < 0:
-            assert alloc.received_by(rid) >= -c - 1e-9
+            assert _received(alloc, rid) >= -c - 1e-9
 
 
 def test_cycle_bethe_is_certified_convex():
@@ -56,7 +63,7 @@ def test_cycle_bethe_is_certified_convex():
         _verify_witness(g, counts, alloc)
         # each variable region needs one unit charged to its two edge regions
         for b in g.neg_ids:
-            assert alloc.received_by(b) == pytest.approx(1.0)
+            assert _received(alloc, b) == pytest.approx(1.0)
 
 
 def test_k4_bethe_is_not_certified():
@@ -146,7 +153,7 @@ def test_conv2_feasible_on_plaquette_cvm():
     assert alloc is not None
     counts = g.subset_overcounts()
     center = next(b for b in g.subset_ids if g.region_vars(b) == (4,))
-    assert alloc.received_by(center) >= counts[center] - 1e-9
+    assert _received(alloc, center) >= counts[center] - 1e-9
     spec = make_bound_spec(g, "conv2")
     assert all(v == 0.0 for v in spec.inner_overcounts.values())
 
@@ -181,9 +188,8 @@ def test_conv3_respects_outer_capacity():
         c = counts[b]
         eff[b] = -retained[b] if c < 0 else counts[b]
     # positive subsets spent in step three no longer back the retained mass
-    for b, used in (spec.used_resources or {}).items():
-        if counts[b] > 0:
-            eff[b] = counts[b] - used
+    for b in g.pos_ids:
+        eff[b] = counts[b] - _given(spec.witness, b)
     assert check_convex_over_constraints(g, eff) is not None
 
 
@@ -220,14 +226,6 @@ def test_inner_potentials_metadata_and_scopes():
     inner = inner_potentials(m, g, spec, anchor)
     assert list(inner.scopes) == [g.region_vars(a) for a in g.outer_ids]
     assert inner.meta["inner_variant"] == "cccp"
-    assert inner.meta["clamped_log_terms"] == "0"
-
-
-def test_allocation_accessors():
-    a = Allocation({(0, 2): 0.5, (1, 2): 0.25, (0, 3): 1.0})
-    assert a.given_by(0) == pytest.approx(1.5)
-    assert a.received_by(2) == pytest.approx(0.75)
-    assert a.given_by(9) == 0.0
 
 
 def _gale_feasible(supply, demand, admissible):

@@ -99,7 +99,7 @@ def test_belief_validation():
 def test_zero_entries_contribute_zero_entropy():
     m = pairwise_model(2, [(0, 1)], np.random.default_rng(1), 1.0)
     g = build_bethe(m.scopes, m.num_vars)
-    q = uniform_beliefs(g, m.cards)
+    q = uniform_beliefs(g, m.cards).copy()
     q.tables[0] = np.array([[0.5, 0.5], [0.0, 0.0]])
     q.tables[1] = np.array([1.0, 0.0])
     q.tables[2] = np.array([0.5, 0.5])
@@ -201,7 +201,7 @@ def test_bound_warns_on_floored_anchor():
     g = build_bethe(m.scopes, m.num_vars)
     spec = make_bound_spec(g, "conv1")
     q = uniform_beliefs(g, m.cards)
-    anchor = uniform_beliefs(g, m.cards)
+    anchor = uniform_beliefs(g, m.cards).copy()
     b = g.neg_ids[0]  # only gapped subsets consult the anchor
     anchor.tables[b] = np.array([1.0, 0.0])
     with pytest.warns(UserWarning, match="floor"):
@@ -209,7 +209,8 @@ def test_bound_warns_on_floored_anchor():
 
 
 def test_delta_ignores_extra_ids():
-    a = Beliefs({0: np.zeros(2), 1: np.ones(2)})
-    b = Beliefs({0: np.ones(2), 1: np.ones(2)})
-    assert a.delta(b, ids=[1]) == 0.0
-    assert a.delta(b) == 1.0
+    # The change is taken over the regions of the first beliefs only.
+    a = Beliefs({1: np.ones(2)})
+    b = Beliefs({0: np.zeros(2), 1: np.ones(2)})
+    assert a.delta(b) == 0.0
+    assert Beliefs({0: np.ones(2), 1: np.ones(2)}).delta(b) == 1.0

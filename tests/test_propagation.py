@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from kikuchi import (
 )
 from kikuchi.energy import LOG_FLOOR
 from kikuchi.propagation import SweepPlan
-from conftest import chain_model, cycle_model, pairwise_model
+from conftest import chain_model, cycle_model, pairwise_model, random_messages
 
 
 def _true_counts(graph):
@@ -238,32 +239,28 @@ def test_random_message_inits_agree():
     c = _true_counts(g)
     ref, msgs, _, _ = run_gbp(m, g, c)
     for _ in range(5):
-        up = {k: rng.gamma(1.0, size=v.shape) for k, v in msgs.up.items()}
-        down = {k: rng.gamma(1.0, size=v.shape) for k, v in msgs.down.items()}
-        q, _, _, converged = run_gbp(m, g, c, warm=MessageSet(up, down))
+        q, _, _, converged = run_gbp(m, g, c, warm=random_messages(msgs.plan, rng))
         assert converged
         assert q.delta(ref) < 1e-5
 
 
-def test_warm_tables_of_the_wrong_shape_are_rejected():
-    # A 3-entry and a 1-entry table in place of two 2-entry ones keep the
-    # total size; each pair's shape is checked, not only the total.
-    m = chain_model(4, seed=5, cards=[2, 3, 2, 2])
+def test_foreign_warm_messages_are_rejected():
+    # Only messages that run_gbp computed on the same graph object, cards and
+    # active set warm-start a run.
+    m = chain_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
     c = _true_counts(g)
-    _, msgs, _, _ = run_gbp(m, g, c)
-    first, second = [k for k, t in msgs.up.items() if t.shape == (2,)]
-    for side in ("up", "down"):
-        tabs = {"up": dict(msgs.up), "down": dict(msgs.down)}
-        key = (lambda k: k) if side == "up" else (lambda k: k[::-1])
-        tabs[side][key(first)] = np.full(3, 1 / 3)
-        tabs[side][key(second)] = np.ones(1)
-        with pytest.raises(ConfigurationError, match=rf"\(cluster {first[0]}, subset {first[1]}\)"):
-            run_gbp(m, g, c, warm=MessageSet(tabs["up"], tabs["down"]))
-    wide = next(k for k, t in msgs.up.items() if t.shape == (3,))
-    up = {**msgs.up, wide: msgs.up[wide].reshape(1, 3)}
-    with pytest.raises(ConfigurationError, match=r"shape \(1, 3\); the subset's table has shape \(3,\)"):
-        run_gbp(m, g, c, warm=MessageSet(up, msgs.down))
+    _, msgs, _, _ = run_gbp(m, g, c, InnerSettings(max_sweeps=3))
+    kept_ends = {b: c[b] or 0.5 for b in g.subset_ids}  # chain ends join the sweep
+    foreign = [
+        (m, build_bethe(m.scopes, m.num_vars), c, msgs),  # an equal graph, another object
+        (m, g, kept_ends, msgs),
+        (chain_model(5, seed=6, cards=[3, 2, 2, 2, 2]), g, c, msgs),
+        (m, g, c, SimpleNamespace(up=dict(msgs.up), down=dict(msgs.down))),
+    ]
+    for model, graph, counts, warm in foreign:
+        with pytest.raises(ConfigurationError, match="warm messages"):
+            run_gbp(model, graph, counts, warm=warm)
 
 
 def test_truncated_run_reports_not_converged():
@@ -291,7 +288,9 @@ def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
     """The sweep one subset region at a time, in ascending id order.
 
     The oracle for ``run_gbp``'s level-by-level sweep: the same floors,
-    normalizations, damping rule, rebuild period and stopping test.
+    normalizations, damping rule, rebuild period and stopping test.  ``warm``
+    is anything with ``up`` and ``down`` tables, and the messages come back
+    as such a holder.
     """
     settings = settings or InnerSettings()
     cards, pots, cont = model.cards, outer_log_potentials(model, graph), graph.containing_outers
@@ -364,7 +363,7 @@ def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
             t = tabs[cont[b][0]].sum(axis=inside(cont[b][0], b)[0])
             tabs[b] = t / t.sum()
     converged = converged and all(np.isfinite(t).all() for t in tabs.values())
-    return Beliefs(tabs), MessageSet(up, down), sweeps, converged
+    return Beliefs(tabs), SimpleNamespace(up=up, down=down), sweeps, converged
 
 
 def _plaquettes(rows, cols):
@@ -492,11 +491,6 @@ def test_warm_start_reuses_the_plan_and_returns_fresh_tables():
         assert not np.shares_memory(msgs1.down[k[::-1]], msgs2.down[k[::-1]])
     for rid in q1.tables:
         assert not np.shares_memory(q1.tables[rid], q2.tables[rid])
-    # An equal graph that is another object, or another active set, compiles anew.
-    g_copy = build_bethe(m.scopes, m.num_vars)
-    assert run_gbp(m, g_copy, c, warm=msgs1)[1].plan is not msgs1.plan
-    kept_ends = {b: c[b] or 0.5 for b in g.subset_ids}  # chain ends join the sweep
-    assert run_gbp(m, g, kept_ends, warm=msgs2)[1].plan.act != msgs1.plan.act
 
 
 def test_stopping_test_passes_over_nan_regions():
@@ -507,10 +501,10 @@ def test_stopping_test_passes_over_nan_regions():
     g = build_bethe(m.scopes, m.num_vars)
     c = _true_counts(g)
     _, msgs, _, _ = run_gbp(m, g, c, InnerSettings(max_sweeps=3))
-    down = dict(msgs.down)
-    key = next(iter(down))
-    down[key] = np.full_like(down[key], np.nan)
-    warm = MessageSet(msgs.up, down)
+    log_down = msgs.logs[1].copy()
+    lo, hi, _ = next(iter(msgs.plan.edge_views.values()))
+    log_down[lo:hi] = np.nan
+    warm = MessageSet(msgs.plan, msgs.logs[0], log_down)
     with np.errstate(invalid="ignore"):
         q, _, sweeps, converged = run_gbp(m, g, c, warm=warm)
         q_ref, _, sweeps_ref, converged_ref = _reference_gbp(m, g, c, warm=warm)

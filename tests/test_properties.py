@@ -29,6 +29,7 @@ from kikuchi import (
     minimize,
     outer_log_potentials,
     recompute_overcounts,
+    uniform_beliefs,
 )
 
 
@@ -246,23 +247,29 @@ def test_layout_reductions_match_the_dict_references(kind, size, seed, variant):
         kept = make_bound_spec(g, "conv1").inner_overcounts
     rng = np.random.default_rng(seed)
     q, anchor = _laid_out(g, m.cards, rng), _laid_out(g, m.cards, rng)
-    # The same numbers as dicts of tables go through the adapters.
-    q_dict, anchor_dict = q.copy(), anchor.copy()
-    assert q_dict.layout is None
-    for args, dict_args in (((), ()), ((kept, anchor), (kept, anchor_dict))):
-        want = _dict_free_energy(g, m, q_dict, *dict_args)
-        assert abs(free_energy(g, m, q, *args) - want) <= 1e-12
-        assert abs(free_energy(g, m, q_dict, *dict_args) - want) <= 1e-12
-    want = _dict_residual(g, q_dict)
-    assert abs(constraint_residual(g, q) - want) <= 1e-12
-    assert abs(constraint_residual(g, q_dict) - want) <= 1e-12
+    # The double loop starts on uniform beliefs, laid out too: the first
+    # free energy and residual read them, and the first fold and delta take
+    # them as the anchor.
+    uniform = uniform_beliefs(g, m.cards)
+    assert uniform.layout is g.layout(m.cards)
     spec = BoundSpec(variant, kept)
-    want = _dict_fold(g, m, kept, anchor_dict)
-    np.testing.assert_allclose(inner_potentials(m, g, spec, anchor).logs, want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(inner_potentials(m, g, spec, anchor_dict).logs, want, rtol=0, atol=1e-12)
-    want = max(float(np.max(np.abs(q_dict.tables[r] - anchor_dict.tables[r]))) for r in q_dict.tables)
-    assert abs(q.delta(anchor) - want) <= 1e-12
-    assert q_dict.delta(anchor_dict) == want
+    for q_lay, anchor_lay in ((q, anchor), (uniform, q), (q, uniform)):
+        # The same numbers as dicts of tables go through the adapters.
+        q_dict, anchor_dict = q_lay.copy(), anchor_lay.copy()
+        assert q_dict.layout is None
+        for args, dict_args in (((), ()), ((kept, anchor_lay), (kept, anchor_dict))):
+            want = _dict_free_energy(g, m, q_dict, *dict_args)
+            assert abs(free_energy(g, m, q_lay, *args) - want) <= 1e-12
+            assert abs(free_energy(g, m, q_dict, *dict_args) - want) <= 1e-12
+        want = _dict_residual(g, q_dict)
+        assert abs(constraint_residual(g, q_lay) - want) <= 1e-12
+        assert abs(constraint_residual(g, q_dict) - want) <= 1e-12
+        want = _dict_fold(g, m, kept, anchor_dict)
+        for a in (anchor_lay, anchor_dict):
+            np.testing.assert_allclose(inner_potentials(m, g, spec, a).logs, want, rtol=0, atol=1e-12)
+        want = max(float(np.max(np.abs(q_dict.tables[r] - anchor_dict.tables[r]))) for r in q_dict.tables)
+        assert abs(q_lay.delta(anchor_lay) - want) <= 1e-12
+        assert q_dict.delta(anchor_dict) == want
     # A non-finite entry is refused, naming its region, in both forms.
     rid = g.regions[int(rng.integers(len(g.regions)))].id
     logs = q.logs.copy()

@@ -17,11 +17,9 @@ from kikuchi import (
     build_cvm,
     generate,
     is_singly_connected,
-    load_region_graph,
     per_variable_counting_sums,
     recipe_graph,
     recompute_overcounts,
-    save_region_graph,
 )
 
 PLAQUETTES_3X3 = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
@@ -168,35 +166,6 @@ def test_singly_connected():
 
 def test_plaquette_graph_not_singly_connected():
     assert not is_singly_connected(build_cvm(PLAQUETTES_3X3, 9))
-
-
-def test_save_load_round_trip(tmp_path):
-    g = build_cvm(PLAQUETTES_3X3, 9)
-    path = tmp_path / "regions.txt"
-    save_region_graph(g, path)
-    h = load_region_graph(path)
-    assert len(h.regions) == len(g.regions)
-    for r, s in zip(g.regions, h.regions):
-        assert (r.id, r.vars, r.overcount, r.kind) == (s.id, s.vars, s.overcount, s.kind)
-    assert h.hasse_edges == g.hasse_edges
-
-
-def test_load_fractional_counts(tmp_path):
-    path = tmp_path / "regions.txt"
-    path.write_text(
-        "0 outer 1 0 1 2\n"
-        "1 subset -1/2 0 1\n"
-        "edge 0 1\n"
-    )
-    g = load_region_graph(path)
-    assert g.by_id[1].overcount == Fraction(-1, 2)
-
-
-def test_load_malformed_region_line(tmp_path):
-    path = tmp_path / "regions.txt"
-    path.write_text("0 outer 1\n")
-    with pytest.raises(GraphError):
-        load_region_graph(path)
 
 
 def test_recipe_graph_builds_and_rejects():
