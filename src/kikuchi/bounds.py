@@ -265,13 +265,12 @@ def inner_potentials(model, graph: RegionGraph, spec: BoundSpec, anchor) -> Clus
     anchor's log table, split evenly across the outer clusters containing it:
     one scatter over the graph's layout, subsets in ascending id order.
     ``model`` is a ``FactorModel`` or its ``ClusterPotentials`` on ``graph``;
-    the result is new ``ClusterPotentials`` and the input is untouched.  An
-    anchor on the layout brings exact logs; a dict of tables is floored at
-    ``LOG_FLOOR``.
+    the result is new ``ClusterPotentials`` and the input is untouched.  The
+    anchor must lie on the same layout.
     """
     base = ClusterPotentials.of(model, graph)
     layout = base.layout
-    _, logs, _ = anchor.flat(layout)
+    _, logs = anchor.flat(layout)
     gap = layout.overcounts - layout.kept_counts(spec.inner_overcounts)
     per_region = gap / np.concatenate(
         (np.ones(len(graph.outer_ids)), [graph.outer_count[b] for b in graph.subset_ids])

@@ -36,7 +36,7 @@ from .doubleloop import (
     write_trace_csv,
     write_trace_json,
 )
-from .energy import Beliefs, kl_marginals
+from .energy import kl_marginals
 from .model import ModelFormatError, ModelSpec, generate, load, save
 from .oracle import OracleLimitError, exact_inference
 from .propagation import ConfigurationError, InnerSettings
@@ -241,9 +241,8 @@ def kl_to_oracle(exact, graph, beliefs):
     """Mean per-variable KL from ``oracle_marginals``; None when those are None."""
     if exact is None:
         return None
-    n = len(exact.tables)
-    cards = [exact.tables[v].size for v in range(n)]
-    approx = Beliefs(single_variable_marginals(graph, beliefs, cards))
+    n = len(exact)
+    approx = single_variable_marginals(graph, beliefs, [exact[v].size for v in range(n)])
     return kl_marginals(exact, approx, range(n)) / n
 
 

@@ -115,8 +115,7 @@ def minimize(
     )
 
     # The model is laid out on the graph once; every step below then works
-    # on flat arrays of the graph's layout, and the beliefs and messages
-    # that run_gbp returns are read as dicts only by the caller.
+    # on flat arrays of the graph's layout.
     base = ClusterPotentials.of(model, graph)
     q = uniform_beliefs(graph, model.cards)
     f_prev = free_energy(graph, base, q)

@@ -5,10 +5,10 @@ entropies.  The upper-bound functional used by the double loop replaces part
 of each subset entropy with its linearization around an anchor belief set:
 entropy(q) <= -sum(q * log(anchor)), with equality at q == anchor.
 
-Both are one segment reduction over the graph's flat ``Layout``.  Beliefs
-that ``uniform_beliefs`` and ``run_gbp`` return already live there, with
-exact log tables, so the double loop never leaves the layout; a dict of
-tables is checked and laid out first, its logs floored at ``LOG_FLOOR``.
+Beliefs live on a graph's flat ``Layout`` as one array of log tables, and
+both functionals are one segment reduction over it.  Tables given as a dict
+enter once, through ``Beliefs.from_tables``, which checks them and floors
+their logs at ``LOG_FLOOR``.
 """
 from __future__ import annotations
 
@@ -25,66 +25,35 @@ LOG_FLOOR = 1e-300
 
 
 class Beliefs:
-    """One nonnegative, normalized table per region id.
+    """One nonnegative, normalized table per region, flat on a graph's ``Layout``.
 
-    Built from a dict of tables, or by ``on_layout`` from one flat array of
-    log tables on a graph's ``Layout``, as ``uniform_beliefs`` and ``run_gbp``
-    make them.  Beliefs on a layout keep those exact logs next to their
-    exponentials (``probs``); their ``tables`` are a read-only mapping of
-    read-only views, made on first use, and ``copy()`` gives editable ones.
+    ``logs`` holds every region's log table in one flat array on ``layout``
+    and ``probs`` their exponentials, both read-only; ``tables`` is a
+    read-only mapping of views of ``probs``, made on first use.  Dict tables
+    come in through ``from_tables``.
     """
 
-    def __init__(self, tables: dict[int, np.ndarray] | None):
-        self._tables = tables
-        self.layout: Layout | None = None
-        self.probs: np.ndarray | None = None
-        self.logs: np.ndarray | None = None
+    def __init__(self, layout: Layout, logs: np.ndarray):
+        self.layout, self.logs, self.probs = layout, logs, np.exp(logs)
+        logs.flags.writeable = self.probs.flags.writeable = False
+        # The entries whose logs were floored at LOG_FLOOR; None when exact.
+        self.floored: np.ndarray | None = None
+        self._tables = None
 
     @classmethod
-    def on_layout(cls, layout: Layout, logs: np.ndarray) -> "Beliefs":
-        q = cls(None)
-        q.layout, q.logs, q.probs = layout, logs, np.exp(logs)
-        logs.flags.writeable = q.probs.flags.writeable = False
-        return q
+    def from_tables(cls, layout: Layout, tables) -> "Beliefs":
+        """Tables keyed by region id, checked and laid out on ``layout``.
 
-    @property
-    def tables(self):
-        if self._tables is None:
-            self._tables = MappingProxyType(self.layout.tables(self.probs))
-        return self._tables
-
-    def copy(self) -> "Beliefs":
-        return Beliefs({k: v.copy() for k, v in self.tables.items()})
-
-    def delta(self, other: "Beliefs") -> float:
-        """Largest entry change over every region of ``self``."""
-        if self.layout is not None and other.layout is self.layout:
-            a, b = self.probs, other.probs
-        else:
-            a = np.concatenate([np.ravel(t) for t in self.tables.values()] or [[]])
-            b = np.concatenate([np.ravel(other.tables[k]) for k in self.tables] or [[]])
-        return float(np.max(np.abs(a - b), initial=0.0))
-
-    def flat(self, layout: Layout):
-        """These beliefs on ``layout``, checked: (probabilities, logs, floored).
-
-        Beliefs on ``layout`` give their own arrays, and ``floored`` None, once
-        every entry is finite.  A dict of tables is checked table by table
-        (present, shaped, finite, nonnegative, normalized) and its logs are
-        floored at ``LOG_FLOOR``; ``floored`` marks the entries that were.
-        Raises ``ValueError`` naming the first region that fails.
+        Every region needs a table of its shape that is finite, nonnegative
+        and normalized; ``ValueError`` names the first region that fails.
+        The probabilities are kept as given and their logs floored at
+        ``LOG_FLOOR``; ``floored`` marks the entries that were.
         """
-        if self.layout is layout:
-            bad = ~np.isfinite(self.probs)
-            if bad.any():
-                rid = layout.ids[layout.seg[bad.argmax()]]
-                raise ValueError(f"region {rid}: belief table has non-finite entries")
-            return self.probs, self.logs, None
         probs = np.empty(layout.size)
         for r in layout.graph.regions:
-            if r.id not in self.tables:
+            if r.id not in tables:
                 raise ValueError(f"beliefs missing a table for region {r.id}")
-            t = self.tables[r.id]
+            t = tables[r.id]
             lo, hi, want = layout.views[r.id]
             if np.shape(t) != want:
                 raise ValueError(f"region {r.id}: belief shape {np.shape(t)}, expected {want}")
@@ -96,14 +65,45 @@ class Beliefs:
             if abs(total - 1.0) > 1e-9:
                 raise ValueError(f"region {r.id}: belief table is not normalized")
             probs[lo:hi] = t.ravel()
-        return probs, np.log(np.maximum(probs, LOG_FLOOR)), probs < LOG_FLOOR
+        q = cls(layout, np.log(np.maximum(probs, LOG_FLOOR)))
+        probs.flags.writeable = False
+        q.probs, q.floored = probs, probs < LOG_FLOOR
+        return q
+
+    @property
+    def tables(self):
+        if self._tables is None:
+            self._tables = MappingProxyType(self.layout.tables(self.probs))
+        return self._tables
+
+    def _check_layout(self, layout: Layout) -> None:
+        if self.layout is not layout:
+            raise ValueError("beliefs are laid out for another region graph or other cards")
+
+    def delta(self, other: "Beliefs") -> float:
+        """Largest entry change from ``other``, on the same layout."""
+        other._check_layout(self.layout)
+        return float(np.max(np.abs(self.probs - other.probs), initial=0.0))
+
+    def flat(self, layout: Layout):
+        """These beliefs' (probabilities, logs), checked to lie on ``layout``.
+
+        Raises ``ValueError`` for beliefs on another layout, and naming the
+        first region with a non-finite entry.
+        """
+        self._check_layout(layout)
+        bad = ~np.isfinite(self.probs)
+        if bad.any():
+            rid = layout.ids[layout.seg[bad.argmax()]]
+            raise ValueError(f"region {rid}: belief table has non-finite entries")
+        return self.probs, self.logs
 
 
 def uniform_beliefs(graph: RegionGraph, cards) -> Beliefs:
     """Every region's uniform table, on the graph's layout for ``cards``."""
     layout = graph.layout(cards)
     sizes = np.diff(layout.starts, append=layout.size)
-    return Beliefs.on_layout(layout, -np.log(sizes)[layout.seg])
+    return Beliefs(layout, -np.log(sizes)[layout.seg])
 
 
 def free_energy(graph, model, q, subset_counts=None, anchor=None) -> float:
@@ -114,35 +114,38 @@ def free_energy(graph, model, q, subset_counts=None, anchor=None) -> float:
     an ``anchor``, the remaining ``c_b - kept`` is charged as cross-entropy
     against the anchor: the double loop's upper bound, which touches the plain
     value at q == anchor.  ``model`` is a ``FactorModel`` or its
-    ``ClusterPotentials`` on ``graph``; the value is one segment reduction
-    over the graph's layout.
+    ``ClusterPotentials`` on ``graph``; ``q`` and ``anchor`` must lie on the
+    same layout.  The value is one segment reduction over it.
     """
     pots = ClusterPotentials.of(model, graph)
     layout = pots.layout
-    probs, logs, _ = q.flat(layout)
+    probs, logs = q.flat(layout)
     keep = layout.kept_counts(subset_counts)
     region_sum = np.add.reduceat
     # -sum q log pot - sum_r keep_r H_r, with H_r = -sum q_r log q_r
     total = -float(probs[: layout.outer_size] @ pots.logs)
     total += float(keep @ region_sum(probs * logs, layout.starts))
     if anchor is not None:
-        _, anchor_logs, floored = anchor.flat(layout)
+        _, anchor_logs = anchor.flat(layout)
         gap = layout.overcounts - keep
         # each linearized entropy share is charged as cross-entropy
         total += float(gap @ region_sum(probs * anchor_logs, layout.starts))
-        if floored is not None:
-            clamped = int((floored & (probs > 1e-12) & (gap != 0)[layout.seg]).sum())
+        if anchor.floored is not None:
+            clamped = int((anchor.floored & (probs > 1e-12) & (gap != 0)[layout.seg]).sum())
             if clamped:
                 warnings.warn(f"{clamped} anchor entries at the log floor")
     return total
 
 
-def kl_marginals(p: Beliefs, q: Beliefs, over) -> float:
-    """Sum of KL(p_r || q_r) over the listed region ids; +inf if unsupported."""
+def kl_marginals(p, q, over) -> float:
+    """Sum of KL(p[k] || q[k]) over the keys ``over`` of two mappings of tables.
+
+    +inf if some q[k] is zero where p[k] is positive.
+    """
     total = 0.0
     for rid in over:
-        tp = p.tables[rid]
-        tq = q.tables[rid]
+        tp = p[rid]
+        tq = q[rid]
         bad = (tp > 0) & (tq <= 0)
         if bad.any():
             warnings.warn(f"region {rid}: q assigns zero mass where p is positive")
@@ -177,7 +180,7 @@ def random_consistent_beliefs(graph, cards, rng, components=3) -> Beliefs:
         for r in graph.regions:
             axes = tuple(i for i in range(n) if i not in r.vars)
             tabs[r.id] = joint.sum(axis=axes)
-        return Beliefs(tabs)
+        return Beliefs.from_tables(graph.layout(cards), tabs)
 
     weights = rng.gamma(1.0, size=components)
     weights /= weights.sum()
@@ -197,4 +200,4 @@ def random_consistent_beliefs(graph, cards, rng, components=3) -> Beliefs:
                 part = np.multiply.outer(part, comps[k][v])
             t += part
         tabs[r.id] = t
-    return Beliefs(tabs)
+    return Beliefs.from_tables(graph.layout(cards), tabs)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Beliefs
 from .model import FactorModel
 from .regions import RegionGraph
 
@@ -26,7 +25,7 @@ class OracleLimitError(ValueError):
 @dataclass
 class ExactResult:
     log_z: float
-    marginals: Beliefs
+    marginals: dict[int, np.ndarray]
     joint: np.ndarray | None = None
 
 
@@ -74,4 +73,4 @@ def exact_inference(model: FactorModel, regions=(), keep_joint=False) -> ExactRe
     for key, vars_ in items:
         span, table = next((s, t) for s, t in sources if all(v in s for v in vars_))
         tabs[key] = table.sum(axis=tuple(i for i, v in enumerate(span) if v not in vars_))
-    return ExactResult(log_z, Beliefs(tabs), p if keep_joint else None)
+    return ExactResult(log_z, tabs, p if keep_joint else None)

@@ -43,16 +43,16 @@ containing cluster with it.  The subsets of one level touch disjoint
 clusters and messages, so their updates commute, and one batched update per
 level, levels in order, replays the ascending-id sweep update for update;
 only the order of floating-point sums differs.  The returned ``Beliefs``
-and ``MessageSet`` hold the flat log arrays and make their dicts only when
-those are read.  A warm start reads the logs of messages that ``run_gbp``
-computed with the same plan: the same graph object, cards and active set.
-Any other ``warm`` raises ``ConfigurationError``.
+and ``MessageSet`` hold flat log arrays: the beliefs on the layout, the
+messages in the plan's ``edge_views``.  A warm start reads the logs of
+messages that ``run_gbp`` computed with the same plan: the same graph
+object, cards and active set.  Any other ``warm`` raises
+``ConfigurationError``.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 
@@ -203,38 +203,17 @@ class SweepPlan:
         logs[at] = _log_normalize(_lse(logs[src], starts, group), *self.pruned_segments)
         return logs
 
-    def tables(self, logs, key) -> MappingProxyType:
-        """Read-only message tables from flat ``logs``, keyed ``key(cluster, subset)``."""
-        t = np.exp(logs)
-        t.flags.writeable = False
-        return MappingProxyType(
-            {key(a, b): t[lo:hi].reshape(shape) for (a, b), (lo, hi, shape) in self.edge_views.items()}
-        )
-
 
 class MessageSet:
-    """Positive message tables keyed (cluster, subset) and (subset, cluster).
+    """The up and down log messages of one ``run_gbp`` call, flat on its ``plan``.
 
-    The flat log arrays ``logs = (up, down)`` on the ``plan`` that computed
-    them; ``up`` and ``down`` are read-only mappings made on first use.
+    ``logs = (up, down)``; ``plan.edge_views`` gives the (start, stop,
+    shape) of each (cluster, subset) pair's table in both.
     """
 
     def __init__(self, plan: SweepPlan, log_up, log_down):
         self.plan = plan
         self.logs = (log_up, log_down)
-        self._up = self._down = None
-
-    @property
-    def up(self):
-        if self._up is None:
-            self._up = self.plan.tables(self.logs[0], lambda a, b: (a, b))
-        return self._up
-
-    @property
-    def down(self):
-        if self._down is None:
-            self._down = self.plan.tables(self.logs[1], lambda a, b: (b, a))
-        return self._down
 
 
 @dataclass
@@ -249,24 +228,24 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
     """Sweep to a fixed point; returns (beliefs, messages, sweeps, converged).
 
     ``model`` is a ``FactorModel`` or its ``ClusterPotentials`` on ``graph``,
-    as ``inner_potentials`` returns them.  ``converged`` is true only when
-    the largest change of a sweep fell below ``settings.tol`` and every
-    returned table is finite.  The returned beliefs and messages hold flat
-    log arrays of this call alone.  ``warm`` is the messages of an earlier
+    as ``inner_potentials`` returns them.  ``c_eff`` maps a subset id to its
+    effective count; a subset it leaves out keeps the graph's count.
+    ``converged`` is true only when the largest change of a sweep fell below
+    ``settings.tol`` and every returned table is finite.  The returned
+    beliefs and messages hold flat log arrays of this call alone.  ``warm`` is the messages of an earlier
     call on the same graph object, cards and active set; anything else
     raises ``ConfigurationError``.
     """
     settings = settings or InnerSettings()
-    pots = ClusterPotentials.of(model, graph).logs
-    act = [
-        b
-        for b in graph.subset_ids
-        if abs(float(c_eff.get(b, 0.0))) > 1e-15 or graph.outer_count[b] != 1
-    ]
+    base = ClusterPotentials.of(model, graph)
+    pots = base.logs
+    kept = base.layout.kept_counts(c_eff)[len(graph.outer_ids):].tolist()
+    count = dict(zip(graph.subset_ids, kept))
+    act = [b for b in graph.subset_ids if abs(count[b]) > 1e-15 or graph.outer_count[b] != 1]
 
     denom = []
     for b in act:
-        d = graph.outer_count[b] + float(c_eff.get(b, 0.0))
+        d = graph.outer_count[b] + count[b]
         if d <= 1e-12:
             raise ConfigurationError(
                 f"region {b}: containing-cluster count plus effective "
@@ -277,7 +256,7 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
     # A negative count c lifts the power n / (n + c) of the geometric mean of
     # a region's n upward messages above one, so the update overshoots; then
     # every update is damped by one half.
-    damping = 0.0 if all(float(c_eff.get(b, 0.0)) >= 0 for b in act) else 0.5
+    damping = 0.0 if all(count[b] >= 0 for b in act) else 0.5
 
     if warm is None:
         plan = SweepPlan(graph, model.cards, act)
@@ -342,7 +321,7 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
             converged = True
             break
 
-    q = Beliefs.on_layout(plan.layout, plan.belief_logs(pots, log_down, log_sub))
+    q = Beliefs(plan.layout, plan.belief_logs(pots, log_down, log_sub))
     converged = converged and bool(np.isfinite(q.probs).all())
     messages = MessageSet(
         plan,
@@ -352,24 +331,15 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
     return q, messages, sweeps, converged
 
 
-def _cards_of(graph: RegionGraph, q: Beliefs) -> tuple[int, ...]:
-    """The cards that ``q``'s table shapes give the variables of ``graph``."""
-    cards: dict[int, int] = {}
-    for r in graph.regions:
-        if r.id in q.tables:
-            cards.update(zip(r.vars, np.shape(q.tables[r.id])))
-    return tuple(cards.get(v, 0) for v in range(max(cards, default=-1) + 1))
-
-
 def constraint_residual(graph: RegionGraph, q: Beliefs) -> float:
     """Worst consistency violation over the parent/child containment pairs.
 
-    One segment reduction over the graph's layout: every parent table
-    summed onto its child's entries, against the child's table.
+    One segment reduction over ``q``'s layout, which must be one of
+    ``graph``'s: every parent table summed onto its child's entries, against
+    the child's table.
     """
-    layout = q.layout
-    if layout is None or layout.graph is not graph:
-        layout = graph.layout(_cards_of(graph, q))
-    probs = q.flat(layout)[0]
-    src, _, starts, at = layout.hasse_sums
+    if q.layout.graph is not graph:
+        raise ValueError("beliefs are laid out for another region graph")
+    probs, _ = q.flat(q.layout)
+    src, _, starts, at = q.layout.hasse_sums
     return float(np.max(np.abs(np.add.reduceat(probs[src], starts) - probs[at]), initial=0.0))

@@ -1,4 +1,4 @@
-"""Shared model builders and message draws for the test suite."""
+"""Shared model builders, message draws and message views for the test suite."""
 from __future__ import annotations
 
 import numpy as np
@@ -54,3 +54,13 @@ def random_messages(plan, rng):
         return x - np.log(np.add.reduceat(np.exp(x), plan.msg_starts))[plan.msg_pair]
 
     return MessageSet(plan, draw(), draw())
+
+
+def message_tables(msgs):
+    """(up, down): the tables of ``msgs`` keyed (cluster, subset) and (subset, cluster)."""
+    up, down = (np.exp(logs) for logs in msgs.logs)
+    views = msgs.plan.edge_views.items()
+    return (
+        {(a, b): up[lo:hi].reshape(shape) for (a, b), (lo, hi, shape) in views},
+        {(b, a): down[lo:hi].reshape(shape) for (a, b), (lo, hi, shape) in views},
+    )

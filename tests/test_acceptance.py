@@ -117,7 +117,7 @@ def test_criterion_3_exact_on_singly_connected_models():
             assert trace.converged
             exact = exact_inference(m, regions=g)
             assert abs(trace.final_f + exact.log_z) < 1e-6
-            kl = kl_marginals(exact.marginals, trace.final_beliefs,
+            kl = kl_marginals(exact.marginals, trace.final_beliefs.tables,
                               [r.id for r in g.regions])
             assert kl < 1e-6
 

@@ -89,7 +89,7 @@ def test_tree_recovers_exact_answer():
     assert abs(trace.final_f + exact.log_z) < 1e-8
     for rid in g.by_id:
         got = trace.final_beliefs.tables[rid]
-        assert np.max(np.abs(got - exact.marginals.tables[rid])) < 1e-6
+        assert np.max(np.abs(got - exact.marginals[rid])) < 1e-6
 
 
 def test_exact_bound_exits_after_one_outer_iteration():

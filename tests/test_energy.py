@@ -14,6 +14,7 @@ from kikuchi import (
     build_cvm,
     constraint_residual,
     free_energy,
+    inner_potentials,
     kl_marginals,
     make_bound_spec,
     outer_log_potentials,
@@ -60,50 +61,81 @@ def test_uniform_free_energy_closed_form():
     assert abs(free_energy(g, m, q) - want) < 1e-12
 
 
+def _tables(q):
+    """Editable copies of ``q``'s tables, keyed by region id."""
+    return {k: v.copy() for k, v in q.tables.items()}
+
+
 def test_belief_validation():
     m = cycle_model(4, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
+    layout = g.layout(m.cards)
     q = uniform_beliefs(g, m.cards)
 
-    missing = Beliefs({k: v for k, v in q.tables.items() if k != g.subset_ids[0]})
+    missing = _tables(q)
+    del missing[g.subset_ids[0]]
     with pytest.raises(ValueError, match="missing"):
-        free_energy(g, m, missing)
+        Beliefs.from_tables(layout, missing)
 
-    bad_shape = q.copy()
-    bad_shape.tables[g.outer_ids[0]] = np.full((3, 3), 1.0 / 9.0)
+    bad_shape = _tables(q)
+    bad_shape[g.outer_ids[0]] = np.full((3, 3), 1.0 / 9.0)
     with pytest.raises(ValueError, match="shape"):
-        free_energy(g, m, bad_shape)
+        Beliefs.from_tables(layout, bad_shape)
 
-    unnorm = q.copy()
-    unnorm.tables[g.outer_ids[0]] = np.full((2, 2), 0.3)
+    unnorm = _tables(q)
+    unnorm[g.outer_ids[0]] = np.full((2, 2), 0.3)
     with pytest.raises(ValueError, match="normalized"):
-        free_energy(g, m, unnorm)
+        Beliefs.from_tables(layout, unnorm)
 
-    negative = q.copy()
-    negative.tables[g.outer_ids[0]] = np.array([[1.2, -0.2], [0.0, 0.0]])
+    negative = _tables(q)
+    negative[g.outer_ids[0]] = np.array([[1.2, -0.2], [0.0, 0.0]])
     with pytest.raises(ValueError, match="negative"):
-        free_energy(g, m, negative)
+        Beliefs.from_tables(layout, negative)
 
     # Every comparison with NaN is false, so a NaN table passes the sign and
-    # normalization tests; it needs a check of its own, in both forms.
+    # normalization tests; it needs a check of its own, at the door and on
+    # the layout.
     bound = make_bound_spec(g, "conv1").inner_overcounts
     for bad in (np.nan, np.inf, -np.inf):
         for rid in (g.outer_ids[1], g.subset_ids[1]):
-            nonfinite = q.copy()
-            nonfinite.tables[rid].flat[0] = bad
+            nonfinite = _tables(q)
+            nonfinite[rid].flat[0] = bad
+            with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
+                Beliefs.from_tables(layout, nonfinite)
+            logs = q.logs.copy()
+            logs[layout.views[rid][0]] = abs(bad)  # a log of -inf is a zero entry
             for args in ((), (bound, q)):
                 with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
-                    free_energy(g, m, nonfinite, *args)
+                    free_energy(g, m, Beliefs(layout, logs), *args)
+
+
+def test_beliefs_on_another_layout_are_refused():
+    m = cycle_model(4, seed=0)
+    g = build_bethe(m.scopes, m.num_vars)
+    spec = make_bound_spec(g, "conv1")
+    q = uniform_beliefs(g, m.cards)
+    other_cards = uniform_beliefs(g, [3] + list(m.cards[1:]))
+    other_graph = uniform_beliefs(build_bethe(m.scopes, m.num_vars), m.cards)
+    for foreign in (other_cards, other_graph):
+        with pytest.raises(ValueError, match="laid out"):
+            free_energy(g, m, foreign)
+        with pytest.raises(ValueError, match="laid out"):
+            free_energy(g, m, q, spec.inner_overcounts, foreign)
+        with pytest.raises(ValueError, match="laid out"):
+            inner_potentials(m, g, spec, foreign)
+        with pytest.raises(ValueError, match="laid out"):
+            q.delta(foreign)
+    # The residual takes no cards: beliefs on the graph for any cards are its.
+    assert constraint_residual(g, other_cards) < 1e-12
+    with pytest.raises(ValueError, match="laid out"):
+        constraint_residual(g, other_graph)
 
 
 def test_zero_entries_contribute_zero_entropy():
     m = pairwise_model(2, [(0, 1)], np.random.default_rng(1), 1.0)
     g = build_bethe(m.scopes, m.num_vars)
-    q = uniform_beliefs(g, m.cards).copy()
-    q.tables[0] = np.array([[0.5, 0.5], [0.0, 0.0]])
-    q.tables[1] = np.array([1.0, 0.0])
-    q.tables[2] = np.array([0.5, 0.5])
-    f = free_energy(g, m, q)
+    tabs = {0: np.array([[0.5, 0.5], [0.0, 0.0]]), 1: np.array([1.0, 0.0]), 2: np.array([0.5, 0.5])}
+    f = free_energy(g, m, Beliefs.from_tables(g.layout(m.cards), tabs))
     assert math.isfinite(f)
 
 
@@ -152,7 +184,8 @@ def test_pointwise_bounding_without_consistency():
                 tabs[r.id] = t / t.sum()
                 a = rng.gamma(1.0, size=shape)
                 anch[r.id] = a / a.sum()
-            q, anchor = Beliefs(tabs), Beliefs(anch)
+            layout = g.layout(m.cards)
+            q, anchor = Beliefs.from_tables(layout, tabs), Beliefs.from_tables(layout, anch)
             f = free_energy(g, m, q)
             assert free_energy(g, m, q, spec.inner_overcounts, anchor) >= f - 1e-9
 
@@ -182,14 +215,14 @@ def test_mixture_sampler_consistency():
 
 
 def test_kl_marginals():
-    p = Beliefs({0: np.array([0.5, 0.5]), 1: np.array([0.25, 0.75])})
-    q = Beliefs({0: np.array([0.5, 0.5]), 1: np.array([0.75, 0.25])})
+    p = {0: np.array([0.5, 0.5]), 1: np.array([0.25, 0.75])}
+    q = {0: np.array([0.5, 0.5]), 1: np.array([0.75, 0.25])}
     assert kl_marginals(p, p, [0, 1]) == 0.0
     val = kl_marginals(p, q, [1])
     want = 0.25 * math.log(0.25 / 0.75) + 0.75 * math.log(0.75 / 0.25)
     assert abs(val - want) < 1e-12
 
-    degenerate = Beliefs({0: np.array([1.0, 0.0]), 1: np.array([0.25, 0.75])})
+    degenerate = {0: np.array([1.0, 0.0]), 1: np.array([0.25, 0.75])}
     with pytest.warns(UserWarning):
         assert kl_marginals(p, degenerate, [0]) == math.inf
     # 0 log 0 on the p side is fine
@@ -201,16 +234,10 @@ def test_bound_warns_on_floored_anchor():
     g = build_bethe(m.scopes, m.num_vars)
     spec = make_bound_spec(g, "conv1")
     q = uniform_beliefs(g, m.cards)
-    anchor = uniform_beliefs(g, m.cards).copy()
+    tabs = _tables(q)
     b = g.neg_ids[0]  # only gapped subsets consult the anchor
-    anchor.tables[b] = np.array([1.0, 0.0])
+    tabs[b] = np.array([1.0, 0.0])
+    anchor = Beliefs.from_tables(g.layout(m.cards), tabs)
     with pytest.warns(UserWarning, match="floor"):
         free_energy(g, m, q, spec.inner_overcounts, anchor)
 
-
-def test_delta_ignores_extra_ids():
-    # The change is taken over the regions of the first beliefs only.
-    a = Beliefs({1: np.ones(2)})
-    b = Beliefs({0: np.zeros(2), 1: np.ones(2)})
-    assert a.delta(b) == 0.0
-    assert Beliefs({0: np.ones(2), 1: np.ones(2)}).delta(b) == 1.0

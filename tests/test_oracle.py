@@ -23,9 +23,9 @@ def test_two_variable_model_by_hand():
     m = FactorModel([2, 2], [(0, 1)], [t])
     res = exact_inference(m, regions=[(0,), (1,), (0, 1)], keep_joint=True)
     assert abs(res.log_z - math.log(10.0)) < 1e-12
-    assert np.allclose(res.marginals.tables[0], [0.3, 0.7])
-    assert np.allclose(res.marginals.tables[1], [0.4, 0.6])
-    assert np.allclose(res.marginals.tables[2], np.array([[0.1, 0.2], [0.3, 0.4]]))
+    assert np.allclose(res.marginals[0], [0.3, 0.7])
+    assert np.allclose(res.marginals[1], [0.4, 0.6])
+    assert np.allclose(res.marginals[2], np.array([[0.1, 0.2], [0.3, 0.4]]))
     assert abs(res.joint.sum() - 1.0) < 1e-12
 
 
@@ -37,7 +37,7 @@ def test_independent_factors_product_form():
     for v in range(3):
         p = np.exp(logits[v])
         p /= p.sum()
-        assert np.allclose(res.marginals.tables[v], p)
+        assert np.allclose(res.marginals[v], p)
     assert abs(res.log_z - sum(np.log(np.exp(l).sum()) for l in logits)) < 1e-12
 
 
@@ -45,12 +45,12 @@ def test_region_graph_keying():
     m = chain_model(4, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
     res = exact_inference(m, g)
-    assert set(res.marginals.tables) == {r.id for r in g.regions}
+    assert set(res.marginals) == {r.id for r in g.regions}
     for r in g.regions:
-        assert res.marginals.tables[r.id].shape == tuple(
+        assert res.marginals[r.id].shape == tuple(
             m.cards[v] for v in r.vars
         )
-        assert abs(res.marginals.tables[r.id].sum() - 1.0) < 1e-12
+        assert abs(res.marginals[r.id].sum() - 1.0) < 1e-12
     assert res.joint is None
 
 
@@ -126,7 +126,7 @@ def test_matches_per_state_enumeration(cards, seed, keep_joint):
     log_z, tabs, joint = _reference(m, regions)
     assert abs(res.log_z - log_z) <= 1e-12
     for k, want in enumerate(tabs):
-        got = np.asarray(res.marginals.tables[k])
+        got = np.asarray(res.marginals[k])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
     if keep_joint:

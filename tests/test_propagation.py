@@ -4,7 +4,6 @@ from __future__ import annotations
 import math
 import warnings
 from itertools import combinations
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kikuchi import (
-    Beliefs,
+    BoundSpec,
     ConfigurationError,
     ConvexityError,
     InnerSettings,
@@ -31,7 +30,7 @@ from kikuchi import (
 )
 from kikuchi.energy import LOG_FLOOR
 from kikuchi.propagation import SweepPlan
-from conftest import chain_model, cycle_model, pairwise_model, random_messages
+from conftest import chain_model, cycle_model, message_tables, pairwise_model, random_messages
 
 
 def _true_counts(graph):
@@ -45,7 +44,7 @@ def test_chain_reaches_exact_marginals():
     assert converged
     exact = exact_inference(m, regions=g)
     for rid in g.by_id:
-        assert np.max(np.abs(q.tables[rid] - exact.marginals.tables[rid])) < 1e-7
+        assert np.max(np.abs(q.tables[rid] - exact.marginals[rid])) < 1e-7
     assert constraint_residual(g, q) < 1e-8
     f = free_energy(g, m, q)
     assert abs(f + exact.log_z) < 1e-7
@@ -58,7 +57,7 @@ def test_mixed_cardinalities_chain():
     assert converged
     exact = exact_inference(m, regions=g)
     for rid in g.by_id:
-        assert np.max(np.abs(q.tables[rid] - exact.marginals.tables[rid])) < 1e-7
+        assert np.max(np.abs(q.tables[rid] - exact.marginals[rid])) < 1e-7
 
 
 def _projected_gradient_minimum(graph, model, steps=20000):
@@ -174,6 +173,24 @@ def test_exponent_must_stay_positive():
         run_gbp(m, g, bad)
 
 
+def test_a_count_left_out_is_the_graphs_count():
+    # run_gbp reads a subset missing from c_eff as free_energy,
+    # inner_potentials and minimize do: at the graph's own count.
+    m = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
+    g = build_bethe(m.scopes, m.num_vars)
+    (q, msgs, sweeps, ok), (q_full, msgs_full, sweeps_full, ok_full) = (
+        run_gbp(m, g, {}), run_gbp(m, g, g.subset_overcounts())
+    )
+    assert (sweeps, ok) == (sweeps_full, ok_full)
+    assert msgs.plan.act == msgs_full.plan.act
+    np.testing.assert_array_equal(q.logs, q_full.logs)
+    for mine, full in zip(msgs.logs, msgs_full.logs):
+        np.testing.assert_array_equal(mine, full)
+    # So a bound that leaves every count out keeps them all, inner loop too.
+    left_out, full = (minimize(m, g, BoundSpec("cccp", c)) for c in ({}, g.subset_overcounts()))
+    assert (left_out.outer_iterations, left_out.final_f) == (full.outer_iterations, full.final_f)
+
+
 def test_pruned_regions_still_get_beliefs():
     m = chain_model(4, seed=2)
     g = build_bethe(m.scopes, m.num_vars)
@@ -184,7 +201,7 @@ def test_pruned_regions_still_get_beliefs():
     assert converged
     for b in endpoints:
         assert b in q.tables
-        assert all((a, b) not in msgs.up for a in g.outer_ids)
+        assert all((a, b) not in msgs.plan.edge_views for a in g.outer_ids)
     assert constraint_residual(g, q) < 1e-8
 
 
@@ -199,7 +216,7 @@ def test_direct_intersections_stay_active_at_zero_count():
     assert spec.inner_overcounts[shared] == 0.0
     q, msgs, _, converged = run_gbp(m, g, spec.inner_overcounts)
     assert converged
-    assert any(k[1] == shared for k in msgs.up)
+    assert any(b == shared for _, b in msgs.plan.edge_views)
     assert constraint_residual(g, q) < 1e-8
 
 
@@ -256,7 +273,7 @@ def test_foreign_warm_messages_are_rejected():
         (m, build_bethe(m.scopes, m.num_vars), c, msgs),  # an equal graph, another object
         (m, g, kept_ends, msgs),
         (chain_model(5, seed=6, cards=[3, 2, 2, 2, 2]), g, c, msgs),
-        (m, g, c, SimpleNamespace(up=dict(msgs.up), down=dict(msgs.down))),
+        (m, g, c, message_tables(msgs)),
     ]
     for model, graph, counts, warm in foreign:
         with pytest.raises(ConfigurationError, match="warm messages"):
@@ -289,12 +306,12 @@ def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
 
     The oracle for ``run_gbp``'s level-by-level sweep: the same floors,
     normalizations, damping rule, rebuild period and stopping test.  ``warm``
-    is anything with ``up`` and ``down`` tables, and the messages come back
-    as such a holder.
+    is an (up, down) pair of message tables, as ``message_tables`` gives them,
+    and the messages come back as such a pair, the beliefs as tables.
     """
     settings = settings or InnerSettings()
     cards, pots, cont = model.cards, outer_log_potentials(model, graph), graph.containing_outers
-    count = {b: float(c_eff.get(b, 0.0)) for b in graph.subset_ids}
+    count = {b: float(c_eff.get(b, graph.by_id[b].overcount)) for b in graph.subset_ids}
     act = [b for b in graph.subset_ids if abs(count[b]) > 1e-15 or graph.outer_count[b] != 1]
     denom = {b: graph.outer_count[b] + count[b] for b in act}
     damping = 0.0 if all(count[b] >= 0 for b in act) else 0.5
@@ -313,9 +330,9 @@ def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
     for b in act:
         shape = tuple(cards[v] for v in graph.region_vars(b))
         for a in cont[b]:
-            if warm is not None and (a, b) in warm.up and (b, a) in warm.down:
-                u = np.maximum(warm.up[(a, b)].astype(float), LOG_FLOOR)
-                d = np.maximum(warm.down[(b, a)].astype(float), LOG_FLOOR)
+            if warm is not None and (a, b) in warm[0] and (b, a) in warm[1]:
+                u = np.maximum(warm[0][(a, b)].astype(float), LOG_FLOOR)
+                d = np.maximum(warm[1][(b, a)].astype(float), LOG_FLOOR)
                 up[(a, b)], down[(b, a)] = u / u.sum(), d / d.sum()
             else:
                 up[(a, b)] = down[(b, a)] = np.full(shape, 1.0 / math.prod(shape))
@@ -363,7 +380,7 @@ def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
             t = tabs[cont[b][0]].sum(axis=inside(cont[b][0], b)[0])
             tabs[b] = t / t.sum()
     converged = converged and all(np.isfinite(t).all() for t in tabs.values())
-    return Beliefs(tabs), SimpleNamespace(up=up, down=down), sweeps, converged
+    return tabs, (up, down), sweeps, converged
 
 
 def _plaquettes(rows, cols):
@@ -393,9 +410,9 @@ def _problem(kind, size, seed):
 def _assert_same_run(got, want):
     (q, msgs, sweeps, ok), (q_ref, msgs_ref, sweeps_ref, ok_ref) = got, want
     assert (sweeps, ok) == (sweeps_ref, ok_ref)
-    assert q.tables.keys() == q_ref.tables.keys()
-    assert q.delta(q_ref) < 1e-12
-    for mine, ref in ((msgs.up, msgs_ref.up), (msgs.down, msgs_ref.down)):
+    assert q.tables.keys() == q_ref.keys()
+    assert max(np.max(np.abs(q.tables[k] - t)) for k, t in q_ref.items()) < 1e-12
+    for mine, ref in zip(message_tables(msgs), msgs_ref):
         assert mine.keys() == ref.keys()
         for k in ref:
             assert np.max(np.abs(mine[k] - ref[k])) < 1e-12, k
@@ -486,11 +503,8 @@ def test_warm_start_reuses_the_plan_and_returns_fresh_tables():
     q1, msgs1, _, _ = run_gbp(m, g, c, InnerSettings(max_sweeps=3))
     q2, msgs2, _, _ = run_gbp(m, g, c, warm=msgs1)
     assert msgs2.plan is msgs1.plan
-    for k in msgs1.up:
-        assert not np.shares_memory(msgs1.up[k], msgs2.up[k])
-        assert not np.shares_memory(msgs1.down[k[::-1]], msgs2.down[k[::-1]])
-    for rid in q1.tables:
-        assert not np.shares_memory(q1.tables[rid], q2.tables[rid])
+    for a, b in zip(msgs1.logs + (q1.logs, q1.probs), msgs2.logs + (q2.logs, q2.probs)):
+        assert not np.shares_memory(a, b)
 
 
 def test_stopping_test_passes_over_nan_regions():
@@ -507,9 +521,9 @@ def test_stopping_test_passes_over_nan_regions():
     warm = MessageSet(msgs.plan, msgs.logs[0], log_down)
     with np.errstate(invalid="ignore"):
         q, _, sweeps, converged = run_gbp(m, g, c, warm=warm)
-        q_ref, _, sweeps_ref, converged_ref = _reference_gbp(m, g, c, warm=warm)
+        q_ref, _, sweeps_ref, converged_ref = _reference_gbp(m, g, c, warm=message_tables(warm))
     assert (sweeps, converged) == (sweeps_ref, converged_ref)
     assert converged is False and sweeps == 1
     assert any(np.isnan(t).any() for t in q.tables.values())
-    for rid, t in q_ref.tables.items():
+    for rid, t in q_ref.items():
         np.testing.assert_allclose(q.tables[rid], t, rtol=0, atol=1e-12)

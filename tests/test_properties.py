@@ -229,7 +229,7 @@ def _laid_out(g, cards, rng):
     for rid in layout.ids:
         t = rng.gamma(0.5, size=layout.views[rid][2]) + 1e-12
         logs.append(np.log(t / t.sum()).ravel())
-    return Beliefs.on_layout(layout, np.concatenate(logs))
+    return Beliefs(layout, np.concatenate(logs))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -254,28 +254,20 @@ def test_layout_reductions_match_the_dict_references(kind, size, seed, variant):
     assert uniform.layout is g.layout(m.cards)
     spec = BoundSpec(variant, kept)
     for q_lay, anchor_lay in ((q, anchor), (uniform, q), (q, uniform)):
-        # The same numbers as dicts of tables go through the adapters.
-        q_dict, anchor_dict = q_lay.copy(), anchor_lay.copy()
-        assert q_dict.layout is None
-        for args, dict_args in (((), ()), ((kept, anchor_lay), (kept, anchor_dict))):
-            want = _dict_free_energy(g, m, q_dict, *dict_args)
+        for args in ((), (kept, anchor_lay)):
+            want = _dict_free_energy(g, m, q_lay, *args)
             assert abs(free_energy(g, m, q_lay, *args) - want) <= 1e-12
-            assert abs(free_energy(g, m, q_dict, *dict_args) - want) <= 1e-12
-        want = _dict_residual(g, q_dict)
-        assert abs(constraint_residual(g, q_lay) - want) <= 1e-12
-        assert abs(constraint_residual(g, q_dict) - want) <= 1e-12
-        want = _dict_fold(g, m, kept, anchor_dict)
-        for a in (anchor_lay, anchor_dict):
-            np.testing.assert_allclose(inner_potentials(m, g, spec, a).logs, want, rtol=0, atol=1e-12)
-        want = max(float(np.max(np.abs(q_dict.tables[r] - anchor_dict.tables[r]))) for r in q_dict.tables)
+        assert abs(constraint_residual(g, q_lay) - _dict_residual(g, q_lay)) <= 1e-12
+        np.testing.assert_allclose(
+            inner_potentials(m, g, spec, anchor_lay).logs, _dict_fold(g, m, kept, anchor_lay), rtol=0, atol=1e-12
+        )
+        want = max(float(np.max(np.abs(q_lay.tables[r] - anchor_lay.tables[r]))) for r in q_lay.tables)
         assert abs(q_lay.delta(anchor_lay) - want) <= 1e-12
-        assert q_dict.delta(anchor_dict) == want
-    # A non-finite entry is refused, naming its region, in both forms.
+    # A non-finite entry is refused, naming its region.
     rid = g.regions[int(rng.integers(len(g.regions)))].id
     logs = q.logs.copy()
     logs[q.layout.views[rid][0]] = rng.choice([np.nan, np.inf])
-    bad = Beliefs.on_layout(q.layout, logs)
-    for beliefs in (bad, bad.copy()):
-        for args in ((), (kept, anchor)):
-            with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
-                free_energy(g, m, beliefs, *args)
+    bad = Beliefs(q.layout, logs)
+    for args in ((), (kept, anchor)):
+        with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
+            free_energy(g, m, bad, *args)
