@@ -63,7 +63,6 @@ from .regions import (
     is_singly_connected,
     per_variable_counting_sums,
     recipe_graph,
-    recompute_overcounts,
 )
 
 __version__ = "0.1.0"
@@ -112,7 +111,6 @@ __all__ = [
     "per_variable_counting_sums",
     "random_consistent_beliefs",
     "recipe_graph",
-    "recompute_overcounts",
     "run_gbp",
     "save",
     "trace_metadata",

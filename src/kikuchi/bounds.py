@@ -24,6 +24,10 @@ term and which are linearized around the anchor:
   conv3  keep as much negative mass as an allocation can certify, then spend
          leftover positive mass to sharpen the linearized remainder
   cccp   keep one unit of entropy per negative subset and linearize the rest
+
+``inner_potentials(base, spec, anchor)`` folds a spec's linearized terms
+into ``base``, the ``ClusterPotentials`` that ``ClusterPotentials.of(model,
+graph)`` lays out once per run; the graph and the cards come off its layout.
 """
 from __future__ import annotations
 
@@ -258,18 +262,17 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
     return BoundSpec(variant, ct, witness=witness)
 
 
-def inner_potentials(model, graph: RegionGraph, spec: BoundSpec, anchor) -> ClusterPotentials:
+def inner_potentials(base: ClusterPotentials, spec: BoundSpec, anchor) -> ClusterPotentials:
     """Fold the linearized entropy terms into the outer log potentials.
 
     Each subset region whose entropy is (partially) linearized contributes the
     anchor's log table, split evenly across the outer clusters containing it:
-    one scatter over the graph's layout, subsets in ascending id order.
-    ``model`` is a ``FactorModel`` or its ``ClusterPotentials`` on ``graph``;
-    the result is new ``ClusterPotentials`` and the input is untouched.  The
-    anchor must lie on the same layout.
+    one scatter over ``base.layout``, subsets in ascending id order.  The
+    result is new ``ClusterPotentials`` on that layout and ``base`` is
+    untouched.  The anchor must lie on the same layout.
     """
-    base = ClusterPotentials.of(model, graph)
     layout = base.layout
+    graph = layout.graph
     _, logs = anchor.flat(layout)
     gap = layout.overcounts - layout.kept_counts(spec.inner_overcounts)
     per_region = gap / np.concatenate(

@@ -118,16 +118,16 @@ def minimize(
     # on flat arrays of the graph's layout.
     base = ClusterPotentials.of(model, graph)
     q = uniform_beliefs(graph, model.cards)
-    f_prev = free_energy(graph, base, q)
-    records = [OuterRecord(0, f_prev, 0, constraint_residual(graph, q), 0.0)]
+    f_prev = free_energy(base, q)
+    records = [OuterRecord(0, f_prev, 0, constraint_residual(q), 0.0)]
     messages = None
     converged = False
     stop_reason = "max_outer"
 
     for outer_index in range(1, settings.max_outer + 1):
-        inner = inner_potentials(base, graph, spec, q)
+        inner = inner_potentials(base, spec, q)
         q_new, messages, sweeps, inner_ok = run_gbp(
-            inner, graph, spec.inner_overcounts, settings.inner, warm=messages
+            inner, spec.inner_overcounts, settings.inner, warm=messages
         )
         if not inner_ok:
             # No inner minimum, so no descent guarantee: keep the anchor.
@@ -139,14 +139,14 @@ def minimize(
             )
             stop_reason = "inner_failed"
             break
-        f_new = free_energy(graph, base, q_new)
+        f_new = free_energy(base, q_new)
         if f_new > f_prev + DESCENT_SLACK:
             # The bound evaluated at the anchor equals f_prev, so an exact
             # inner minimum can never raise the objective.  If the bound
             # still dominates at q_new the rise is inner-solve noise: keep
             # the anchor and stop.  A dominance violation is a bug.
             if pointwise:
-                f_surrogate = free_energy(graph, base, q_new, spec.inner_overcounts, q)
+                f_surrogate = free_energy(base, q_new, spec.inner_overcounts, q)
                 if f_new > f_surrogate + DESCENT_SLACK:
                     raise DescentError(
                         f"free energy {f_new!r} exceeds its upper bound "
@@ -160,7 +160,7 @@ def minimize(
             break
         delta = q_new.delta(q)
         records.append(
-            OuterRecord(outer_index, f_new, sweeps, constraint_residual(graph, q_new), delta)
+            OuterRecord(outer_index, f_new, sweeps, constraint_residual(q_new), delta)
         )
         stalled = abs(f_new - f_prev) < settings.outer_tol
         q, f_prev = q_new, f_new

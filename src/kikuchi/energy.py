@@ -6,9 +6,12 @@ of each subset entropy with its linearization around an anchor belief set:
 entropy(q) <= -sum(q * log(anchor)), with equality at q == anchor.
 
 Beliefs live on a graph's flat ``Layout`` as one array of log tables, and
-both functionals are one segment reduction over it.  Tables given as a dict
-enter once, through ``Beliefs.from_tables``, which checks them and floors
-their logs at ``LOG_FLOOR``.
+both functionals are one segment reduction over it:
+``free_energy(pots, q, subset_counts=None, anchor=None)`` reads the graph
+and the cards off ``pots.layout``, where ``pots`` is ``ClusterPotentials``;
+a ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``.
+Tables given as a dict enter once, through ``Beliefs.from_tables``, which
+checks them and floors their logs at ``LOG_FLOOR``.
 """
 from __future__ import annotations
 
@@ -106,18 +109,16 @@ def uniform_beliefs(graph: RegionGraph, cards) -> Beliefs:
     return Beliefs(layout, -np.log(sizes)[layout.seg])
 
 
-def free_energy(graph, model, q, subset_counts=None, anchor=None) -> float:
+def free_energy(pots: ClusterPotentials, q, subset_counts=None, anchor=None) -> float:
     """Average energy minus counted entropy.
 
     Subset region ``b`` keeps ``subset_counts.get(b, c_b)`` of its exact
     entropy, where ``c_b`` is the graph's count (all of it by default).  With
     an ``anchor``, the remaining ``c_b - kept`` is charged as cross-entropy
     against the anchor: the double loop's upper bound, which touches the plain
-    value at q == anchor.  ``model`` is a ``FactorModel`` or its
-    ``ClusterPotentials`` on ``graph``; ``q`` and ``anchor`` must lie on the
-    same layout.  The value is one segment reduction over it.
+    value at q == anchor.  ``q`` and ``anchor`` must lie on ``pots.layout``;
+    the value is one segment reduction over it.
     """
-    pots = ClusterPotentials.of(model, graph)
     layout = pots.layout
     probs, logs = q.flat(layout)
     keep = layout.kept_counts(subset_counts)

@@ -389,10 +389,11 @@ def outer_log_potentials(model: FactorModel, graph: RegionGraph) -> dict[int, np
 class ClusterPotentials:
     """Outer-cluster log potentials as one flat array on a graph's ``Layout``.
 
-    The form in which the inner loop reads a model: ``of`` lays a
+    The only form in which the inner loop reads a model: ``of`` lays a
     ``FactorModel`` out once (through ``outer_log_potentials``), and
-    ``bounds.inner_potentials`` returns one per outer step.  ``meta`` carries
-    the model's metadata and, for inner potentials, the bound's.
+    ``bounds.inner_potentials`` returns one per outer step.  ``layout``
+    carries the graph and the cards; ``meta`` carries the model's metadata
+    and, for inner potentials, the bound's.
     """
 
     def __init__(self, layout: Layout, logs: np.ndarray, meta=None):
@@ -400,22 +401,10 @@ class ClusterPotentials:
         self.logs = logs
         self.meta = dict(meta or {})
 
-    @property
-    def cards(self) -> tuple[int, ...]:
-        return self.layout.cards
-
-    @property
-    def scopes(self) -> list[tuple[int, ...]]:
-        return [self.layout.graph.region_vars(a) for a in self.layout.graph.outer_ids]
-
     @classmethod
-    def of(cls, model, graph: RegionGraph) -> "ClusterPotentials":
-        """``model`` laid out on ``graph``; a ``ClusterPotentials`` on it is returned as is."""
+    def of(cls, model: FactorModel, graph: RegionGraph) -> "ClusterPotentials":
+        """``model``'s factors summed into ``graph``'s outer clusters, flat on its layout."""
         layout = graph.layout(model.cards)
-        if isinstance(model, ClusterPotentials):
-            if model.layout is not layout:
-                raise GraphError("cluster potentials laid out on another region graph")
-            return model
         tabs = outer_log_potentials(model, graph)
         logs = np.zeros(layout.outer_size)
         for a in graph.outer_ids:

@@ -26,10 +26,9 @@ class OracleLimitError(ValueError):
 class ExactResult:
     log_z: float
     marginals: dict[int, np.ndarray]
-    joint: np.ndarray | None = None
 
 
-def exact_inference(model: FactorModel, regions=(), keep_joint=False) -> ExactResult:
+def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     """Enumerate the joint in log space and marginalize onto the regions.
 
     ``regions`` is either a RegionGraph (marginals keyed by region id) or an
@@ -73,4 +72,4 @@ def exact_inference(model: FactorModel, regions=(), keep_joint=False) -> ExactRe
     for key, vars_ in items:
         span, table = next((s, t) for s, t in sources if all(v in s for v in vars_))
         tabs[key] = table.sum(axis=tuple(i for i, v in enumerate(span) if v not in vars_))
-    return ExactResult(log_z, tabs, p if keep_joint else None)
+    return ExactResult(log_z, tabs)

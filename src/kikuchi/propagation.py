@@ -34,19 +34,22 @@ region inside two or more clusters carries a consistency constraint and is
 swept.  Beliefs for the regions left out are read off their one containing
 cluster afterwards.
 
-The sweep runs on a ``SweepPlan`` compiled once per (graph, cards, active
-set) over the graph's flat ``Layout``: the cluster log tables are its outer
-block, the subset beliefs its subset block and the messages one more flat
-array.  The active subsets are grouped into levels: the level of a subset is
-one more than the highest level among the earlier subsets that share a
+``run_gbp(pots, c_eff, settings=None, warm=None)`` reads the graph and
+the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
+``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
+``minimize`` does.  The sweep runs on a ``SweepPlan`` compiled once per
+layout and active set: the cluster log tables are the layout's outer block,
+the subset beliefs its subset block and the messages one more flat array.
+The active subsets are grouped into levels: the level of a subset is one
+more than the highest level among the earlier subsets that share a
 containing cluster with it.  The subsets of one level touch disjoint
 clusters and messages, so their updates commute, and one batched update per
 level, levels in order, replays the ascending-id sweep update for update;
 only the order of floating-point sums differs.  The returned ``Beliefs``
 and ``MessageSet`` hold flat log arrays: the beliefs on the layout, the
 messages in the plan's ``edge_views``.  A warm start reads the logs of
-messages that ``run_gbp`` computed with the same plan: the same graph
-object, cards and active set.  Any other ``warm`` raises
+messages that ``run_gbp`` computed on the same layout object and active
+set, and reuses their plan.  Any other ``warm`` raises
 ``ConfigurationError``.
 """
 from __future__ import annotations
@@ -58,7 +61,7 @@ import numpy as np
 
 from .energy import Beliefs
 from .model import ClusterPotentials
-from .regions import RegionGraph
+from .regions import Layout, RegionGraph
 
 
 class ConfigurationError(ValueError):
@@ -114,14 +117,14 @@ def _log_normalize(x, starts, seg):
 class SweepPlan:
     """Per-level indices for sweeping one active set on a graph's layout.
 
-    Built for one graph object, one tuple of cards and one active set;
-    ``levels`` holds the active subset ids of each level.  The plan keeps no
-    numbers of a run: every run allocates its own flat arrays.
+    Built for one layout and one active set; ``levels`` holds the active
+    subset ids of each level.  The plan keeps no numbers of a run: every run
+    allocates its own flat arrays.
     """
 
-    def __init__(self, graph: RegionGraph, cards, act):
-        self.layout = layout = graph.layout(cards)
-        self.graph, self.cards = graph, layout.cards
+    def __init__(self, layout: Layout, act):
+        self.layout = layout
+        graph = layout.graph
         self.act = tuple(act)
         self.levels = _levels(graph, self.act)
         cont = graph.containing_outers
@@ -182,9 +185,6 @@ class SweepPlan:
         self.pruned = layout.sums([(cont[b][0], b) for b in pruned])
         self.pruned_segments = _segments([size(b) for b in pruned])
 
-    def fits(self, graph, cards, act) -> bool:
-        return self.graph is graph and self.cards == tuple(cards) and self.act == tuple(act)
-
     def cluster_logs(self, pots, log_down) -> np.ndarray:
         """Cluster log tables rebuilt from the potentials and downward messages."""
         weights = np.concatenate((pots, log_down[self.clu_msg]))
@@ -224,22 +224,22 @@ class InnerSettings:
     max_sweeps: int = 2000
 
 
-def run_gbp(model, graph, c_eff, settings=None, warm=None):
+def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     """Sweep to a fixed point; returns (beliefs, messages, sweeps, converged).
 
-    ``model`` is a ``FactorModel`` or its ``ClusterPotentials`` on ``graph``,
-    as ``inner_potentials`` returns them.  ``c_eff`` maps a subset id to its
+    ``pots`` are cluster potentials on a graph's layout, as
+    ``inner_potentials`` returns them.  ``c_eff`` maps a subset id to its
     effective count; a subset it leaves out keeps the graph's count.
     ``converged`` is true only when the largest change of a sweep fell below
     ``settings.tol`` and every returned table is finite.  The returned
-    beliefs and messages hold flat log arrays of this call alone.  ``warm`` is the messages of an earlier
-    call on the same graph object, cards and active set; anything else
-    raises ``ConfigurationError``.
+    beliefs and messages hold flat log arrays of this call alone.  ``warm``
+    is the messages of an earlier call on the same layout object and active
+    set; anything else raises ``ConfigurationError``.
     """
     settings = settings or InnerSettings()
-    base = ClusterPotentials.of(model, graph)
-    pots = base.logs
-    kept = base.layout.kept_counts(c_eff)[len(graph.outer_ids):].tolist()
+    layout = pots.layout
+    graph = layout.graph
+    kept = layout.kept_counts(c_eff)[len(graph.outer_ids):].tolist()
     count = dict(zip(graph.subset_ids, kept))
     act = [b for b in graph.subset_ids if abs(count[b]) > 1e-15 or graph.outer_count[b] != 1]
 
@@ -259,15 +259,15 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
     damping = 0.0 if all(count[b] >= 0 for b in act) else 0.5
 
     if warm is None:
-        plan = SweepPlan(graph, model.cards, act)
+        plan = SweepPlan(layout, act)
         log_up, log_down = plan.uniform.copy(), plan.uniform.copy()
-    elif isinstance(warm, MessageSet) and warm.plan.fits(graph, model.cards, act):
+    elif isinstance(warm, MessageSet) and warm.plan.layout is layout and warm.plan.act == tuple(act):
         plan = warm.plan
         log_up, log_down = warm.logs[0].copy(), warm.logs[1].copy()
     else:
         raise ConfigurationError(
-            "warm messages must come from run_gbp on this graph object, "
-            "with these cards and this active set"
+            "warm messages must come from run_gbp on this layout object, "
+            "with this active set"
         )
     # The update exponent's denominator at every subset-block entry; a
     # pruned subset is never updated and keeps one.
@@ -277,7 +277,7 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
     acc = np.bincount(plan.msg_sub, weights=log_up, minlength=len(den))
     log_sub = _log_normalize(acc / den, plan.sub_starts, plan.sub_seg)
     q_sub = np.exp(log_sub)
-    logacc = plan.cluster_logs(pots, log_down)
+    logacc = plan.cluster_logs(pots.logs, log_down)
     # Each step's weight on its summed upward log messages: the update
     # exponent times the undamped share.
     shares = [(1.0 - damping) / den[step[-1]] for step in plan.steps]
@@ -316,12 +316,12 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
             break
         if sweep % 64 == 0:
             # Incremental cluster updates accumulate round-off; rebuild.
-            logacc = plan.cluster_logs(pots, log_down)
+            logacc = plan.cluster_logs(pots.logs, log_down)
         if delta < settings.tol:
             converged = True
             break
 
-    q = Beliefs(plan.layout, plan.belief_logs(pots, log_down, log_sub))
+    q = Beliefs(layout, plan.belief_logs(pots.logs, log_down, log_sub))
     converged = converged and bool(np.isfinite(q.probs).all())
     messages = MessageSet(
         plan,
@@ -331,15 +331,12 @@ def run_gbp(model, graph, c_eff, settings=None, warm=None):
     return q, messages, sweeps, converged
 
 
-def constraint_residual(graph: RegionGraph, q: Beliefs) -> float:
+def constraint_residual(q: Beliefs) -> float:
     """Worst consistency violation over the parent/child containment pairs.
 
-    One segment reduction over ``q``'s layout, which must be one of
-    ``graph``'s: every parent table summed onto its child's entries, against
-    the child's table.
+    One segment reduction over ``q``'s layout: every parent table summed onto
+    its child's entries, against the child's table.
     """
-    if q.layout.graph is not graph:
-        raise ValueError("beliefs are laid out for another region graph")
     probs, _ = q.flat(q.layout)
     src, _, starts, at = q.layout.hasse_sums
     return float(np.max(np.abs(np.add.reduceat(probs[src], starts) - probs[at]), initial=0.0))

@@ -287,11 +287,6 @@ def _moebius(varsets: dict[int, frozenset], supersets) -> dict[int, Fraction]:
     return counts
 
 
-def recompute_overcounts(g: RegionGraph) -> dict[int, Fraction]:
-    """Re-derive every overcounting number from the containment poset alone."""
-    return _moebius(g._varsets, g.supersets)
-
-
 def _assemble(outer_varsets, subset_varsets):
     varsets: dict[int, frozenset] = {}
     for i, t in enumerate(outer_varsets):

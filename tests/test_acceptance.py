@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from kikuchi import (
+    ClusterPotentials,
     ModelSpec,
     Region,
     RegionGraph,
@@ -88,17 +89,18 @@ def test_criterion_2_bounds_touch_and_dominate():
         for name, m in _corpus(0):
             g = build_bethe(m.scopes, m.num_vars)
             specs = {v: make_bound_spec(g, v) for v in BOUND_VARIANTS}
+            pots = ClusterPotentials.of(m, g)
             for _ in range(100):
                 q = random_consistent_beliefs(g, m.cards, rng)
                 anchor = random_consistent_beliefs(g, m.cards, rng)
-                f = free_energy(g, m, q)
+                f = free_energy(pots, q)
                 vals = {}
                 for v, spec in specs.items():
                     kept = spec.inner_overcounts
-                    assert abs(free_energy(g, m, q, kept, q) - f) <= 1e-10, (
+                    assert abs(free_energy(pots, q, kept, q) - f) <= 1e-10, (
                         f"{name} {v}: bound does not touch at its anchor"
                     )
-                    vals[v] = free_energy(g, m, q, kept, anchor)
+                    vals[v] = free_energy(pots, q, kept, anchor)
                     assert vals[v] >= f - 1e-9, f"{name} {v}: bound fell below"
                 assert vals["conv2"] <= vals["conv1"] + 1e-9, name
                 assert vals["conv1"] <= vals["cccp"] + 1e-9, name
@@ -255,10 +257,11 @@ def test_criterion_7_initialization_robustness():
             counts = {b: float(g.by_id[b].overcount) for b in g.subset_ids}
             all_counts = {**{a: 1.0 for a in g.outer_ids}, **counts}
             assert check_convex_over_constraints(g, all_counts) is not None
-            ref, msgs, _, ok = run_gbp(m, g, counts)
+            pots = ClusterPotentials.of(m, g)
+            ref, msgs, _, ok = run_gbp(pots, counts)
             assert ok
             for _ in range(5):
-                q, _, _, ok = run_gbp(m, g, counts, warm=random_messages(msgs.plan, rng))
+                q, _, _, ok = run_gbp(pots, counts, warm=random_messages(msgs.plan, rng))
                 assert ok
                 assert q.delta(ref) < 1e-5
 

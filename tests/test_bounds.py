@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kikuchi import (
+    ClusterPotentials,
     ConvexityError,
     Region,
     RegionGraph,
@@ -208,13 +209,14 @@ def test_inner_counts_match_bound_functional():
     m = pairwise_model(9, edges, rng, 1.0)
     for g in (build_bethe(m.scopes, m.num_vars), build_cvm(PLAQUETTES_3X3, 9)):
         anchor = random_consistent_beliefs(g, m.cards, rng)
+        base = ClusterPotentials.of(m, g)
         for variant in ("conv1", "conv2", "conv3", "cccp"):
             spec = make_bound_spec(g, variant)
-            inner = inner_potentials(m, g, spec, anchor)
+            inner = inner_potentials(base, spec, anchor)
             for _ in range(5):
                 q = random_consistent_beliefs(g, m.cards, rng)
-                lhs = free_energy(g, inner, q, subset_counts=spec.inner_overcounts)
-                rhs = free_energy(g, m, q, spec.inner_overcounts, anchor)
+                lhs = free_energy(inner, q, subset_counts=spec.inner_overcounts)
+                rhs = free_energy(base, q, spec.inner_overcounts, anchor)
                 assert abs(lhs - rhs) < 1e-10
 
 
@@ -223,8 +225,9 @@ def test_inner_potentials_metadata_and_scopes():
     g = build_bethe(m.scopes, m.num_vars)
     spec = make_bound_spec(g, "cccp")
     anchor = uniform_beliefs(g, m.cards)
-    inner = inner_potentials(m, g, spec, anchor)
-    assert list(inner.scopes) == [g.region_vars(a) for a in g.outer_ids]
+    inner = inner_potentials(ClusterPotentials.of(m, g), spec, anchor)
+    # The layout carries the outer scopes: the graph's, for the model's cards.
+    assert inner.layout is g.layout(m.cards)
     assert inner.meta["inner_variant"] == "cccp"
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kikuchi import (
+    ClusterPotentials,
     ConvexityError,
     InnerSettings,
     ModelSpec,
@@ -128,7 +129,7 @@ def test_trace_rows_and_uniform_start():
     trace = minimize(m, g, make_bound_spec(g, "conv1"))
     assert trace.outer[0].outer_index == 0
     assert trace.outer[0].inner_sweeps == 0
-    f0 = free_energy(g, m, uniform_beliefs(g, m.cards))
+    f0 = free_energy(ClusterPotentials.of(m, g), uniform_beliefs(g, m.cards))
     assert trace.outer[0].f_kik == pytest.approx(f0, abs=1e-12)
     idx = [r.outer_index for r in trace.outer]
     assert idx == list(range(len(idx)))

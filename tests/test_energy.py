@@ -9,6 +9,7 @@ import pytest
 
 from kikuchi import (
     Beliefs,
+    ClusterPotentials,
     VARIANTS,
     build_bethe,
     build_cvm,
@@ -47,9 +48,10 @@ def test_free_energy_matches_reference():
     rng = np.random.default_rng(2)
     m = cycle_model(5, seed=4)
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     for _ in range(10):
         q = random_consistent_beliefs(g, m.cards, rng)
-        assert abs(free_energy(g, m, q) - _reference_free_energy(g, m, q)) < 1e-10
+        assert abs(free_energy(pots, q) - _reference_free_energy(g, m, q)) < 1e-10
 
 
 def test_uniform_free_energy_closed_form():
@@ -58,7 +60,7 @@ def test_uniform_free_energy_closed_form():
     g = build_bethe(m.scopes, m.num_vars)
     q = uniform_beliefs(g, m.cards)
     want = -3 * math.log(4.0) + 3 * math.log(2.0)
-    assert abs(free_energy(g, m, q) - want) < 1e-12
+    assert abs(free_energy(ClusterPotentials.of(m, g), q) - want) < 1e-12
 
 
 def _tables(q):
@@ -96,6 +98,7 @@ def test_belief_validation():
     # normalization tests; it needs a check of its own, at the door and on
     # the layout.
     bound = make_bound_spec(g, "conv1").inner_overcounts
+    pots = ClusterPotentials.of(m, g)
     for bad in (np.nan, np.inf, -np.inf):
         for rid in (g.outer_ids[1], g.subset_ids[1]):
             nonfinite = _tables(q)
@@ -106,36 +109,35 @@ def test_belief_validation():
             logs[layout.views[rid][0]] = abs(bad)  # a log of -inf is a zero entry
             for args in ((), (bound, q)):
                 with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
-                    free_energy(g, m, Beliefs(layout, logs), *args)
+                    free_energy(pots, Beliefs(layout, logs), *args)
 
 
 def test_beliefs_on_another_layout_are_refused():
     m = cycle_model(4, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
     spec = make_bound_spec(g, "conv1")
+    pots = ClusterPotentials.of(m, g)
     q = uniform_beliefs(g, m.cards)
     other_cards = uniform_beliefs(g, [3] + list(m.cards[1:]))
     other_graph = uniform_beliefs(build_bethe(m.scopes, m.num_vars), m.cards)
     for foreign in (other_cards, other_graph):
         with pytest.raises(ValueError, match="laid out"):
-            free_energy(g, m, foreign)
+            free_energy(pots, foreign)
         with pytest.raises(ValueError, match="laid out"):
-            free_energy(g, m, q, spec.inner_overcounts, foreign)
+            free_energy(pots, q, spec.inner_overcounts, foreign)
         with pytest.raises(ValueError, match="laid out"):
-            inner_potentials(m, g, spec, foreign)
+            inner_potentials(pots, spec, foreign)
         with pytest.raises(ValueError, match="laid out"):
             q.delta(foreign)
-    # The residual takes no cards: beliefs on the graph for any cards are its.
-    assert constraint_residual(g, other_cards) < 1e-12
-    with pytest.raises(ValueError, match="laid out"):
-        constraint_residual(g, other_graph)
+        # The residual reads the graph off the beliefs' own layout.
+        assert constraint_residual(foreign) < 1e-12
 
 
 def test_zero_entries_contribute_zero_entropy():
     m = pairwise_model(2, [(0, 1)], np.random.default_rng(1), 1.0)
     g = build_bethe(m.scopes, m.num_vars)
     tabs = {0: np.array([[0.5, 0.5], [0.0, 0.0]]), 1: np.array([1.0, 0.0]), 2: np.array([0.5, 0.5])}
-    f = free_energy(g, m, Beliefs.from_tables(g.layout(m.cards), tabs))
+    f = free_energy(ClusterPotentials.of(m, g), Beliefs.from_tables(g.layout(m.cards), tabs))
     assert math.isfinite(f)
 
 
@@ -154,14 +156,15 @@ def test_touching_and_bounding_consistent_beliefs():
         if g is None:
             g = build_cvm(PLAQUETTES_3X3, 9)
         specs = {v: make_bound_spec(g, v) for v in VARIANTS}
+        pots = ClusterPotentials.of(m, g)
         for _ in range(20):
             q = random_consistent_beliefs(g, m.cards, rng)
             anchor = random_consistent_beliefs(g, m.cards, rng)
-            f = free_energy(g, m, q)
+            f = free_energy(pots, q)
             vals = {}
             for v, spec in specs.items():
-                assert abs(free_energy(g, m, q, spec.inner_overcounts, q) - f) < 1e-10
-                vals[v] = free_energy(g, m, q, spec.inner_overcounts, anchor)
+                assert abs(free_energy(pots, q, spec.inner_overcounts, q) - f) < 1e-10
+                vals[v] = free_energy(pots, q, spec.inner_overcounts, anchor)
                 assert vals[v] >= f - 1e-9
             assert vals["conv2"] <= vals["conv1"] + 1e-9
             assert vals["conv1"] <= vals["cccp"] + 1e-9
@@ -174,6 +177,7 @@ def test_pointwise_bounding_without_consistency():
     rng = np.random.default_rng(8)
     m = cycle_model(6, seed=2)
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     for v in ("conv1", "cccp"):
         spec = make_bound_spec(g, v)
         for _ in range(20):
@@ -186,8 +190,8 @@ def test_pointwise_bounding_without_consistency():
                 anch[r.id] = a / a.sum()
             layout = g.layout(m.cards)
             q, anchor = Beliefs.from_tables(layout, tabs), Beliefs.from_tables(layout, anch)
-            f = free_energy(g, m, q)
-            assert free_energy(g, m, q, spec.inner_overcounts, anchor) >= f - 1e-9
+            f = free_energy(pots, q)
+            assert free_energy(pots, q, spec.inner_overcounts, anchor) >= f - 1e-9
 
 
 def test_dense_sampler_consistency():
@@ -196,7 +200,7 @@ def test_dense_sampler_consistency():
     g = build_cvm([(0, 1, 2), (2, 3, 4), (4, 5, 0)], 6)
     for _ in range(5):
         q = random_consistent_beliefs(g, m.cards, rng)
-        assert constraint_residual(g, q) < 1e-12
+        assert constraint_residual(q) < 1e-12
         for rid, t in q.tables.items():
             assert abs(t.sum() - 1.0) < 1e-12
             assert t.min() >= 0.0
@@ -209,7 +213,7 @@ def test_mixture_sampler_consistency():
     g = build_bethe(edges, n)
     cards = [2] * n
     q = random_consistent_beliefs(g, cards, rng)
-    assert constraint_residual(g, q) < 1e-12
+    assert constraint_residual(q) < 1e-12
     r = random_consistent_beliefs(g, cards, rng)
     assert q.delta(r) > 1e-3  # distinct draws differ
 
@@ -239,5 +243,5 @@ def test_bound_warns_on_floored_anchor():
     tabs[b] = np.array([1.0, 0.0])
     anchor = Beliefs.from_tables(g.layout(m.cards), tabs)
     with pytest.warns(UserWarning, match="floor"):
-        free_energy(g, m, q, spec.inner_overcounts, anchor)
+        free_energy(ClusterPotentials.of(m, g), q, spec.inner_overcounts, anchor)
 

@@ -21,12 +21,11 @@ from conftest import chain_model
 def test_two_variable_model_by_hand():
     t = np.log(np.array([[1.0, 2.0], [3.0, 4.0]]))
     m = FactorModel([2, 2], [(0, 1)], [t])
-    res = exact_inference(m, regions=[(0,), (1,), (0, 1)], keep_joint=True)
+    res = exact_inference(m, regions=[(0,), (1,), (0, 1)])
     assert abs(res.log_z - math.log(10.0)) < 1e-12
     assert np.allclose(res.marginals[0], [0.3, 0.7])
     assert np.allclose(res.marginals[1], [0.4, 0.6])
     assert np.allclose(res.marginals[2], np.array([[0.1, 0.2], [0.3, 0.4]]))
-    assert abs(res.joint.sum() - 1.0) < 1e-12
 
 
 def test_independent_factors_product_form():
@@ -51,7 +50,6 @@ def test_region_graph_keying():
             m.cards[v] for v in r.vars
         )
         assert abs(res.marginals[r.id].sum() - 1.0) < 1e-12
-    assert res.joint is None
 
 
 def test_oracle_refuses_large_models():
@@ -71,8 +69,8 @@ def test_log_z_shift_stability():
 
 
 def _reference(model, regions):
-    """log Z, each region's marginal in ascending variable order, and the
-    joint, by one pass over the states."""
+    """log Z and each region's marginal in ascending variable order, by one
+    pass over the states."""
     states = list(product(*(range(c) for c in model.cards)))
     logw = [
         sum(t[tuple(x[v] for v in scope)] for scope, t in zip(model.scopes, model.tables))
@@ -81,24 +79,21 @@ def _reference(model, regions):
     top = max(logw)
     w = [math.exp(lw - top) for lw in logw]
     z = math.fsum(w)
-    joint = np.zeros(model.cards)
     tabs = [np.zeros(tuple(model.cards[v] for v in sorted(r))) for r in regions]
     for x, wx in zip(states, w):
-        joint[x] = wx / z
         for tab, r in zip(tabs, regions):
             tab[tuple(x[v] for v in sorted(r))] += wx / z
-    return top + math.log(z), tabs, joint
+    return top + math.log(z), tabs
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     cards=st.lists(st.integers(2, 3), min_size=1, max_size=7),
     seed=st.integers(0, 2**16),
-    keep_joint=st.booleans(),
 )
-@example(cards=[3], seed=0, keep_joint=True)  # the first half is empty
-@example(cards=[2, 3], seed=1, keep_joint=False)
-def test_matches_per_state_enumeration(cards, seed, keep_joint):
+@example(cards=[3], seed=0)  # the first half is empty
+@example(cards=[2, 3], seed=1)
+def test_matches_per_state_enumeration(cards, seed):
     rng = np.random.default_rng(seed)
     n = len(cards)
     scopes = sorted({
@@ -122,14 +117,10 @@ def test_matches_per_state_enumeration(cards, seed, keep_joint):
             rng.choice(n, size=rng.integers(0, n + 1), replace=False)))
     regions = [tuple(rng.permutation(sorted({int(v) for v in r}))) for r in regions]
 
-    res = exact_inference(m, regions=regions, keep_joint=keep_joint)
-    log_z, tabs, joint = _reference(m, regions)
+    res = exact_inference(m, regions=regions)
+    log_z, tabs = _reference(m, regions)
     assert abs(res.log_z - log_z) <= 1e-12
     for k, want in enumerate(tabs):
         got = np.asarray(res.marginals[k])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
-    if keep_joint:
-        assert np.max(np.abs(res.joint - joint)) <= 1e-12
-    else:
-        assert res.joint is None

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from kikuchi import (
     BoundSpec,
+    ClusterPotentials,
     ConfigurationError,
     ConvexityError,
     InnerSettings,
@@ -40,20 +41,22 @@ def _true_counts(graph):
 def test_chain_reaches_exact_marginals():
     m = chain_model(6, seed=3)
     g = build_bethe(m.scopes, m.num_vars)
-    q, msgs, sweeps, converged = run_gbp(m, g, _true_counts(g))
+    pots = ClusterPotentials.of(m, g)
+    q, msgs, sweeps, converged = run_gbp(pots, _true_counts(g))
     assert converged
     exact = exact_inference(m, regions=g)
     for rid in g.by_id:
         assert np.max(np.abs(q.tables[rid] - exact.marginals[rid])) < 1e-7
-    assert constraint_residual(g, q) < 1e-8
-    f = free_energy(g, m, q)
+    assert constraint_residual(q) < 1e-8
+    f = free_energy(pots, q)
     assert abs(f + exact.log_z) < 1e-7
 
 
 def test_mixed_cardinalities_chain():
     m = chain_model(4, seed=5, cards=[2, 3, 4, 2])
     g = build_bethe(m.scopes, m.num_vars)
-    q, _, _, converged = run_gbp(m, g, _true_counts(g))
+    pots = ClusterPotentials.of(m, g)
+    q, _, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
     exact = exact_inference(m, regions=g)
     for rid in g.by_id:
@@ -61,7 +64,12 @@ def test_mixed_cardinalities_chain():
 
 
 def _projected_gradient_minimum(graph, model, steps=20000):
-    """Minimize the counted functional over the affine constraint set."""
+    """Minimize the counted functional over the affine constraint set.
+
+    Stops when the projected gradient vanishes, when no step is accepted, or
+    once ``f`` has stopped decreasing: 100 accepted steps in a row that leave
+    it unchanged.
+    """
     cards = model.cards
     pots = outer_log_potentials(model, graph)
     ids = [r.id for r in graph.regions]
@@ -113,6 +121,7 @@ def _projected_gradient_minimum(graph, model, steps=20000):
 
     f, g = value_grad(x)
     prev_d = prev_x = None
+    flat = 0
     for _ in range(steps):
         d = null @ (null.T @ g)
         if np.max(np.abs(d)) < 1e-11:
@@ -130,10 +139,13 @@ def _projected_gradient_minimum(graph, model, steps=20000):
             if xn.min() > 1e-12:
                 fn, gn = value_grad(xn)
                 if fn <= f - 1e-4 * step * slope:
+                    flat = flat + 1 if fn == f else 0
                     x, f, g = xn, fn, gn
                     break
             step *= 0.5
         else:
+            break
+        if flat == 100:
             break
     assert np.max(np.abs(A @ x - b)) < 1e-9
     tables = {rid: x[offset[rid]:offset[rid] + sizes[rid]].reshape(shapes[rid])
@@ -145,9 +157,10 @@ def test_triangle_matches_projected_gradient():
     # certified convex case: the constrained minimum is unique
     m = cycle_model(3, seed=7)
     g = build_bethe(m.scopes, m.num_vars)
-    q, _, _, converged = run_gbp(m, g, _true_counts(g))
+    pots = ClusterPotentials.of(m, g)
+    q, _, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
-    f_gbp = free_energy(g, m, q)
+    f_gbp = free_energy(pots, q)
     f_pg, tables = _projected_gradient_minimum(g, m)
     assert abs(f_gbp - f_pg) < 1e-8
     for rid, t in tables.items():
@@ -157,20 +170,22 @@ def test_triangle_matches_projected_gradient():
 def test_square_cycle_matches_projected_gradient():
     m = cycle_model(4, seed=9, scale=1.5)
     g = build_bethe(m.scopes, m.num_vars)
-    q, _, _, converged = run_gbp(m, g, _true_counts(g))
+    pots = ClusterPotentials.of(m, g)
+    q, _, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
     f_pg, _ = _projected_gradient_minimum(g, m)
-    assert abs(free_energy(g, m, q) - f_pg) < 1e-8
+    assert abs(free_energy(pots, q) - f_pg) < 1e-8
 
 
 def test_exponent_must_stay_positive():
     m = chain_model(3, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     bad = _true_counts(g)
     b = g.subset_ids[0]
     bad[b] = -float(g.outer_count[b])
     with pytest.raises(ConfigurationError, match="exponent"):
-        run_gbp(m, g, bad)
+        run_gbp(pots, bad)
 
 
 def test_a_count_left_out_is_the_graphs_count():
@@ -178,8 +193,9 @@ def test_a_count_left_out_is_the_graphs_count():
     # inner_potentials and minimize do: at the graph's own count.
     m = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     (q, msgs, sweeps, ok), (q_full, msgs_full, sweeps_full, ok_full) = (
-        run_gbp(m, g, {}), run_gbp(m, g, g.subset_overcounts())
+        run_gbp(pots, {}), run_gbp(pots, g.subset_overcounts())
     )
     assert (sweeps, ok) == (sweeps_full, ok_full)
     assert msgs.plan.act == msgs_full.plan.act
@@ -194,15 +210,16 @@ def test_a_count_left_out_is_the_graphs_count():
 def test_pruned_regions_still_get_beliefs():
     m = chain_model(4, seed=2)
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     counts = _true_counts(g)
     endpoints = [b for b in g.subset_ids if counts[b] == 0.0]
     assert endpoints  # chain ends appear in a single cluster
-    q, msgs, _, converged = run_gbp(m, g, counts)
+    q, msgs, _, converged = run_gbp(pots, counts)
     assert converged
     for b in endpoints:
         assert b in q.tables
         assert all((a, b) not in msgs.plan.edge_views for a in g.outer_ids)
-    assert constraint_residual(g, q) < 1e-8
+    assert constraint_residual(q) < 1e-8
 
 
 def test_direct_intersections_stay_active_at_zero_count():
@@ -211,13 +228,14 @@ def test_direct_intersections_stay_active_at_zero_count():
     g = build_cvm(plaq, 6)
     m = pairwise_model(6, [(0, 1), (2, 3), (4, 5), (0, 2), (1, 3), (2, 4), (3, 5)],
                        np.random.default_rng(4), 1.0)
+    pots = ClusterPotentials.of(m, g)
     spec = make_bound_spec(g, "conv1")
     shared = next(b for b in g.subset_ids if g.region_vars(b) == (2, 3))
     assert spec.inner_overcounts[shared] == 0.0
-    q, msgs, _, converged = run_gbp(m, g, spec.inner_overcounts)
+    q, msgs, _, converged = run_gbp(pots, spec.inner_overcounts)
     assert converged
     assert any(b == shared for _, b in msgs.plan.edge_views)
-    assert constraint_residual(g, q) < 1e-8
+    assert constraint_residual(q) < 1e-8
 
 
 def test_zero_count_regions_outside_intersections_stay_active():
@@ -241,10 +259,11 @@ def test_zero_count_regions_outside_intersections_stay_active():
 def test_warm_start_resumes_at_fixed_point():
     m = cycle_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    q, msgs, sweeps, converged = run_gbp(m, g, c)
+    q, msgs, sweeps, converged = run_gbp(pots, c)
     assert converged and sweeps > 2
-    q2, _, resumed, _ = run_gbp(m, g, c, warm=msgs)
+    q2, _, resumed, _ = run_gbp(pots, c, warm=msgs)
     assert resumed <= 2
     assert q.delta(q2) < 1e-7
 
@@ -253,37 +272,40 @@ def test_random_message_inits_agree():
     rng = np.random.default_rng(8)
     m = cycle_model(6, seed=10, scale=1.5)
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    ref, msgs, _, _ = run_gbp(m, g, c)
+    ref, msgs, _, _ = run_gbp(pots, c)
     for _ in range(5):
-        q, _, _, converged = run_gbp(m, g, c, warm=random_messages(msgs.plan, rng))
+        q, _, _, converged = run_gbp(pots, c, warm=random_messages(msgs.plan, rng))
         assert converged
         assert q.delta(ref) < 1e-5
 
 
 def test_foreign_warm_messages_are_rejected():
-    # Only messages that run_gbp computed on the same graph object, cards and
+    # Only messages that run_gbp computed on the same layout object and
     # active set warm-start a run.
     m = chain_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    _, msgs, _, _ = run_gbp(m, g, c, InnerSettings(max_sweeps=3))
+    _, msgs, _, _ = run_gbp(pots, c, InnerSettings(max_sweeps=3))
     kept_ends = {b: c[b] or 0.5 for b in g.subset_ids}  # chain ends join the sweep
     foreign = [
-        (m, build_bethe(m.scopes, m.num_vars), c, msgs),  # an equal graph, another object
-        (m, g, kept_ends, msgs),
-        (chain_model(5, seed=6, cards=[3, 2, 2, 2, 2]), g, c, msgs),
-        (m, g, c, message_tables(msgs)),
+        (ClusterPotentials.of(m, build_bethe(m.scopes, m.num_vars)), c, msgs),  # an equal graph, another object
+        (pots, kept_ends, msgs),
+        (ClusterPotentials.of(chain_model(5, seed=6, cards=[3, 2, 2, 2, 2]), g), c, msgs),
+        (pots, c, message_tables(msgs)),
     ]
-    for model, graph, counts, warm in foreign:
+    for other, counts, warm in foreign:
         with pytest.raises(ConfigurationError, match="warm messages"):
-            run_gbp(model, graph, counts, warm=warm)
+            run_gbp(other, counts, warm=warm)
 
 
 def test_truncated_run_reports_not_converged():
     m = cycle_model(6, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
-    q, _, sweeps, converged = run_gbp(m, g, _true_counts(g),
+    pots = ClusterPotentials.of(m, g)
+    q, _, sweeps, converged = run_gbp(pots, _true_counts(g),
                                       InnerSettings(max_sweeps=1))
     assert sweeps == 1
     assert not converged
@@ -293,11 +315,12 @@ def test_zero_potentials_fix_uniform_beliefs():
     m = pairwise_model(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
                        np.random.default_rng(0), 0.0)
     g = build_bethe(m.scopes, m.num_vars)
-    q, _, sweeps, converged = run_gbp(m, g, _true_counts(g))
+    pots = ClusterPotentials.of(m, g)
+    q, _, sweeps, converged = run_gbp(pots, _true_counts(g))
     assert converged
     for rid, t in q.tables.items():
         assert np.max(np.abs(t - 1.0 / t.size)) < 1e-12
-    f = free_energy(g, m, q)
+    f = free_energy(pots, q)
     assert abs(f - (-4 * math.log(4.0) + 4 * math.log(2.0))) < 1e-10
 
 
@@ -431,6 +454,7 @@ def _assert_same_run(got, want):
 @example(kind="triplets-strong", size=1, seed=0, counts="true")
 def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
     m, g = _problem(kind, size, seed)
+    pots = ClusterPotentials.of(m, g)
     if counts == "true":
         c = g.subset_overcounts()
     else:
@@ -441,11 +465,11 @@ def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
     short = InnerSettings(max_sweeps=7)
     full = InnerSettings(max_sweeps=300)
     want = _reference_gbp(m, g, c, short)
-    cold = run_gbp(m, g, c, short)
+    cold = run_gbp(pots, c, short)
     _assert_same_run(cold, want)
     # Warm starts: the level sweep from its own messages (reusing their plan)
     # and the reference from its own.
-    _assert_same_run(run_gbp(m, g, c, full, warm=cold[1]), _reference_gbp(m, g, c, full, warm=want[1]))
+    _assert_same_run(run_gbp(pots, c, full, warm=cold[1]), _reference_gbp(m, g, c, full, warm=want[1]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -461,7 +485,7 @@ def test_entry_maps_match_the_coordinate_reference(n, raw, card_seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = build_cvm([tuple(v % n for v in cl) for cl in raw], n)
-    plan = SweepPlan(g, cards, g.subset_ids)
+    plan = SweepPlan(g.layout(cards), g.subset_ids)
     want, at = [], 0
     for b in plan.act:
         vb = g.region_vars(b)
@@ -480,7 +504,7 @@ def test_levels_group_regions_with_disjoint_clusters():
     cases = [(plaq, plaq_graph, "conv3")]
     cases += [(*_problem(kind, 3, 1), "conv1") for kind in ("triplets", "qmr", "bethe-grid")]
     for m, g, variant in cases:
-        _, msgs, _, _ = run_gbp(m, g, make_bound_spec(g, variant).inner_overcounts,
+        _, msgs, _, _ = run_gbp(ClusterPotentials.of(m, g), make_bound_spec(g, variant).inner_overcounts,
                                 InnerSettings(max_sweeps=1))
         levels = msgs.plan.levels
         level_of = {b: i for i, level in enumerate(levels) for b in level}
@@ -491,7 +515,8 @@ def test_levels_group_regions_with_disjoint_clusters():
         for b, b2 in combinations(sorted(level_of), 2):
             if set(g.containing_outers[b]) & set(g.containing_outers[b2]):
                 assert level_of[b] < level_of[b2]
-    levels = run_gbp(plaq, plaq_graph, make_bound_spec(plaq_graph, "conv3").inner_overcounts,
+    levels = run_gbp(ClusterPotentials.of(plaq, plaq_graph),
+                     make_bound_spec(plaq_graph, "conv3").inner_overcounts,
                      InnerSettings(max_sweeps=1))[1].plan.levels
     assert (len(levels), sum(map(len, levels))) == (14, 33)
 
@@ -499,9 +524,10 @@ def test_levels_group_regions_with_disjoint_clusters():
 def test_warm_start_reuses_the_plan_and_returns_fresh_tables():
     m = chain_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    q1, msgs1, _, _ = run_gbp(m, g, c, InnerSettings(max_sweeps=3))
-    q2, msgs2, _, _ = run_gbp(m, g, c, warm=msgs1)
+    q1, msgs1, _, _ = run_gbp(pots, c, InnerSettings(max_sweeps=3))
+    q2, msgs2, _, _ = run_gbp(pots, c, warm=msgs1)
     assert msgs2.plan is msgs1.plan
     for a, b in zip(msgs1.logs + (q1.logs, q1.probs), msgs2.logs + (q2.logs, q2.probs)):
         assert not np.shares_memory(a, b)
@@ -513,14 +539,15 @@ def test_stopping_test_passes_over_nan_regions():
     # fixed point.
     m = cycle_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    _, msgs, _, _ = run_gbp(m, g, c, InnerSettings(max_sweeps=3))
+    _, msgs, _, _ = run_gbp(pots, c, InnerSettings(max_sweeps=3))
     log_down = msgs.logs[1].copy()
     lo, hi, _ = next(iter(msgs.plan.edge_views.values()))
     log_down[lo:hi] = np.nan
     warm = MessageSet(msgs.plan, msgs.logs[0], log_down)
     with np.errstate(invalid="ignore"):
-        q, _, sweeps, converged = run_gbp(m, g, c, warm=warm)
+        q, _, sweeps, converged = run_gbp(pots, c, warm=warm)
         q_ref, _, sweeps_ref, converged_ref = _reference_gbp(m, g, c, warm=message_tables(warm))
     assert (sweeps, converged) == (sweeps_ref, converged_ref)
     assert converged is False and sweeps == 1

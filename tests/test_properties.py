@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from kikuchi import (
     Beliefs,
     BoundSpec,
+    ClusterPotentials,
     ConvexityError,
     InnerSettings,
     ModelSpec,
@@ -28,7 +29,6 @@ from kikuchi import (
     make_bound_spec,
     minimize,
     outer_log_potentials,
-    recompute_overcounts,
     uniform_beliefs,
 )
 
@@ -90,7 +90,6 @@ def test_region_graphs_match_brute_force_definitions(n, raw, bethe):
     assert g.containing_outers == outers
     assert list(g.hasse_edges) == hasse
     assert {r.id: r.overcount for r in g.regions} == counts
-    assert recompute_overcounts(g) == counts
     # Factor placement: the lowest-id outer holding a scope, else None.  Every
     # region is placed; pairs across outers, all variables together and a
     # variable no region holds are not.
@@ -253,13 +252,14 @@ def test_layout_reductions_match_the_dict_references(kind, size, seed, variant):
     uniform = uniform_beliefs(g, m.cards)
     assert uniform.layout is g.layout(m.cards)
     spec = BoundSpec(variant, kept)
+    pots = ClusterPotentials.of(m, g)
     for q_lay, anchor_lay in ((q, anchor), (uniform, q), (q, uniform)):
         for args in ((), (kept, anchor_lay)):
             want = _dict_free_energy(g, m, q_lay, *args)
-            assert abs(free_energy(g, m, q_lay, *args) - want) <= 1e-12
-        assert abs(constraint_residual(g, q_lay) - _dict_residual(g, q_lay)) <= 1e-12
+            assert abs(free_energy(pots, q_lay, *args) - want) <= 1e-12
+        assert abs(constraint_residual(q_lay) - _dict_residual(g, q_lay)) <= 1e-12
         np.testing.assert_allclose(
-            inner_potentials(m, g, spec, anchor_lay).logs, _dict_fold(g, m, kept, anchor_lay), rtol=0, atol=1e-12
+            inner_potentials(pots, spec, anchor_lay).logs, _dict_fold(g, m, kept, anchor_lay), rtol=0, atol=1e-12
         )
         want = max(float(np.max(np.abs(q_lay.tables[r] - anchor_lay.tables[r]))) for r in q_lay.tables)
         assert abs(q_lay.delta(anchor_lay) - want) <= 1e-12
@@ -270,4 +270,4 @@ def test_layout_reductions_match_the_dict_references(kind, size, seed, variant):
     bad = Beliefs(q.layout, logs)
     for args in ((), (kept, anchor)):
         with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
-            free_energy(g, m, bad, *args)
+            free_energy(pots, bad, *args)

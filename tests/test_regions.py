@@ -19,7 +19,6 @@ from kikuchi import (
     is_singly_connected,
     per_variable_counting_sums,
     recipe_graph,
-    recompute_overcounts,
 )
 
 PLAQUETTES_3X3 = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
@@ -73,23 +72,6 @@ def test_cvm_closes_under_repeated_intersection():
     varsets = {r.vars for r in g.regions}
     assert (2, 3) in varsets and (0, 3) in varsets and (3, 4) in varsets
     assert (3,) in varsets
-
-
-def test_recompute_overcounts_matches_construction():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        n = int(rng.integers(4, 9))
-        k = int(rng.integers(2, 6))
-        clusters = []
-        for _ in range(k):
-            size = int(rng.integers(2, min(n, 4) + 1))
-            clusters.append(tuple(np.sort(rng.choice(n, size=size, replace=False))))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            g = build_cvm(clusters, n)
-        rec = recompute_overcounts(g)
-        for r in g.regions:
-            assert rec[r.id] == r.overcount
 
 
 def test_bethe_per_variable_sums_are_one():
