@@ -9,17 +9,19 @@ rebuilt from the geometric mean of the upward messages with exponent
 downward messages and cluster beliefs are refreshed.
 
 The sweep runs in the log domain.  Cluster tables, up and down messages and
-subset beliefs are log tables; a marginal is a log-sum-exp over the cluster
-entries that share a subset entry, each group shifted by its own maximum,
-and division is subtraction.  Nothing in the sweep is floored: a message
-far below 1e-300 stays exact and finite instead of underflowing to zero.
-Only ratios within a table matter to the update, so tables are normalized
-no more often than needed: a subset's new log belief is left unnormalized
-until the end of the sweep, when the whole subset block is normalized at
-once, before the stopping test.  That is exact: within the sweep the belief
-only enters its downward messages, which are shifted to a maximum of zero
-at once, so a constant per region cancels; and the damped mix below reads
-the previous sweep's belief, normalized by then.
+subset beliefs are log tables; a marginal is a pairwise ``logaddexp``
+reduction over the cluster entries that share a subset entry, and division
+is subtraction.  Nothing in the sweep is floored: the reduction neither
+overflows nor underflows a group to -inf, so a message far below 1e-300
+stays exact and finite.  Only ratios within a table matter to the update,
+so tables are normalized no more often than needed: a subset's new log
+belief is left unnormalized until the end of the sweep, when the whole
+subset block is normalized at once, before the stopping test.  That is
+exact: within the sweep the belief only enters its downward messages,
+which are shifted to a maximum of zero at once, so a constant per region
+cancels; and the damped mix below is formed once per sweep, from the
+previous sweep's normalized block.  Every sweep rewrites every upward
+message, so the upward messages are written out once per solve, on return.
 
 With Bethe counting numbers (1 - n per variable) the exponent is one and the
 sweep reduces to ordinary loopy belief propagation.  When any kept count is
@@ -103,15 +105,9 @@ def _cat(parts) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 
 
-def _lse(x, starts, seg):
-    """Segment-wise log-sum-exp, each segment shifted by its own maximum."""
-    top = np.maximum.reduceat(x, starts)
-    return top + np.log(np.add.reduceat(np.exp(x - top[seg]), starts))
-
-
 def _log_normalize(x, starts, seg):
-    """Segment-wise ``x - log(sum(exp(x)))``."""
-    return x - _lse(x, starts, seg)[seg]
+    """Segment-wise ``x - log(sum(exp(x)))``, by a pairwise ``logaddexp`` reduction."""
+    return x - np.logaddexp.reduceat(x, starts)[seg]
 
 
 class SweepPlan:
@@ -199,8 +195,8 @@ class SweepPlan:
         """
         outer = _log_normalize(self.cluster_logs(pots, log_down), self.outer_starts, self.outer_seg)
         logs = np.concatenate((outer, log_sub))
-        src, group, starts, at = self.pruned
-        logs[at] = _log_normalize(_lse(logs[src], starts, group), *self.pruned_segments)
+        src, _, starts, at = self.pruned
+        logs[at] = _log_normalize(np.logaddexp.reduceat(logs[src], starts), *self.pruned_segments)
         return logs
 
 
@@ -283,35 +279,40 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     shares = [(1.0 - damping) / den[step[-1]] for step in plan.steps]
 
     # A message shifted by a constant gives the same beliefs: the shift
-    # cancels in the next normalization.  So the upward messages stay
-    # unnormalized and the downward ones are only shifted to a maximum of
-    # zero, which keeps the cluster tables bounded; both are normalized once,
-    # on return.  A new subset belief, too, enters the sweep only through
-    # its downward messages and, when damped, through the next sweep's mix;
-    # so the subset block is normalized once per sweep, before the stopping
-    # test.
-    sweeps = 0
-    converged = False
+    # cancels in the next normalization.  So the downward messages are only
+    # shifted to a maximum of zero, which keeps the cluster tables bounded,
+    # and both directions are normalized once, on return; every sweep
+    # rewrites every upward message, so a level's last are written only then.
+    # A new subset belief enters the sweep only through its downward messages
+    # and the next sweep's damped mix; so the block is normalized, and the mix
+    # formed from it, once per sweep.
+    sweeps, converged, ups = 0, False, []
     for sweep in range(1, settings.max_sweeps + 1):
-        sweeps = sweep
-        for (clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub, sub), share in zip(
-            plan.steps, shares
-        ):
+        sweeps, ups = sweep, []
+        mix = damping * log_sub if damping else None
+        for step, share in zip(plan.steps, shares):
+            clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub, sub = step
             la = logacc[clu]
             d_old = log_down[msg]
-            u = _lse(la, group_starts, group) - d_old
-            log_up[msg] = u
-            q = np.bincount(msg_sub, weights=u, minlength=len(sub)) * share
+            u = np.logaddexp.reduceat(la, group_starts)
+            u -= d_old
+            ups.append(u)
+            q = np.bincount(msg_sub, weights=u, minlength=len(sub))
+            q *= share
             if damping:
-                q += damping * log_sub[sub]
+                q += mix[sub]
             log_sub[sub] = q
-            nd = q[msg_sub] - u
+            nd = q[msg_sub]
+            nd -= u
             nd -= np.maximum.reduceat(nd, msg_starts)[msg_pair]
-            logacc[clu] = la + (nd - d_old)[group]
+            d_old -= nd
+            la -= d_old[group]
+            logacc[clu] = la
             log_down[msg] = nd
         log_sub = _log_normalize(log_sub, plan.sub_starts, plan.sub_seg)
         prev, q_sub = q_sub, np.exp(log_sub)
-        delta = float(np.max(np.abs(q_sub - prev), initial=0.0))
+        prev -= q_sub
+        delta = float(np.maximum.reduce(np.abs(prev, out=prev), initial=0.0))
         if math.isnan(delta):
             break
         if sweep % 64 == 0:
@@ -321,14 +322,12 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
             converged = True
             break
 
+    for step, u in zip(plan.steps, ups):
+        log_up[step[3]] = u
     q = Beliefs(layout, plan.belief_logs(pots.logs, log_down, log_sub))
     converged = converged and bool(np.isfinite(q.probs).all())
-    messages = MessageSet(
-        plan,
-        _log_normalize(log_up, plan.msg_starts, plan.msg_pair),
-        _log_normalize(log_down, plan.msg_starts, plan.msg_pair),
-    )
-    return q, messages, sweeps, converged
+    logs = [_log_normalize(x, plan.msg_starts, plan.msg_pair) for x in (log_up, log_down)]
+    return q, MessageSet(plan, *logs), sweeps, converged
 
 
 def constraint_residual(q: Beliefs) -> float:

@@ -30,7 +30,7 @@ from kikuchi import (
     run_gbp,
 )
 from kikuchi.energy import LOG_FLOOR
-from kikuchi.propagation import SweepPlan
+from kikuchi.propagation import SweepPlan, _log_normalize, _segments
 from conftest import chain_model, cycle_model, message_tables, pairwise_model, random_messages
 
 
@@ -547,10 +547,53 @@ def test_stopping_test_passes_over_nan_regions():
     log_down[lo:hi] = np.nan
     warm = MessageSet(msgs.plan, msgs.logs[0], log_down)
     with np.errstate(invalid="ignore"):
-        q, _, sweeps, converged = run_gbp(pots, c, warm=warm)
-        q_ref, _, sweeps_ref, converged_ref = _reference_gbp(m, g, c, warm=message_tables(warm))
+        q, msgs, sweeps, converged = run_gbp(pots, c, warm=warm)
+        q_ref, msgs_ref, sweeps_ref, converged_ref = _reference_gbp(m, g, c, warm=message_tables(warm))
     assert (sweeps, converged) == (sweeps_ref, converged_ref)
     assert converged is False and sweeps == 1
     assert any(np.isnan(t).any() for t in q.tables.values())
     for rid, t in q_ref.items():
         np.testing.assert_allclose(q.tables[rid], t, rtol=0, atol=1e-12)
+    # The messages of the stopping sweep come back too, NaN where the
+    # reference's are.
+    for mine, ref in zip(message_tables(msgs), msgs_ref):
+        assert mine.keys() == ref.keys()
+        for k in ref:
+            np.testing.assert_allclose(mine[k], ref[k], rtol=0, atol=1e-12)
+
+
+def test_zero_sweeps_return_the_warm_messages_normalized():
+    m = cycle_model(5, seed=6)
+    g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
+    c = _true_counts(g)
+    plan = run_gbp(pots, c, InnerSettings(max_sweeps=3))[1].plan
+    rng = np.random.default_rng(2)
+    want = random_messages(plan, rng)
+    shifted = [x + rng.normal(0.0, 50.0, len(plan.msg_starts))[plan.msg_pair] for x in want.logs]
+    _, msgs, sweeps, converged = run_gbp(pots, c, InnerSettings(max_sweeps=0), warm=MessageSet(plan, *shifted))
+    assert (sweeps, converged) == (0, False)
+    for mine, ref in zip(msgs.logs, want.logs):
+        np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12)
+
+
+def test_log_normalize_matches_the_max_shifted_reference():
+    # Segments of 1 to 64 random entries, then extreme ones: entries near
+    # -1e29, spans beyond exp's 745 range, single entries and no entries.
+    rng = np.random.default_rng(5)
+    random = [rng.normal(0.0, rng.choice([1.0, 30.0, 1e3]), rng.integers(1, 65)) for _ in range(300)]
+    extreme = [
+        np.array([-1e29, -1e29 + 3e13, -1e29 - 1e14]),
+        np.array([0.0, -746.0, -1000.0, -5000.0]),
+        np.array([-2e4, -1e3, -3e4]),
+        np.array([7.0]),
+        np.array([-1e29]),
+    ]
+    for segments in (random, extreme, []):
+        x = np.concatenate(segments) if segments else np.zeros(0)
+        want = np.concatenate([v - (v.max() + np.log(np.exp(v - v.max()).sum())) for v in segments] or [x])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = _log_normalize(x, *_segments([len(v) for v in segments]))
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
