@@ -10,10 +10,12 @@ entropy mass sitting on containing regions: an allocation matrix with
   4. column sums at least the magnitude of the receiver's negative number.
 
 Existence is decided by a max-flow: donors feed receivers through admissible
-arcs, and feasibility means the flow saturates the total receiver demand.  The
-arcs come from the region graph's containment map (``RegionGraph.supersets``),
-never from an all-pairs test, and the augmenting-path search visits nodes in
-ascending index order, so the same graph always yields the same witness.
+arcs, and feasibility means the flow saturates the total receiver demand.  One
+allocation routine serves all four networks: the two certificates and conv3's
+down and up flows.  The arcs come from the region graph's containment map
+(``RegionGraph.supersets``), never from an all-pairs test, and the
+augmenting-path search visits nodes in ascending index order, so the same
+graph always yields the same witness.
 
 Variants differ in which subset entropies keep their exact (possibly concave)
 term and which are linearized around the anchor:
@@ -32,7 +34,7 @@ graph)`` lays out once per run; the graph and the cards come off its layout.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +54,7 @@ class ConvexityError(ValueError):
 class Allocation:
     """Sparse nonnegative allocation on containment pairs (donor, receiver)."""
 
-    entries: dict[tuple[int, int], float] = field(default_factory=dict)
+    entries: dict[tuple[int, int], float]
 
 
 @dataclass
@@ -148,25 +150,26 @@ def _max_flow(supply, demand, arcs):
     return total, flows
 
 
-def _arcs_down(graph, supply, demand):
-    """Arcs (g, b) from each donor g to each receiver b that g strictly contains."""
-    donors = {g for g, _ in supply}
-    return [(g, b) for b, _ in demand for g in graph.supersets[b] if g in donors]
+def _allocate(graph, supply, demand, up=False):
+    """Charge ``demand`` to ``supply`` by a max flow over containment arcs.
 
-
-def _certify(graph, supply, demand) -> Allocation | None:
-    """Charge all of ``demand`` to ``supply`` regions strictly containing it.
-
-    Returns the witness allocation when the max flow saturates the demand,
-    else None.
+    A donor feeds each receiver it strictly contains, or with ``up`` each
+    receiver strictly containing it; the arcs are read off
+    ``graph.supersets``.  No flow runs when the demand is within ``FLOW_TOL``
+    or there is no supply.  Returns the allocation and whether it saturates
+    the demand.
     """
     need = sum(c for _, c in demand)
-    if need <= FLOW_TOL:
-        return Allocation({})
-    total, flows = _max_flow(supply, demand, _arcs_down(graph, supply, demand))
-    if total >= need - FLOW_TOL:
-        return Allocation(flows)
-    return None
+    if need <= FLOW_TOL or not supply:
+        return Allocation({}), need <= FLOW_TOL
+    if up:
+        receivers = {b for b, _ in demand}
+        arcs = [(g, b) for g, _ in supply for b in graph.supersets[g] if b in receivers]
+    else:
+        donors = {g for g, _ in supply}
+        arcs = [(g, b) for b, _ in demand for g in graph.supersets[b] if g in donors]
+    total, flows = _max_flow(supply, demand, arcs)
+    return Allocation(flows), total >= need - FLOW_TOL
 
 
 def check_convex_over_constraints(graph, counts) -> Allocation | None:
@@ -178,7 +181,8 @@ def check_convex_over_constraints(graph, counts) -> Allocation | None:
     """
     supply = [(rid, c) for rid, c in counts.items() if c > FLOW_TOL]
     demand = [(rid, -c) for rid, c in counts.items() if c < -FLOW_TOL]
-    return _certify(graph, supply, demand)
+    witness, saturated = _allocate(graph, supply, demand)
+    return witness if saturated else None
 
 
 def check_conv2_bound(graph) -> Allocation | None:
@@ -191,7 +195,8 @@ def check_conv2_bound(graph) -> Allocation | None:
     counts = graph.subset_overcounts()
     supply = [(b, -counts[b]) for b in graph.neg_ids]
     demand = [(b, counts[b]) for b in graph.pos_ids]
-    return _certify(graph, supply, demand)
+    witness, saturated = _allocate(graph, supply, demand)
+    return witness if saturated else None
 
 
 def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
@@ -219,40 +224,23 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
         return BoundSpec(variant, {b: 0.0 for b in counts}, witness=witness)
 
     # conv3: keep as much negative mass as remains convex over the constraints.
-    all_counts = {r.id: float(r.overcount) for r in graph.regions}
-    supply = [(g, c) for g, c in all_counts.items() if c > FLOW_TOL]
+    supply = [(g, c) for g, c in graph.counts.items() if c > FLOW_TOL]
     demand = [(b, -counts[b]) for b in graph.neg_ids]
-    _, flows = _max_flow(supply, demand, _arcs_down(graph, supply, demand))
-    ct = {b: 0.0 for b in counts}
-    for b in graph.pos_ids:
-        ct[b] = counts[b]
-    for (g, b), f in flows.items():
+    witness, _ = _allocate(graph, supply, demand)
+    ct = {b: max(c, 0.0) for b, c in counts.items()}
+    used = dict.fromkeys(graph.pos_ids, 0.0)
+    for (g, b), f in witness.entries.items():
         ct[b] -= f
-    witness = Allocation(flows)
-
-    used = {g: 0.0 for g in graph.pos_ids}
-    for (g, b), f in flows.items():
         if g in used:
             used[g] += f
 
     # Spend leftover positive subset mass on the linearized negative remainder:
     # a positive region sharpens the bound only inside a region it is part of.
-    supply2 = [
-        (g, counts[g] - used[g])
-        for g in graph.pos_ids
-        if counts[g] - used[g] > FLOW_TOL
-    ]
-    demand2 = [
-        (b, ct[b] - counts[b]) for b in graph.neg_ids if ct[b] - counts[b] > FLOW_TOL
-    ]
-    if supply2 and demand2:
-        receivers = {b for b, _ in demand2}
-        arcs_up = [
-            (g, b) for g, _ in supply2 for b in graph.supersets[g] if b in receivers
-        ]
-        _, flows2 = _max_flow(supply2, demand2, arcs_up)
-        for (g, b), f in flows2.items():
-            ct[g] -= f
+    supply = [(g, counts[g] - used[g]) for g in graph.pos_ids if counts[g] - used[g] > FLOW_TOL]
+    demand = [(b, ct[b] - counts[b]) for b in graph.neg_ids if ct[b] - counts[b] > FLOW_TOL]
+    spent, _ = _allocate(graph, supply, demand, up=True)
+    for (g, b), f in spent.entries.items():
+        ct[g] -= f
 
     for b in graph.neg_ids:
         ct[b] = min(ct[b], 0.0)

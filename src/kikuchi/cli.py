@@ -286,8 +286,7 @@ def cmd_check(args) -> int:
     balanced = all(s == 1 for s in sums.values())
     print(f"per-variable count sums all one: {'yes' if balanced else 'no'}")
 
-    all_counts = {r.id: float(r.overcount) for r in graph.regions}
-    witness = check_convex_over_constraints(graph, all_counts)
+    witness = check_convex_over_constraints(graph, graph.counts)
     print(f"convex-over-constraints {'yes' if witness is not None else 'no'}")
     if witness is not None:
         for (g, b), f in sorted(witness.entries.items()):

@@ -95,8 +95,7 @@ def minimize(
     settings = settings or OuterSettings()
     counts = graph.subset_overcounts()
     if spec.variant == "none":
-        all_counts = {r.id: float(r.overcount) for r in graph.regions}
-        if check_convex_over_constraints(graph, all_counts) is None:
+        if check_convex_over_constraints(graph, graph.counts) is None:
             raise ConvexityError(
                 "plain single-loop minimization needs a free energy that is "
                 "convex over the constraint set; pick a bound variant instead"

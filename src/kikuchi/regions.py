@@ -18,7 +18,8 @@ graph keeps the index to place factor scopes (``outer_containing``, read by
 ``outer_log_potentials`` and the CLI's single-variable marginals) and to find
 the axes of a region's table that a contained region lacks (``outside_axes``,
 read by the layout's index maps).  Both answers are derived once, on first
-use.
+use, and so are ``counts``, every region's overcounting number as a float,
+and ``hasse_edges``.
 
 ``RegionGraph.layout(cards)`` places every region's table in one flat array
 (``Layout``), once per graph and cards.  Its ``sums`` index maps say which
@@ -71,9 +72,10 @@ class Region:
 class RegionGraph:
     """Immutable-by-convention poset of regions.
 
-    Derived structure (containment, Hasse edges, sign groupings,
-    containing-outer maps) is computed once at construction; ``supersets[rid]``
-    is the sorted tuple of the ids of the regions strictly containing ``rid``.
+    Containment, sign groupings and containing-outer maps are computed at
+    construction, the Hasse edges and the float counts on first use.
+    ``supersets[rid]`` is the sorted tuple of the ids of the regions strictly
+    containing ``rid``.
     ``strict`` requires every subset region to sit strictly inside at least one
     outer cluster, which holds for all built graphs; synthetic test posets may
     disable it.  ``_containment`` is the ``_index`` of the regions' variable
@@ -114,16 +116,21 @@ class RegionGraph:
                         f"subset region {b} is not strictly inside any outer cluster"
                     )
 
-        self.hasse_edges = tuple(sorted(self._transitive_reduction()))
-
-    def _transitive_reduction(self):
+    @cached_property
+    def hasse_edges(self) -> tuple[tuple[int, int], ...]:
+        """The (parent, child) containment pairs with no region in between, sorted."""
         # p is a direct parent of c unless it contains another superset of c.
         supersets = self.supersets
         edges = []
         for c, sups in supersets.items():
             indirect = set().union(*(supersets[m] for m in sups))
             edges.extend((p, c) for p in sups if p not in indirect)
-        return edges
+        return tuple(sorted(edges))
+
+    @cached_property
+    def counts(self) -> dict[int, float]:
+        """Every region's overcounting number as a float, by id; do not mutate."""
+        return {r.id: float(r.overcount) for r in self.regions}
 
     def region_vars(self, rid: int) -> tuple[int, ...]:
         return self.by_id[rid].vars
@@ -143,7 +150,7 @@ class RegionGraph:
         return self._axes[(p, c)]
 
     def subset_overcounts(self) -> dict[int, float]:
-        return {b: float(self.by_id[b].overcount) for b in self.subset_ids}
+        return {b: self.counts[b] for b in self.subset_ids}
 
     def layout(self, cards) -> "Layout":
         """The flat layout of this graph's tables for ``cards``, built on first use."""
@@ -179,7 +186,7 @@ class Layout:
     @cached_property
     def overcounts(self) -> np.ndarray:
         """The overcounting number of each region, in layout order."""
-        return np.array([float(self.graph.by_id[r].overcount) for r in self.ids])
+        return np.array([self.graph.counts[r] for r in self.ids])
 
     def kept_counts(self, subset_counts=None) -> np.ndarray:
         """``overcounts`` with ``subset_counts.get(b, c_b)`` for each subset ``b``."""

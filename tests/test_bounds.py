@@ -194,6 +194,25 @@ def test_conv3_respects_outer_capacity():
     assert check_convex_over_constraints(g, eff) is not None
 
 
+def test_conv3_positive_subset_donates_down_then_spends_up():
+    # The outer cluster's one unit can only reach the negative (0, 1, 2), so
+    # the positive (0, 1) must feed the negative (0,) in the first flow.  The
+    # 1/2 it has left of its 3/2 goes up into (0, 1, 2), whose first flow
+    # left one unit of demand.
+    regions = [
+        Region(0, (0, 1, 2, 3), Fraction(1), "outer"),
+        Region(1, (0, 1, 2), Fraction(-2), "subset"),
+        Region(2, (0, 1), Fraction(3, 2), "subset"),
+        Region(3, (0,), Fraction(-1), "subset"),
+    ]
+    g = RegionGraph(regions, strict=False)
+    spec = make_bound_spec(g, "conv3")
+    assert spec.witness.entries == {(0, 1): 1.0, (2, 3): 1.0}
+    assert spec.inner_overcounts == {1: -1.0, 2: 1.0, 3: -1.0}
+    kept = {0: 1.0, **spec.inner_overcounts}
+    assert check_convex_over_constraints(g, kept) is not None
+
+
 def test_inner_counts_match_bound_functional():
     # minimizing the counted sum with anchored potentials is the bound:
     # both sides agree on every consistent belief set
