@@ -93,29 +93,25 @@ def minimize(
 ) -> RunTrace:
     """Descend the region free energy from uniform beliefs under ``spec``."""
     settings = settings or OuterSettings()
-    counts = graph.subset_overcounts()
     if spec.variant == "none":
         if check_convex_over_constraints(graph, graph.counts) is None:
             raise ConvexityError(
                 "plain single-loop minimization needs a free energy that is "
                 "convex over the constraint set; pick a bound variant instead"
             )
-    # When nothing is linearized the bound is the objective itself and one
-    # converged inner solve finishes the job.
-    exact_bound = all(
-        counts[b] == spec.inner_overcounts.get(b, counts[b]) for b in graph.subset_ids
-    )
-    # With no positive mass linearized the bound dominates the objective
-    # pointwise, table by table; otherwise dominance also needs the beliefs
-    # to be consistent, which inexact inner solves only deliver approximately.
-    pointwise = all(
-        counts[b] - spec.inner_overcounts.get(b, counts[b]) <= 1e-12
-        for b in graph.subset_ids
-    )
 
     # The model is laid out on the graph once; every step below then works
     # on flat arrays of the graph's layout.
     base = ClusterPotentials.of(model, graph)
+    # The linearized count of each region, as ``inner_potentials`` folds it.
+    gap = base.layout.overcounts - base.layout.kept_counts(spec.inner_overcounts)
+    # When nothing is linearized the bound is the objective itself and one
+    # converged inner solve finishes the job.
+    exact_bound = bool((gap == 0).all())
+    # With no positive mass linearized the bound dominates the objective
+    # pointwise, table by table; otherwise dominance also needs the beliefs
+    # to be consistent, which inexact inner solves only deliver approximately.
+    pointwise = bool((gap <= 1e-12).all())
     q = uniform_beliefs(graph, model.cards)
     f_prev = free_energy(base, q)
     records = [OuterRecord(0, f_prev, 0, constraint_residual(q), 0.0)]

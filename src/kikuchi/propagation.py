@@ -30,26 +30,30 @@ the mean of the updated and the previous one.  A sweep whose largest change
 is NaN stops the run unconverged.
 
 A subset region leaves the sweep only when its effective count is zero and a
-single outer cluster contains it: its update exponent is then one and its
-downward message stays uniform, so visiting it would change nothing.  Every
-region inside two or more clusters carries a consistency constraint and is
-swept.  Beliefs for the regions left out are read off their one containing
-cluster afterwards.
+single outer cluster contains it.  Its update exponent is then one, so at a
+fixed point its downward message is uniform and its belief is its cluster's
+marginal: leaving it out keeps the fixed point.  Without damping a visit
+would change nothing; with damping it would move the downward message on
+the way there.  Every region inside two or more clusters carries a
+consistency constraint and is swept.  Beliefs for the regions left out are
+read off their one containing cluster afterwards.
 
 ``run_gbp(pots, c_eff, settings=None, warm=None)`` reads the graph and
 the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
 ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
 ``minimize`` does.  The sweep runs on a ``SweepPlan`` compiled once per
 layout and active set: the cluster log tables are the layout's outer block,
-the subset beliefs its subset block and the messages one more flat array.
+and the active subset beliefs and the messages are two more flat arrays.
 The active subsets are grouped into levels: the level of a subset is one
 more than the highest level among the earlier subsets that share a
 containing cluster with it.  The subsets of one level touch disjoint
 clusters and messages, so their updates commute, and one batched update per
 level, levels in order, replays the ascending-id sweep update for update;
-only the order of floating-point sums differs.  The returned ``Beliefs``
-and ``MessageSet`` hold flat log arrays: the beliefs on the layout, the
-messages in the plan's ``edge_views``.  A warm start reads the logs of
+only the order of floating-point sums differs.  The subset beliefs and the
+messages are laid out in that sweep order, so each level reads and writes
+one slice of each.  The returned ``Beliefs`` and ``MessageSet`` hold flat
+log arrays: the beliefs on the layout, the messages in sweep order, located
+by the plan's ``edge_views``.  A warm start reads the logs of
 messages that ``run_gbp`` computed on the same layout object and active
 set, and reuses their plan.  Any other ``warm`` raises
 ``ConfigurationError``.
@@ -101,20 +105,21 @@ def _segments(sizes) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
 
 
-def _cat(parts) -> np.ndarray:
-    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
-
-
 def _log_normalize(x, starts, seg):
     """Segment-wise ``x - log(sum(exp(x)))``, by a pairwise ``logaddexp`` reduction."""
     return x - np.logaddexp.reduceat(x, starts)[seg]
 
 
 class SweepPlan:
-    """Per-level indices for sweeping one active set on a graph's layout.
+    """Slices for sweeping one active set on a graph's layout, level by level.
 
     Built for one layout and one active set; ``levels`` holds the active
-    subset ids of each level.  The plan keeps no numbers of a run: every run
+    subset ids of each level.  The messages and the active-subset block are
+    laid out in sweep order: level by level, ascending id within a level,
+    each subset's messages in its containing clusters' order.  So each level
+    reads and writes one slice of both.  ``edge_views`` locates each
+    (cluster, subset) pair's messages and ``sub_at`` is the layout entry of
+    each active-block entry.  The plan keeps no numbers of a run: every run
     allocates its own flat arrays.
     """
 
@@ -128,55 +133,50 @@ class SweepPlan:
         off = layout.outer_size
         n_outer = len(graph.outer_ids)
 
-        def shape(rid):
-            return views[rid][2]
-
         def size(rid):
             return views[rid][1] - views[rid][0]
 
-        edges = [(a, b) for b in self.act for a in cont[b]]
-        self.edge_views = _views(edges, lambda pair: shape(pair[1]))
-
-        def step(regions):
-            """Gather/scatter indices that update ``regions`` in one batch.
-
-            In order: the flat cluster entries of each (cluster, subset)
-            pair, grouped by the message entry they sum into; the
-            batch-local message entry of each; the start of each group; the
-            flat message entries, their starts and pairs; the batch-local
-            subset entry of each message entry; the subset-block entries of
-            ``regions``.  Within a level each gathered cluster belongs to
-            one pair only.
-            """
-            pairs = [(a, b) for b in regions for a in cont[b]]
-            clu, group, group_starts, _ = layout.sums(pairs)
-            local_sub = _views(regions, shape)
-            return (
-                clu, group, group_starts,
-                _cat([np.arange(*self.edge_views[pair][:2]) for pair in pairs]),
-                *_segments([size(b) for _, b in pairs]),
-                _cat([np.arange(*local_sub[b][:2]) for _, b in pairs]),
-                _cat([layout.span(b) - off for b in regions]),
-            )
-
-        self.steps = [step(level) for level in self.levels]
+        order = [b for level in self.levels for b in level]
+        edges = [(a, b) for b in order for a in cont[b]]
+        self.edge_views = _views(edges, lambda pair: views[pair[1]][2])
+        # Message entry j is sum group j: the cluster entries ``clu`` sum
+        # into it, grouped from ``group_starts``.
+        clu, group, group_starts, at = layout.sums(edges)
         self.msg_starts, self.msg_pair = _segments([size(b) for _, b in edges])
-        self.msg_sub = _cat([layout.span(b) - off for _, b in edges])
+        self.sub_starts, self.sub_seg = _segments([size(b) for b in order])
+        self.sub_at = np.array([i for b in order for i in range(*views[b][:2])], dtype=np.intp)
+        block = np.zeros(layout.size, dtype=np.intp)
+        block[self.sub_at] = np.arange(len(self.sub_at))
+        self.msg_sub = block[at]
+
+        # The bounds of each level's pairs, message entries, cluster entries
+        # and active-block entries.  A step is, in order: the level's
+        # cluster entries, grouped by the message entry they sum into; the
+        # level-local message entry of each; the start of each group; the
+        # level's messages; the start of each pair's and the pair of each
+        # entry; the level-local block entry of each message entry; the
+        # level's block.  Within a level each gathered cluster belongs to
+        # one pair only.
+        p = np.cumsum([0] + [sum(len(cont[b]) for b in level) for level in self.levels])
+        m = np.append(self.msg_starts, len(self.msg_pair))[p]
+        c = np.append(group_starts, len(clu))[m]
+        s = np.append(self.sub_starts, len(self.sub_seg))[np.cumsum([0] + [len(lv) for lv in self.levels])]
+        self.steps = [
+            (clu[c0:c1], group[c0:c1] - m0, group_starts[m0:m1] - c0, slice(m0, m1),
+             self.msg_starts[p0:p1] - m0, self.msg_pair[m0:m1] - p0, self.msg_sub[m0:m1] - s0, slice(s0, s1))
+            for p0, p1, m0, m1, c0, c1, s0, s1 in zip(p, p[1:], m, m[1:], c, c[1:], s, s[1:])
+        ]
         # A cluster's log table is its potential plus the log downward
         # messages of its subsets in ascending id order; ``clu_msg`` is the
-        # message entry of each cluster entry, pair by pair, each pair's in
-        # its cluster's entry order.
-        clu, group, _, _ = layout.sums(edges)
-        order = np.lexsort((clu, np.repeat(np.arange(len(edges)), [size(a) for a, _ in edges])))
-        self.clu_msg = group[order]
-        self.rebuild_clu = np.concatenate((np.arange(off), clu[order]))
+        # message entry of each cluster entry, by subset id, then in the
+        # layout order of the cluster entries.
+        by_id = np.lexsort((clu, np.repeat([b for _, b in edges], [size(a) for a, _ in edges])))
+        self.clu_msg = group[by_id]
+        self.rebuild_clu = np.concatenate((np.arange(off), clu[by_id]))
         self.outer_starts, self.outer_seg = layout.starts[:n_outer], layout.seg[:off]
-        self.sub_starts = layout.starts[n_outer:] - off
-        self.sub_seg = layout.seg[off:] - n_outer
         # log(1 / entries of its table) at each message entry
         self.uniform = -np.log(np.bincount(self.msg_pair))[self.msg_pair]
         active = set(self.act)
-        self.act_at = [i for i, b in enumerate(graph.subset_ids) if b in active]
         pruned = [b for b in graph.subset_ids if b not in active]
         self.pruned = layout.sums([(cont[b][0], b) for b in pruned])
         self.pruned_segments = _segments([size(b) for b in pruned])
@@ -190,11 +190,12 @@ class SweepPlan:
         """Every region's normalized log table, flat on the layout.
 
         The clusters' come from ``pots`` and ``log_down``, the active
-        subsets' are ``log_sub``, and each pruned subset's is its one
-        containing cluster's, marginalized.
+        subsets' are the active block ``log_sub``, and each pruned subset's
+        is its one containing cluster's, marginalized.
         """
         outer = _log_normalize(self.cluster_logs(pots, log_down), self.outer_starts, self.outer_seg)
-        logs = np.concatenate((outer, log_sub))
+        logs = np.concatenate((outer, np.empty(self.layout.size - len(outer))))
+        logs[self.sub_at] = log_sub
         src, _, starts, at = self.pruned
         logs[at] = _log_normalize(np.logaddexp.reduceat(logs[src], starts), *self.pruned_segments)
         return logs
@@ -203,8 +204,9 @@ class SweepPlan:
 class MessageSet:
     """The up and down log messages of one ``run_gbp`` call, flat on its ``plan``.
 
-    ``logs = (up, down)``; ``plan.edge_views`` gives the (start, stop,
-    shape) of each (cluster, subset) pair's table in both.
+    ``logs = (up, down)``, both in the plan's sweep order;
+    ``plan.edge_views`` gives the (start, stop, shape) of each (cluster,
+    subset) pair's table in both.
     """
 
     def __init__(self, plan: SweepPlan, log_up, log_down):
@@ -235,24 +237,25 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     settings = settings or InnerSettings()
     layout = pots.layout
     graph = layout.graph
-    kept = layout.kept_counts(c_eff)[len(graph.outer_ids):].tolist()
-    count = dict(zip(graph.subset_ids, kept))
-    act = [b for b in graph.subset_ids if abs(count[b]) > 1e-15 or graph.outer_count[b] != 1]
-
-    denom = []
-    for b in act:
-        d = graph.outer_count[b] + count[b]
-        if d <= 1e-12:
-            raise ConfigurationError(
-                f"region {b}: containing-cluster count plus effective "
-                f"overcounting number is {d}; the update exponent needs it positive"
-            )
-        denom.append(d)
+    n_outer = len(graph.outer_ids)
+    kept = layout.kept_counts(c_eff)[n_outer:]
+    n = np.array([graph.outer_count[b] for b in graph.subset_ids], dtype=np.intp)
+    on = (np.abs(kept) > 1e-15) | (n != 1)
+    act = [b for b, keep in zip(graph.subset_ids, on) if keep]
+    # The update exponent's denominator of each subset, and below of each
+    # active-block entry.
+    den = n + kept
+    low = np.flatnonzero(on & (den <= 1e-12))
+    if len(low):
+        raise ConfigurationError(
+            f"region {graph.subset_ids[low[0]]}: containing-cluster count plus effective "
+            f"overcounting number is {den[low[0]]}; the update exponent needs it positive"
+        )
 
     # A negative count c lifts the power n / (n + c) of the geometric mean of
     # a region's n upward messages above one, so the update overshoots; then
     # every update is damped by one half.
-    damping = 0.0 if all(count[b] >= 0 for b in act) else 0.5
+    damping = 0.0 if (kept[on] >= 0).all() else 0.5
 
     if warm is None:
         plan = SweepPlan(layout, act)
@@ -265,11 +268,7 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
             "warm messages must come from run_gbp on this layout object, "
             "with this active set"
         )
-    # The update exponent's denominator at every subset-block entry; a
-    # pruned subset is never updated and keeps one.
-    den = np.ones(len(graph.subset_ids))
-    den[plan.act_at] = denom
-    den = den[plan.sub_seg]
+    den = den[layout.seg[plan.sub_at] - n_outer]
     acc = np.bincount(plan.msg_sub, weights=log_up, minlength=len(den))
     log_sub = _log_normalize(acc / den, plan.sub_starts, plan.sub_seg)
     q_sub = np.exp(log_sub)
@@ -282,7 +281,8 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     # cancels in the next normalization.  So the downward messages are only
     # shifted to a maximum of zero, which keeps the cluster tables bounded,
     # and both directions are normalized once, on return; every sweep
-    # rewrites every upward message, so a level's last are written only then.
+    # rewrites every upward message, so only the last sweep's, one array per
+    # level, are joined then.
     # A new subset belief enters the sweep only through its downward messages
     # and the next sweep's damped mix; so the block is normalized, and the mix
     # formed from it, once per sweep.
@@ -293,22 +293,22 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
         for step, share in zip(plan.steps, shares):
             clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub, sub = step
             la = logacc[clu]
-            d_old = log_down[msg]
+            down = log_down[msg]
             u = np.logaddexp.reduceat(la, group_starts)
-            u -= d_old
+            u -= down
             ups.append(u)
-            q = np.bincount(msg_sub, weights=u, minlength=len(sub))
-            q *= share
+            q = np.multiply(np.bincount(msg_sub, weights=u), share, out=log_sub[sub])
             if damping:
                 q += mix[sub]
-            log_sub[sub] = q
             nd = q[msg_sub]
             nd -= u
             nd -= np.maximum.reduceat(nd, msg_starts)[msg_pair]
-            d_old -= nd
-            la -= d_old[group]
+            # ``down`` is the level's slice of ``log_down``: it holds the
+            # old minus the new messages until the new ones are written.
+            down -= nd
+            la -= down[group]
             logacc[clu] = la
-            log_down[msg] = nd
+            down[...] = nd
         log_sub = _log_normalize(log_sub, plan.sub_starts, plan.sub_seg)
         prev, q_sub = q_sub, np.exp(log_sub)
         prev -= q_sub
@@ -322,8 +322,8 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
             converged = True
             break
 
-    for step, u in zip(plan.steps, ups):
-        log_up[step[3]] = u
+    if ups:
+        log_up = np.concatenate(ups)
     q = Beliefs(layout, plan.belief_logs(pots.logs, log_down, log_sub))
     converged = converged and bool(np.isfinite(q.probs).all())
     logs = [_log_normalize(x, plan.msg_starts, plan.msg_pair) for x in (log_up, log_down)]

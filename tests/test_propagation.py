@@ -478,24 +478,29 @@ def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
     raw=st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=4), min_size=2, max_size=6),
     card_seed=st.integers(0, 2**16),
 )
+# The 5x5 plaquette graph: its 14 levels visit the subsets out of id order.
+@example(n=25, raw=[[v, v + 1, v + 5, v + 6] for v in (r * 5 + c for r in range(4) for c in range(4))],
+         card_seed=0)
 def test_entry_maps_match_the_coordinate_reference(n, raw, card_seed):
     # Each cluster entry's index into its subset's table, computed from the
-    # cluster's coordinates with np.indices and np.ravel_multi_index.
+    # cluster's coordinates with np.indices and np.ravel_multi_index; the
+    # messages are numbered in the plan's sweep order, and a cluster sums
+    # its downward messages in ascending subset id.  Outer ids ascend with
+    # the layout, so entries of one subset sort by cluster id.
     cards = tuple(int(c) for c in np.random.default_rng(card_seed).integers(2, 5, size=n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = build_cvm([tuple(v % n for v in cl) for cl in raw], n)
     plan = SweepPlan(g.layout(cards), g.subset_ids)
-    want, at = [], 0
-    for b in plan.act:
-        vb = g.region_vars(b)
-        for a in g.containing_outers[b]:
-            va = g.region_vars(a)
-            coords = np.indices([cards[v] for v in va]).reshape(len(va), -1)
-            keep = tuple(coords[i] for i, v in enumerate(va) if v in vb)
-            want.append(at + np.ravel_multi_index(keep, [cards[v] for v in vb]))
-            at += math.prod(cards[v] for v in vb)
-    np.testing.assert_array_equal(plan.clu_msg, np.concatenate(want) if want else [])
+    want, at = {}, 0
+    for a, b in plan.edge_views:
+        vb, va = g.region_vars(b), g.region_vars(a)
+        coords = np.indices([cards[v] for v in va]).reshape(len(va), -1)
+        keep = tuple(coords[i] for i, v in enumerate(va) if v in vb)
+        want[a, b] = at + np.ravel_multi_index(keep, [cards[v] for v in vb])
+        at += math.prod(cards[v] for v in vb)
+    by_id = sorted(want, key=lambda pair: (pair[1], pair[0]))
+    np.testing.assert_array_equal(plan.clu_msg, np.concatenate([want[pair] for pair in by_id]) if want else [])
 
 
 def test_levels_group_regions_with_disjoint_clusters():
@@ -506,12 +511,26 @@ def test_levels_group_regions_with_disjoint_clusters():
     for m, g, variant in cases:
         _, msgs, _, _ = run_gbp(ClusterPotentials.of(m, g), make_bound_spec(g, variant).inner_overcounts,
                                 InnerSettings(max_sweeps=1))
-        levels = msgs.plan.levels
+        plan = msgs.plan
+        levels = plan.levels
         level_of = {b: i for i, level in enumerate(levels) for b in level}
-        assert sorted(level_of) == sorted(msgs.plan.act)
+        assert sorted(level_of) == sorted(plan.act)
         for level in levels:
             clusters = [a for b in level for a in g.containing_outers[b]]
             assert len(clusters) == len(set(clusters))
+        # The steps' message and active-block slices tile both arrays in
+        # level order, each level's pairs and subsets in ascending id.
+        msg_cuts, sub_cuts = [step[3] for step in plan.steps], [step[-1] for step in plan.steps]
+        for cuts, total in ((msg_cuts, len(plan.msg_pair)), (sub_cuts, len(plan.sub_seg))):
+            assert [0] + [cut.stop for cut in cuts] == [cut.start for cut in cuts] + [total]
+        layout = plan.layout
+        block = np.arange(float(len(plan.sub_seg)))
+        logs = plan.belief_logs(ClusterPotentials.of(m, g).logs, msgs.logs[1], block)
+        for level, msg, sub in zip(levels, msg_cuts, sub_cuts):
+            pairs = [np.arange(*plan.edge_views[a, b][:2]) for b in level for a in g.containing_outers[b]]
+            np.testing.assert_array_equal(np.concatenate(pairs), np.arange(msg.start, msg.stop))
+            # belief_logs puts each active subset back at its layout position.
+            np.testing.assert_array_equal(logs[np.concatenate([layout.span(b) for b in level])], block[sub])
         for b, b2 in combinations(sorted(level_of), 2):
             if set(g.containing_outers[b]) & set(g.containing_outers[b2]):
                 assert level_of[b] < level_of[b2]
