@@ -1,8 +1,8 @@
 """Generalized belief propagation on a two-layer view of the region graph.
 
-Every active subset region exchanges messages with every outer cluster whose
-variables contain it.  One sweep updates the active subsets in ascending id
-order; for each subset the containing clusters are queried (cluster belief
+Every subset region exchanges messages with every outer cluster whose
+variables contain it.  One sweep updates the subsets in ascending id order;
+for each subset the containing clusters are queried (cluster belief
 marginalized, divided by the last downward message), the subset belief is
 rebuilt from the geometric mean of the upward messages with exponent
 1 / (number of containing clusters + effective overcounting number), and the
@@ -27,36 +27,27 @@ With Bethe counting numbers (1 - n per variable) the exponent is one and the
 sweep reduces to ordinary loopy belief propagation.  When any kept count is
 negative every subset update is damped by one half: the new log belief is
 the mean of the updated and the previous one.  A sweep whose largest change
-is NaN stops the run unconverged.
-
-A subset region leaves the sweep only when its effective count is zero and a
-single outer cluster contains it.  Its update exponent is then one, so at a
-fixed point its downward message is uniform and its belief is its cluster's
-marginal: leaving it out keeps the fixed point.  Without damping a visit
-would change nothing; with damping it would move the downward message on
-the way there.  Every region inside two or more clusters carries a
-consistency constraint and is swept.  Beliefs for the regions left out are
-read off their one containing cluster afterwards.
+is NaN stops the run unconverged.  Every subset of a built graph lies in
+two or more clusters; a hand-built graph may hold one inside a single
+cluster, which is swept like any other.
 
 ``run_gbp(pots, c_eff, settings=None, warm=None)`` reads the graph and
 the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
 ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
 ``minimize`` does.  The sweep runs on a ``SweepPlan`` compiled once per
-layout and active set: the cluster log tables are the layout's outer block,
-and the active subset beliefs and the messages are two more flat arrays.
-The active subsets are grouped into levels: the level of a subset is one
-more than the highest level among the earlier subsets that share a
-containing cluster with it.  The subsets of one level touch disjoint
-clusters and messages, so their updates commute, and one batched update per
-level, levels in order, replays the ascending-id sweep update for update;
-only the order of floating-point sums differs.  The subset beliefs and the
+layout: the cluster log tables are the layout's outer block, and the subset
+beliefs and the messages are two more flat arrays.  The subsets are grouped
+into levels: the level of a subset is one more than the highest level among
+the earlier subsets that share a containing cluster with it.  The subsets of
+one level touch disjoint clusters and messages, so their updates commute,
+and one batched update per level, levels in order, replays the ascending-id
+sweep update for update; only the order of floating-point sums differs.  The subset beliefs and the
 messages are laid out in that sweep order, so each level reads and writes
 one slice of each.  The returned ``Beliefs`` and ``MessageSet`` hold flat
 log arrays: the beliefs on the layout, the messages in sweep order, located
-by the plan's ``edge_views``.  A warm start reads the logs of
-messages that ``run_gbp`` computed on the same layout object and active
-set, and reuses their plan.  Any other ``warm`` raises
-``ConfigurationError``.
+by the plan's ``edge_views``.  A warm start reads the logs of messages that
+``run_gbp`` computed on the same layout object, under any counts, and reuses
+their plan.  Any other ``warm`` raises ``ConfigurationError``.
 """
 from __future__ import annotations
 
@@ -74,11 +65,11 @@ class ConfigurationError(ValueError):
     """Inner-loop setup that cannot run (bad exponent, foreign warm messages)."""
 
 
-def _levels(graph: RegionGraph, act) -> tuple[tuple[int, ...], ...]:
-    """Group ``act`` (in order) so no two regions of a level share a cluster."""
+def _levels(graph: RegionGraph) -> tuple[tuple[int, ...], ...]:
+    """Group the subsets (in id order) so no two of a level share a cluster."""
     top: dict[int, int] = {}
     groups: list[list[int]] = []
-    for b in act:
+    for b in graph.subset_ids:
         cont = graph.containing_outers[b]
         lv = 1 + max((top[a] for a in cont if a in top), default=-1)
         if lv == len(groups):
@@ -111,23 +102,21 @@ def _log_normalize(x, starts, seg):
 
 
 class SweepPlan:
-    """Slices for sweeping one active set on a graph's layout, level by level.
+    """Slices for sweeping a graph's layout, level by level.
 
-    Built for one layout and one active set; ``levels`` holds the active
-    subset ids of each level.  The messages and the active-subset block are
-    laid out in sweep order: level by level, ascending id within a level,
-    each subset's messages in its containing clusters' order.  So each level
-    reads and writes one slice of both.  ``edge_views`` locates each
-    (cluster, subset) pair's messages and ``sub_at`` is the layout entry of
-    each active-block entry.  The plan keeps no numbers of a run: every run
-    allocates its own flat arrays.
+    Built for one layout; ``levels`` holds the subset ids of each level.  The
+    messages and the subset block are laid out in sweep order: level by
+    level, ascending id within a level, each subset's messages in its
+    containing clusters' order.  So each level reads and writes one slice of
+    both.  ``edge_views`` locates each (cluster, subset) pair's messages and
+    ``sub_at`` is the layout entry of each subset-block entry.  The plan
+    keeps no numbers of a run: every run allocates its own flat arrays.
     """
 
-    def __init__(self, layout: Layout, act):
+    def __init__(self, layout: Layout):
         self.layout = layout
         graph = layout.graph
-        self.act = tuple(act)
-        self.levels = _levels(graph, self.act)
+        self.levels = _levels(graph)
         cont = graph.containing_outers
         views = layout.views
         off = layout.outer_size
@@ -150,7 +139,7 @@ class SweepPlan:
         self.msg_sub = block[at]
 
         # The bounds of each level's pairs, message entries, cluster entries
-        # and active-block entries.  A step is, in order: the level's
+        # and subset-block entries.  A step is, in order: the level's
         # cluster entries, grouped by the message entry they sum into; the
         # level-local message entry of each; the start of each group; the
         # level's messages; the start of each pair's and the pair of each
@@ -176,10 +165,6 @@ class SweepPlan:
         self.outer_starts, self.outer_seg = layout.starts[:n_outer], layout.seg[:off]
         # log(1 / entries of its table) at each message entry
         self.uniform = -np.log(np.bincount(self.msg_pair))[self.msg_pair]
-        active = set(self.act)
-        pruned = [b for b in graph.subset_ids if b not in active]
-        self.pruned = layout.sums([(cont[b][0], b) for b in pruned])
-        self.pruned_segments = _segments([size(b) for b in pruned])
 
     def cluster_logs(self, pots, log_down) -> np.ndarray:
         """Cluster log tables rebuilt from the potentials and downward messages."""
@@ -189,15 +174,12 @@ class SweepPlan:
     def belief_logs(self, pots, log_down, log_sub) -> np.ndarray:
         """Every region's normalized log table, flat on the layout.
 
-        The clusters' come from ``pots`` and ``log_down``, the active
-        subsets' are the active block ``log_sub``, and each pruned subset's
-        is its one containing cluster's, marginalized.
+        The clusters' come from ``pots`` and ``log_down``, the subsets' are
+        the subset block ``log_sub``.
         """
         outer = _log_normalize(self.cluster_logs(pots, log_down), self.outer_starts, self.outer_seg)
         logs = np.concatenate((outer, np.empty(self.layout.size - len(outer))))
         logs[self.sub_at] = log_sub
-        src, _, starts, at = self.pruned
-        logs[at] = _log_normalize(np.logaddexp.reduceat(logs[src], starts), *self.pruned_segments)
         return logs
 
 
@@ -231,8 +213,8 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     ``converged`` is true only when the largest change of a sweep fell below
     ``settings.tol`` and every returned table is finite.  The returned
     beliefs and messages hold flat log arrays of this call alone.  ``warm``
-    is the messages of an earlier call on the same layout object and active
-    set; anything else raises ``ConfigurationError``.
+    is the messages of an earlier call on the same layout object, under any
+    counts; anything else raises ``ConfigurationError``.
     """
     settings = settings or InnerSettings()
     layout = pots.layout
@@ -240,12 +222,10 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     n_outer = len(graph.outer_ids)
     kept = layout.kept_counts(c_eff)[n_outer:]
     n = np.array([graph.outer_count[b] for b in graph.subset_ids], dtype=np.intp)
-    on = (np.abs(kept) > 1e-15) | (n != 1)
-    act = [b for b, keep in zip(graph.subset_ids, on) if keep]
     # The update exponent's denominator of each subset, and below of each
-    # active-block entry.
+    # subset-block entry.
     den = n + kept
-    low = np.flatnonzero(on & (den <= 1e-12))
+    low = np.flatnonzero(den <= 1e-12)
     if len(low):
         raise ConfigurationError(
             f"region {graph.subset_ids[low[0]]}: containing-cluster count plus effective "
@@ -255,19 +235,16 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     # A negative count c lifts the power n / (n + c) of the geometric mean of
     # a region's n upward messages above one, so the update overshoots; then
     # every update is damped by one half.
-    damping = 0.0 if (kept[on] >= 0).all() else 0.5
+    damping = 0.0 if (kept >= 0).all() else 0.5
 
     if warm is None:
-        plan = SweepPlan(layout, act)
+        plan = SweepPlan(layout)
         log_up, log_down = plan.uniform.copy(), plan.uniform.copy()
-    elif isinstance(warm, MessageSet) and warm.plan.layout is layout and warm.plan.act == tuple(act):
+    elif isinstance(warm, MessageSet) and warm.plan.layout is layout:
         plan = warm.plan
         log_up, log_down = warm.logs[0].copy(), warm.logs[1].copy()
     else:
-        raise ConfigurationError(
-            "warm messages must come from run_gbp on this layout object, "
-            "with this active set"
-        )
+        raise ConfigurationError("warm messages must come from run_gbp on this layout object")
     den = den[layout.seg[plan.sub_at] - n_outer]
     acc = np.bincount(plan.msg_sub, weights=log_up, minlength=len(den))
     log_sub = _log_normalize(acc / den, plan.sub_starts, plan.sub_seg)

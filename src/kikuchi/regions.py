@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -343,17 +344,18 @@ def build_cvm(outer_clusters, num_vars=None) -> RegionGraph:
 
 
 def build_bethe(clusters, num_vars=None) -> RegionGraph:
-    """Bethe construction: the given clusters plus all single-variable subsets.
+    """Bethe construction: the given clusters plus every shared single variable.
 
-    Each single variable counts 1 - n, where n is the number of clusters it
-    appears in.  Variables appearing in just one cluster get count zero and are
-    kept (they end up in the zero group and cost nothing downstream).
+    A variable that two or more clusters share gets a subset region counting
+    1 - n, where n is the number of clusters it appears in.  A variable in one
+    cluster only would count 1 - 1 = 0 and carry no consistency constraint,
+    so it gets no region; every subset region lies in two or more clusters.
+    A single-variable cluster is never shared, since a cluster holding it
+    would absorb it.
     """
     outers = _canonical_clusters(clusters, num_vars)
-    outer_sets = set(frozenset(t) for t in outers)
-    singles = sorted({v for t in outers for v in t})
-    subsets = [frozenset((v,)) for v in singles if frozenset((v,)) not in outer_sets]
-    return _assemble(outers, subsets)
+    holders = Counter(v for t in outers for v in t)
+    return _assemble(outers, [frozenset((v,)) for v, n in holders.items() if n > 1])
 
 
 def recipe_graph(model, recipe: str) -> RegionGraph:

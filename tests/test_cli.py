@@ -221,30 +221,37 @@ def test_run_reports_variables_no_factor_touches(tmp_path, capsys):
 def test_run_reads_corner_marginals_off_their_plaquette(tmp_path, capsys):
     # On a 3x3 grid with plaquettes each corner lies in one plaquette and in
     # no subset region, so its marginal is that plaquette's belief summed.
-    model = tmp_path / "g3.model"
-    main(["generate", "--family", "grid", "--rows", "3", "--cols", "3",
-          "--seed", "4", "-o", str(model)])
-    outdir = tmp_path / "out"
-    rc = main(["run", "--model", str(model), "--recipe", "grid-plaquettes",
-               "--variant", "conv3", "--outdir", str(outdir)])
-    assert rc == 0
-    m = load(model)
-    g = kikuchi.recipe_graph(m, "grid-plaquettes")
-    # corner: (the plaquette holding it, its axis in that plaquette's table)
-    corners = {0: (0, 0), 2: (1, 1), 6: (2, 2), 8: (3, 3)}
-    assert not any(set(corners) & set(g.region_vars(b)) for b in g.subset_ids)
-    settings = cli.outer_settings(load_config(outdir / "config.txt"))
-    trace = kikuchi.minimize(m, g, kikuchi.make_bound_spec(g, "conv3"), settings)
-    marginals = cli.single_variable_marginals(g, trace.final_beliefs, m.cards)
-    for v, (a, axis) in corners.items():
-        assert g.region_vars(a)[axis] == v
-        t = trace.final_beliefs.tables[a].sum(axis=tuple(i for i in range(4) if i != axis))
-        np.testing.assert_allclose(marginals[v], t / t.sum(), rtol=1e-14, atol=0)
-    meta = json.loads((outdir / "trace_conv3.json").read_text())
-    assert math.isfinite(meta["kl_to_oracle"])
-    assert meta["kl_to_oracle"] == cli.kl_to_oracle(
-        cli.oracle_marginals(m), g, trace.final_beliefs
-    )
+    # On a 1x5 grid with Bethe regions each end lies in one edge and gets no
+    # region, so its marginal is that edge's belief summed.
+    cases = [
+        # rows, cols, recipe, corners: (the cluster holding it, its axis there)
+        (3, 3, "grid-plaquettes", {0: (0, 0), 2: (1, 1), 6: (2, 2), 8: (3, 3)}),
+        (1, 5, "bethe", {0: (0, 0), 4: (3, 1)}),
+    ]
+    for rows, cols, recipe, corners in cases:
+        model = tmp_path / f"g{rows}x{cols}.model"
+        main(["generate", "--family", "grid", "--rows", str(rows), "--cols", str(cols),
+              "--seed", "4", "-o", str(model)])
+        outdir = tmp_path / recipe
+        rc = main(["run", "--model", str(model), "--recipe", recipe,
+                   "--variant", "conv3", "--outdir", str(outdir)])
+        assert rc == 0
+        m = load(model)
+        g = kikuchi.recipe_graph(m, recipe)
+        assert not any(set(corners) & set(g.region_vars(b)) for b in g.subset_ids)
+        settings = cli.outer_settings(load_config(outdir / "config.txt"))
+        trace = kikuchi.minimize(m, g, kikuchi.make_bound_spec(g, "conv3"), settings)
+        marginals = cli.single_variable_marginals(g, trace.final_beliefs, m.cards)
+        for v, (a, axis) in corners.items():
+            width = len(g.region_vars(a))
+            assert g.region_vars(a)[axis] == v
+            t = trace.final_beliefs.tables[a].sum(axis=tuple(i for i in range(width) if i != axis))
+            np.testing.assert_allclose(marginals[v], t / t.sum(), rtol=1e-14, atol=0)
+        meta = json.loads((outdir / "trace_conv3.json").read_text())
+        assert math.isfinite(meta["kl_to_oracle"])
+        assert meta["kl_to_oracle"] == cli.kl_to_oracle(
+            cli.oracle_marginals(m), g, trace.final_beliefs
+        )
 
 
 def test_run_plain_matches_exact_bound_on_convex_model(tmp_path, capsys):

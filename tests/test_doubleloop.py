@@ -294,22 +294,26 @@ def test_cccp_on_strong_triplets_stays_finite():
     assert abs(trace.final_f - conv1.final_f) <= 1e-6
 
 
-@pytest.mark.parametrize("spec, graph, want", [
-    (ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0), lambda m: _plaquettes(5, 5),
+@pytest.mark.parametrize("spec, graph, variant, want", [
+    (ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0), lambda m: _plaquettes(5, 5), "conv3",
      (18, 1258, -19.245601230737893)),
-    (ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0), lambda m: _all_triplets(5),
+    (ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0), lambda m: _all_triplets(5), "conv3",
      (17, 2209, -7.098873091801792)),
     (ModelSpec("qmr_like", diseases=20, findings=10, seed=0), lambda m: build_bethe(m.scopes, m.num_vars),
-     (17, 265, 13.976206694442876)),
-], ids=["plaquettes-5x5", "triplets-n5-w3", "qmr-20x10-bethe"])
-def test_conv3_schedule_is_pinned(spec, graph, want):
-    # Outer and inner counts and the final value of three conv3 solves.  The
-    # first two are as the probability-domain sweep computed them: the
-    # log-domain sweep replays the same schedule.  The QMR solve leaves 9 of
-    # its 17 subsets out of a sweep in which every update is damped.
+     "conv3", (17, 265, 13.976206694442876)),
+    (ModelSpec("qmr_like", diseases=20, findings=10, seed=0), lambda m: build_bethe(m.scopes, m.num_vars),
+     "conv1", (36, 154, 13.976206697885447)),
+], ids=["plaquettes-5x5", "triplets-n5-w3", "qmr-20x10-bethe", "qmr-20x10-bethe-conv1"])
+def test_conv3_schedule_is_pinned(spec, graph, variant, want):
+    # Outer and inner counts and the final value of three conv3 solves and
+    # one conv1 solve.  The first two are as the probability-domain sweep
+    # computed them: the log-domain sweep replays the same schedule.  The
+    # QMR graph's 8 subsets each lie in two or more clusters, and every one
+    # is swept: damped under conv3, undamped under conv1, whose outer stop
+    # reads the marginal change.
     m = generate(spec)
     g = graph(m)
-    trace = minimize(m, g, make_bound_spec(g, "conv3"))
+    trace = minimize(m, g, make_bound_spec(g, variant))
     outer, sweeps, final_f = want
     assert (trace.outer_iterations, trace.total_inner_sweeps) == (outer, sweeps)
     assert abs(trace.final_f - final_f) <= 1e-10

@@ -1,4 +1,4 @@
-"""Inner-loop propagation: fixed points, validation, pruning, warm starts."""
+"""Inner-loop propagation: fixed points, validation, zero counts, warm starts."""
 from __future__ import annotations
 
 import math
@@ -198,7 +198,7 @@ def test_a_count_left_out_is_the_graphs_count():
         run_gbp(pots, {}), run_gbp(pots, g.subset_overcounts())
     )
     assert (sweeps, ok) == (sweeps_full, ok_full)
-    assert msgs.plan.act == msgs_full.plan.act
+    assert msgs.plan.levels == msgs_full.plan.levels
     np.testing.assert_array_equal(q.logs, q_full.logs)
     for mine, full in zip(msgs.logs, msgs_full.logs):
         np.testing.assert_array_equal(mine, full)
@@ -208,17 +208,15 @@ def test_a_count_left_out_is_the_graphs_count():
 
 
 def test_pruned_regions_still_get_beliefs():
+    # The chain's end variables lie in one cluster each, so they get no
+    # region, and every subset region is swept.
     m = chain_model(4, seed=2)
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
-    counts = _true_counts(g)
-    endpoints = [b for b in g.subset_ids if counts[b] == 0.0]
-    assert endpoints  # chain ends appear in a single cluster
-    q, msgs, _, converged = run_gbp(pots, counts)
+    assert [g.region_vars(b) for b in g.subset_ids] == [(1,), (2,)]
+    q, msgs, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
-    for b in endpoints:
-        assert b in q.tables
-        assert all((a, b) not in msgs.plan.edge_views for a in g.outer_ids)
+    assert sorted(b for level in msgs.plan.levels for b in level) == list(g.subset_ids)
     assert constraint_residual(q) < 1e-8
 
 
@@ -282,23 +280,37 @@ def test_random_message_inits_agree():
 
 
 def test_foreign_warm_messages_are_rejected():
-    # Only messages that run_gbp computed on the same layout object and
-    # active set warm-start a run.
+    # Only messages that run_gbp computed on the same layout object
+    # warm-start a run.
     m = chain_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
     _, msgs, _, _ = run_gbp(pots, c, InnerSettings(max_sweeps=3))
-    kept_ends = {b: c[b] or 0.5 for b in g.subset_ids}  # chain ends join the sweep
     foreign = [
         (ClusterPotentials.of(m, build_bethe(m.scopes, m.num_vars)), c, msgs),  # an equal graph, another object
-        (pots, kept_ends, msgs),
         (ClusterPotentials.of(chain_model(5, seed=6, cards=[3, 2, 2, 2, 2]), g), c, msgs),
         (pots, c, message_tables(msgs)),
     ]
     for other, counts, warm in foreign:
         with pytest.raises(ConfigurationError, match="warm messages"):
             run_gbp(other, counts, warm=warm)
+
+
+def test_warm_start_carries_across_count_sets():
+    # Messages from one count set warm-start a run with another on the same
+    # layout: conv1 counts (zero) then cccp counts (one), both undamped.
+    m = cycle_model(6, seed=3)
+    g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
+    tight = InnerSettings(tol=1e-12)
+    c1, cc = (make_bound_spec(g, v).inner_overcounts for v in ("conv1", "cccp"))
+    assert set(c1.values()) == {0.0} and set(cc.values()) == {1.0}
+    cold, _, _, cold_ok = run_gbp(pots, cc, tight)
+    _, msgs, _, _ = run_gbp(pots, c1, tight)
+    warm, _, _, warm_ok = run_gbp(pots, cc, tight, warm=msgs)
+    assert cold_ok and warm_ok
+    assert warm.delta(cold) < 1e-8
 
 
 def test_truncated_run_reports_not_converged():
@@ -335,7 +347,7 @@ def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
     settings = settings or InnerSettings()
     cards, pots, cont = model.cards, outer_log_potentials(model, graph), graph.containing_outers
     count = {b: float(c_eff.get(b, graph.by_id[b].overcount)) for b in graph.subset_ids}
-    act = [b for b in graph.subset_ids if abs(count[b]) > 1e-15 or graph.outer_count[b] != 1]
+    act = graph.subset_ids
     denom = {b: graph.outer_count[b] + count[b] for b in act}
     damping = 0.0 if all(count[b] >= 0 for b in act) else 0.5
 
@@ -398,10 +410,6 @@ def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
 
     tabs = {a: softmax(rebuild(a)) for a in graph.outer_ids}
     tabs.update(q_sub)
-    for b in graph.subset_ids:
-        if b not in tabs:
-            t = tabs[cont[b][0]].sum(axis=inside(cont[b][0], b)[0])
-            tabs[b] = t / t.sum()
     converged = converged and all(np.isfinite(t).all() for t in tabs.values())
     return tabs, (up, down), sweeps, converged
 
@@ -491,7 +499,7 @@ def test_entry_maps_match_the_coordinate_reference(n, raw, card_seed):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = build_cvm([tuple(v % n for v in cl) for cl in raw], n)
-    plan = SweepPlan(g.layout(cards), g.subset_ids)
+    plan = SweepPlan(g.layout(cards))
     want, at = {}, 0
     for a, b in plan.edge_views:
         vb, va = g.region_vars(b), g.region_vars(a)
@@ -514,11 +522,11 @@ def test_levels_group_regions_with_disjoint_clusters():
         plan = msgs.plan
         levels = plan.levels
         level_of = {b: i for i, level in enumerate(levels) for b in level}
-        assert sorted(level_of) == sorted(plan.act)
+        assert sorted(level_of) == sorted(g.subset_ids)
         for level in levels:
             clusters = [a for b in level for a in g.containing_outers[b]]
             assert len(clusters) == len(set(clusters))
-        # The steps' message and active-block slices tile both arrays in
+        # The steps' message and subset-block slices tile both arrays in
         # level order, each level's pairs and subsets in ascending id.
         msg_cuts, sub_cuts = [step[3] for step in plan.steps], [step[-1] for step in plan.steps]
         for cuts, total in ((msg_cuts, len(plan.msg_pair)), (sub_cuts, len(plan.sub_seg))):
@@ -529,7 +537,7 @@ def test_levels_group_regions_with_disjoint_clusters():
         for level, msg, sub in zip(levels, msg_cuts, sub_cuts):
             pairs = [np.arange(*plan.edge_views[a, b][:2]) for b in level for a in g.containing_outers[b]]
             np.testing.assert_array_equal(np.concatenate(pairs), np.arange(msg.start, msg.stop))
-            # belief_logs puts each active subset back at its layout position.
+            # belief_logs puts each subset back at its layout position.
             np.testing.assert_array_equal(logs[np.concatenate([layout.span(b) for b in level])], block[sub])
         for b, b2 in combinations(sorted(level_of), 2):
             if set(g.containing_outers[b]) & set(g.containing_outers[b2]):

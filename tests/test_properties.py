@@ -79,12 +79,16 @@ def test_region_graphs_match_brute_force_definitions(n, raw, bethe):
     assert [str(w.message) for w in caught] == (
         [f"absorbed {dropped} duplicate or contained cluster(s)"] if dropped else []
     )
-    # The subset regions: the intersection closure, or the single variables.
+    # The subset regions: the intersection closure, or the single variables
+    # that two or more clusters share and that are not themselves a cluster.
+    # Either way every subset lies in two or more clusters.
     if bethe:
-        want = {frozenset((v,)) for t in kept for v in t}
+        shared = {v for v in range(n) if sum(v in t for t in kept) >= 2}
+        want = {frozenset((v,)) for v in shared} - {frozenset(t) for t in kept}
     else:
         want = _brute_closure(kept)
     assert {frozenset(r.vars) for r in g.regions} == want | {frozenset(t) for t in kept}
+    assert all(g.outer_count[b] >= 2 for b in g.subset_ids)
     sups, outers, hasse, counts = _brute_poset(g)
     assert g.supersets == sups
     assert g.containing_outers == outers

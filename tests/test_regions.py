@@ -34,17 +34,18 @@ def test_bethe_triangle_counts():
 
 
 def test_bethe_single_membership_variable_has_zero_count():
+    # A variable in one cluster only would count zero: it gets no region.
     g = build_bethe([(0, 1), (1, 2), (3, 4)], 5)
     counts = {g.by_id[b].vars: g.by_id[b].overcount for b in g.subset_ids}
-    assert counts == {(0,): 0, (1,): -1, (2,): 0, (3,): 0, (4,): 0}
-    assert len(g.zero_ids) == 4
+    assert counts == {(1,): -1}
+    assert not g.zero_ids
 
 
 def test_bethe_singleton_outer_not_duplicated():
     g = build_bethe([(0, 1), (2,)], 3)
     assert len(g.outer_ids) == 2
     subset_vars = {g.by_id[b].vars for b in g.subset_ids}
-    assert subset_vars == {(0,), (1,)}
+    assert subset_vars == set()
 
 
 def test_plaquette_cvm_counts_and_structure():
