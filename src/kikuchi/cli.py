@@ -229,7 +229,8 @@ def single_variable_marginals(graph, beliefs, cards):
 
 
 def oracle_marginals(model):
-    """Exact single-variable marginals keyed by variable; None beyond oracle reach."""
+    """Exact single-variable marginals keyed by variable, off the oracle's
+    junction tree; None when it raises ``OracleLimitError``."""
     try:
         exact = exact_inference(model, regions=[(v,) for v in range(model.num_vars)])
     except OracleLimitError:

@@ -112,7 +112,6 @@ def test_criterion_3_exact_on_singly_connected_models():
         models = [chain_model(n, seed=n) for n in range(3, 13)]
         models += [random_tree_model(4 + (s % 9), seed=s) for s in range(10)]
         for i, m in enumerate(models):
-            assert m.num_vars <= 12
             g = build_bethe(m.scopes, m.num_vars)
             variant = BOUND_VARIANTS[i % len(BOUND_VARIANTS)]
             trace = minimize(m, g, make_bound_spec(g, variant))
@@ -122,6 +121,26 @@ def test_criterion_3_exact_on_singly_connected_models():
             kl = kl_marginals(exact.marginals, trace.final_beliefs.tables,
                               [r.id for r in g.regions])
             assert kl < 1e-6
+
+
+@pytest.mark.parametrize("model", [
+    lambda: chain_model(300, seed=0),
+    lambda: random_tree_model(200, seed=0),
+], ids=["chain-300", "tree-200"])
+def test_criterion_3_exact_at_scale(model):
+    # Trees of hundreds of variables, far beyond any dense joint, under
+    # every bound variant.
+    with criterion(3, "exact results on large singly connected models"):
+        m = model()
+        g = build_bethe(m.scopes, m.num_vars)
+        exact = exact_inference(m, regions=g)
+        for variant in BOUND_VARIANTS:
+            trace = minimize(m, g, make_bound_spec(g, variant))
+            assert trace.converged, variant
+            assert abs(trace.final_f + exact.log_z) < 1e-6, variant
+            kl = kl_marginals(exact.marginals, trace.final_beliefs.tables,
+                              [r.id for r in g.regions])
+            assert kl < 1e-6, variant
 
 
 def _parse_check_output(out):

@@ -292,8 +292,8 @@ def test_compare_outputs(tmp_path, capsys):
     assert last_x == pytest.approx(1.0)
 
 
-def test_compare_enumerates_the_oracle_once_per_seed(tmp_path, monkeypatch):
-    # The model changes per seed, not per variant, so one enumeration serves
+def test_compare_runs_the_oracle_once_per_seed(tmp_path, monkeypatch):
+    # The model changes per seed, not per variant, so one oracle call serves
     # every trace of a seed.
     calls = []
     real = cli.exact_inference

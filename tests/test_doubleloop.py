@@ -304,7 +304,7 @@ def test_cccp_on_strong_triplets_stays_finite():
     (ModelSpec("qmr_like", diseases=20, findings=10, seed=0), lambda m: build_bethe(m.scopes, m.num_vars),
      "conv1", (36, 154, 13.976206697885447)),
 ], ids=["plaquettes-5x5", "triplets-n5-w3", "qmr-20x10-bethe", "qmr-20x10-bethe-conv1"])
-def test_conv3_schedule_is_pinned(spec, graph, variant, want):
+def test_schedules_are_pinned(spec, graph, variant, want):
     # Outer and inner counts and the final value of three conv3 solves and
     # one conv1 solve.  The first two are as the probability-domain sweep
     # computed them: the log-domain sweep replays the same schedule.  The

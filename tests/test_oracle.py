@@ -1,7 +1,9 @@
-"""Enumeration oracle: partition function and exact marginals."""
+"""Junction-tree oracle: partition function and exact marginals, checked
+against per-state enumeration and closed forms."""
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -10,12 +12,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kikuchi import (
+    CLAMP_LOG,
     FactorModel,
     OracleLimitError,
     build_bethe,
     exact_inference,
 )
 from conftest import chain_model
+
+# A floating-point warning anywhere in the oracle fails its test.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def test_two_variable_model_by_hand():
@@ -53,12 +59,30 @@ def test_region_graph_keying():
 
 
 def test_oracle_refuses_large_models():
+    # The limit is on the largest clique table, not on the joint: 23
+    # independent variables (2**23 joint states) solve in product form, and
+    # a fully pairwise model over the same variables, whose one clique holds
+    # 2**23 entries, is refused before any table is allocated.
     n = 23
-    m = FactorModel(
-        [2] * n, [(v,) for v in range(n)], [np.zeros(2) for _ in range(n)]
-    )
-    with pytest.raises(OracleLimitError, match="2\\*\\*22"):
-        exact_inference(m)
+    rng = np.random.default_rng(0)
+    logits = [rng.normal(size=2) for _ in range(n)]
+    m = FactorModel([2] * n, [(v,) for v in range(n)], logits)
+    res = exact_inference(m, regions=[(v,) for v in range(n)])
+    for v in range(n):
+        assert np.allclose(res.marginals[v], np.exp(logits[v]) / np.exp(logits[v]).sum(),
+                           rtol=0.0, atol=1e-15)
+    assert abs(res.log_z - sum(np.logaddexp(*l) for l in logits)) < 1e-12
+
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = FactorModel([2] * n, edges, [np.zeros((2, 2)) for _ in edges])
+    tracemalloc.start()
+    try:
+        with pytest.raises(OracleLimitError, match="8388608 entries.*limit of 2\\*\\*22"):
+            exact_inference(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the clique table alone would be 64 MiB
 
 
 def test_log_z_shift_stability():
@@ -124,3 +148,65 @@ def test_matches_per_state_enumeration(cards, seed):
         got = np.asarray(res.marginals[k])
         assert got.shape == want.shape
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+
+def _assert_matches_reference(model, regions):
+    res = exact_inference(model, regions=regions)
+    log_z, tabs = _reference(model, regions)
+    assert abs(res.log_z - log_z) <= 1e-12
+    for k, want in enumerate(tabs):
+        got = np.asarray(res.marginals[k])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
+
+
+def test_more_variables_than_einsum_labels():
+    # 60 variables in 30 disjoint pairs: each pair is its own component,
+    # and a region joining two pairs makes their cliques one.
+    rng = np.random.default_rng(7)
+    n = 60
+    scopes = [(v, v + 1) for v in range(0, n, 2)]
+    tables = [rng.normal(size=(2, 2)) for _ in scopes]
+    m = FactorModel([2] * n, scopes, tables)
+    res = exact_inference(m, regions=scopes + [(59, 0)])
+    for k, t in enumerate(tables):
+        assert np.allclose(res.marginals[k], np.exp(t) / np.exp(t).sum(), rtol=0.0, atol=1e-15)
+    joined = np.multiply.outer(res.marginals[0].sum(axis=1), res.marginals[29].sum(axis=0))
+    assert np.allclose(res.marginals[30], joined, rtol=0.0, atol=1e-15)
+    want = math.fsum(float(np.log(np.exp(t).sum())) for t in tables)
+    assert abs(res.log_z - want) < 1e-12
+
+
+def test_disconnected_components_empty_and_shuffled_regions():
+    # Two chains and a variable no factor touches; regions come empty,
+    # shuffled and straddling the components.
+    rng = np.random.default_rng(8)
+    scopes = [(0, 1), (1, 2), (3, 4), (4, 5)]
+    cards = [2, 3, 2, 3, 2, 2, 3]
+    m = FactorModel(cards, scopes, [rng.normal(scale=2.0, size=(cards[i], cards[j]))
+                                    for i, j in scopes])
+    regions = [(), (6,), (5, 3, 4), (2, 0), (4, 1), (6, 2, 5)]
+    _assert_matches_reference(m, regions)
+    assert exact_inference(m, regions=[()]).marginals[0] == 1.0
+
+
+def test_hard_zeros():
+    # A 4-cycle whose edges forbid some joint values outright (log 0 is
+    # stored as CLAMP_LOG), plus a clamped single-variable factor.
+    rng = np.random.default_rng(9)
+    scopes = [(0, 1), (0, 3), (1, 2), (2, 3), (3,)]
+    tables = [rng.normal(size=(3, 3)) for _ in range(4)] + [np.array([0.5, -np.inf, 0.0])]
+    for t in tables[:4]:
+        t[np.arange(3), (np.arange(3) + 1) % 3] = -np.inf
+    m = FactorModel([3] * 4, scopes, tables)
+    assert m.tables[0].min() == CLAMP_LOG
+    _assert_matches_reference(m, [(v,) for v in range(4)] + [(2, 0), (3, 1)])
+
+
+def test_zero_mass_is_out_of_reach():
+    # Variable 0 must equal 1 and 2, which must differ: every joint state
+    # hits a hard zero, and the model has no distribution to report.
+    eq = np.where(np.eye(2, dtype=bool), 0.0, -np.inf)
+    m = FactorModel([2] * 3, [(0, 1), (0, 2), (1, 2)], [eq, eq, eq[::-1]])
+    with pytest.raises(OracleLimitError, match="probability zero"):
+        exact_inference(m)

@@ -207,7 +207,7 @@ def test_a_count_left_out_is_the_graphs_count():
     assert (left_out.outer_iterations, left_out.final_f) == (full.outer_iterations, full.final_f)
 
 
-def test_pruned_regions_still_get_beliefs():
+def test_chain_ends_get_no_region_and_every_subset_is_swept():
     # The chain's end variables lie in one cluster each, so they get no
     # region, and every subset region is swept.
     m = chain_model(4, seed=2)

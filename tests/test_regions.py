@@ -33,7 +33,7 @@ def test_bethe_triangle_counts():
     assert g.pos_ids == () and g.zero_ids == ()
 
 
-def test_bethe_single_membership_variable_has_zero_count():
+def test_bethe_single_membership_variable_gets_no_region():
     # A variable in one cluster only would count zero: it gets no region.
     g = build_bethe([(0, 1), (1, 2), (3, 4)], 5)
     counts = {g.by_id[b].vars: g.by_id[b].overcount for b in g.subset_ids}
