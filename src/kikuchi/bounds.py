@@ -29,14 +29,15 @@ term and which are linearized around the anchor:
 
 ``inner_potentials(base, spec, anchor)`` folds a spec's linearized terms
 into ``base``, the ``ClusterPotentials`` that ``ClusterPotentials.of(model,
-graph)`` lays out once per run; the graph and the cards come off its layout.
+graph)`` lays out once per run; the graph and the cards come off its layout,
+and the fold is the layout's one scatter into the clusters
+(``Layout.into_clusters``), the same one the inner sweep rebuilds its
+cluster tables with.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import ClusterPotentials
 from .regions import RegionGraph
@@ -255,21 +256,16 @@ def inner_potentials(base: ClusterPotentials, spec: BoundSpec, anchor) -> Cluste
 
     Each subset region whose entropy is (partially) linearized contributes the
     anchor's log table, split evenly across the outer clusters containing it:
-    one scatter over ``base.layout``, subsets in ascending id order.  The
-    result is new ``ClusterPotentials`` on that layout and ``base`` is
-    untouched.  The anchor must lie on the same layout.
+    ``base.layout.into_clusters``, with each subset's share at every entry
+    group of ``cluster_sums``, subsets in layout order.  The result is new
+    ``ClusterPotentials`` on that layout and ``base`` is untouched.  The
+    anchor must lie on the same layout.
     """
     layout = base.layout
-    graph = layout.graph
     _, logs = anchor.flat(layout)
     gap = layout.overcounts - layout.kept_counts(spec.inner_overcounts)
-    per_region = gap / np.concatenate(
-        (np.ones(len(graph.outer_ids)), [graph.outer_count[b] for b in graph.subset_ids])
-    )
-    share = per_region[layout.seg] * logs
-    src, group, _, at = layout.cluster_sums
-    weights = np.concatenate((base.logs, -share[at][group]))
-    pots = np.bincount(np.concatenate((np.arange(layout.outer_size), src)), weights=weights)
+    share = (gap / layout.outer_counts)[layout.seg] * logs
+    pots = layout.into_clusters(base.logs, -share[layout.cluster_sums[3]])
     meta = dict(base.meta)
     meta["inner_variant"] = spec.variant
     return ClusterPotentials(layout, pots, meta)

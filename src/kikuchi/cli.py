@@ -78,11 +78,11 @@ class ExperimentConfig:
     variants: tuple[str, ...] = ("conv1", "conv2", "conv3", "cccp")
     seeds: tuple[int, ...] = (0,)
     outdir: str = "out"
-    outer_tol: float = 1e-8
-    marginal_tol: float = 1e-6
-    max_outer: int = 10000
-    inner_tol: float = 1e-8
-    inner_max_sweeps: int = 2000
+    outer_tol: float = OuterSettings.outer_tol
+    marginal_tol: float = OuterSettings.marginal_tol
+    max_outer: int = OuterSettings.max_outer
+    inner_tol: float = InnerSettings.tol
+    inner_max_sweeps: int = InnerSettings.max_sweeps
     consensus_window: float = 1e-4
 
 

@@ -113,7 +113,8 @@ def free_energy(pots: ClusterPotentials, q, subset_counts=None, anchor=None) -> 
     """Average energy minus counted entropy.
 
     Subset region ``b`` keeps ``subset_counts.get(b, c_b)`` of its exact
-    entropy, where ``c_b`` is the graph's count (all of it by default).  With
+    entropy, where ``c_b`` is the graph's count (all of it by default); a
+    key that is no subset region raises ``ValueError``.  With
     an ``anchor``, the remaining ``c_b - kept`` is charged as cross-entropy
     against the anchor: the double loop's upper bound, which touches the plain
     value at q == anchor.  ``q`` and ``anchor`` must lie on ``pots.layout``;

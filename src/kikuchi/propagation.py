@@ -36,18 +36,20 @@ the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
 ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
 ``minimize`` does.  The sweep runs on a ``SweepPlan`` compiled once per
 layout: the cluster log tables are the layout's outer block, and the subset
-beliefs and the messages are two more flat arrays.  The subsets are grouped
-into levels: the level of a subset is one more than the highest level among
-the earlier subsets that share a containing cluster with it.  The subsets of
-one level touch disjoint clusters and messages, so their updates commute,
-and one batched update per level, levels in order, replays the ascending-id
-sweep update for update; only the order of floating-point sums differs.  The subset beliefs and the
-messages are laid out in that sweep order, so each level reads and writes
-one slice of each.  The returned ``Beliefs`` and ``MessageSet`` hold flat
-log arrays: the beliefs on the layout, the messages in sweep order, located
-by the plan's ``edge_views``.  A warm start reads the logs of messages that
-``run_gbp`` computed on the same layout object, under any counts, and reuses
-their plan.  Any other ``warm`` raises ``ConfigurationError``.
+beliefs and the messages are two more flat arrays.  The layout groups the
+subsets into levels: the level of a subset is one more than the highest
+level among the earlier subsets that share a containing cluster with it.
+The subsets of one level touch disjoint clusters and messages, so their
+updates commute, and one batched update per level, levels in order, replays
+the ascending-id sweep update for update; only the order of floating-point
+sums differs.  The layout holds the subsets in that order and the messages
+follow it, so each level reads and writes one slice of each; the layout's
+one scatter into the clusters rebuilds the cluster tables.  The returned
+``Beliefs`` and ``MessageSet`` hold flat log arrays: the beliefs on the
+layout, the messages in sweep order, located by the plan's ``edge_views``.
+A warm start reads the logs of messages that ``run_gbp`` computed on the
+same layout object, under any counts, and reuses their plan.  Any other
+``warm`` raises ``ConfigurationError``.
 """
 from __future__ import annotations
 
@@ -58,36 +60,11 @@ import numpy as np
 
 from .energy import Beliefs
 from .model import ClusterPotentials
-from .regions import Layout, RegionGraph
+from .regions import Layout
 
 
 class ConfigurationError(ValueError):
     """Inner-loop setup that cannot run (bad exponent, foreign warm messages)."""
-
-
-def _levels(graph: RegionGraph) -> tuple[tuple[int, ...], ...]:
-    """Group the subsets (in id order) so no two of a level share a cluster."""
-    top: dict[int, int] = {}
-    groups: list[list[int]] = []
-    for b in graph.subset_ids:
-        cont = graph.containing_outers[b]
-        lv = 1 + max((top[a] for a in cont if a in top), default=-1)
-        if lv == len(groups):
-            groups.append([])
-        groups[lv].append(b)
-        for a in cont:
-            top[a] = lv
-    return tuple(tuple(g) for g in groups)
-
-
-def _views(keys, shape_of) -> dict:
-    """Start, stop and shape of each key's table in one flat array."""
-    views, at = {}, 0
-    for k in keys:
-        shape = shape_of(k)
-        views[k] = (at, at + math.prod(shape), shape)
-        at += math.prod(shape)
-    return views
 
 
 def _segments(sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -104,39 +81,33 @@ def _log_normalize(x, starts, seg):
 class SweepPlan:
     """Slices for sweeping a graph's layout, level by level.
 
-    Built for one layout; ``levels`` holds the subset ids of each level.  The
-    messages and the subset block are laid out in sweep order: level by
-    level, ascending id within a level, each subset's messages in its
-    containing clusters' order.  So each level reads and writes one slice of
-    both.  ``edge_views`` locates each (cluster, subset) pair's messages and
-    ``sub_at`` is the layout entry of each subset-block entry.  The plan
-    keeps no numbers of a run: every run allocates its own flat arrays.
+    Built for one layout, whose subset order and ``levels`` it reads.  The
+    messages are the groups of ``layout.cluster_sums``, in the same order,
+    so each level reads and writes one slice of them and of the subset
+    block.  ``edge_views`` locates each (cluster, subset) pair's messages.
+    The plan keeps no numbers of a run: every run allocates its own arrays.
     """
 
     def __init__(self, layout: Layout):
         self.layout = layout
         graph = layout.graph
-        self.levels = _levels(graph)
+        self.levels = layout.levels
         cont = graph.containing_outers
         views = layout.views
         off = layout.outer_size
         n_outer = len(graph.outer_ids)
 
-        def size(rid):
-            return views[rid][1] - views[rid][0]
-
-        order = [b for level in self.levels for b in level]
-        edges = [(a, b) for b in order for a in cont[b]]
-        self.edge_views = _views(edges, lambda pair: views[pair[1]][2])
+        edges = [(a, b) for level in self.levels for b in level for a in cont[b]]
+        sizes = [views[b][1] - views[b][0] for _, b in edges]
+        self.msg_starts, self.msg_pair = _segments(sizes)
+        self.edge_views = {
+            e: (int(lo), int(lo) + n, views[e[1]][2]) for e, lo, n in zip(edges, self.msg_starts, sizes)
+        }
         # Message entry j is sum group j: the cluster entries ``clu`` sum
         # into it, grouped from ``group_starts``.
-        clu, group, group_starts, at = layout.sums(edges)
-        self.msg_starts, self.msg_pair = _segments([size(b) for _, b in edges])
-        self.sub_starts, self.sub_seg = _segments([size(b) for b in order])
-        self.sub_at = np.array([i for b in order for i in range(*views[b][:2])], dtype=np.intp)
-        block = np.zeros(layout.size, dtype=np.intp)
-        block[self.sub_at] = np.arange(len(self.sub_at))
-        self.msg_sub = block[at]
+        clu, group, group_starts, at = layout.cluster_sums
+        self.sub_starts, self.sub_seg = layout.starts[n_outer:] - off, layout.seg[off:] - n_outer
+        self.msg_sub = at - off
 
         # The bounds of each level's pairs, message entries, cluster entries
         # and subset-block entries.  A step is, in order: the level's
@@ -155,21 +126,9 @@ class SweepPlan:
              self.msg_starts[p0:p1] - m0, self.msg_pair[m0:m1] - p0, self.msg_sub[m0:m1] - s0, slice(s0, s1))
             for p0, p1, m0, m1, c0, c1, s0, s1 in zip(p, p[1:], m, m[1:], c, c[1:], s, s[1:])
         ]
-        # A cluster's log table is its potential plus the log downward
-        # messages of its subsets in ascending id order; ``clu_msg`` is the
-        # message entry of each cluster entry, by subset id, then in the
-        # layout order of the cluster entries.
-        by_id = np.lexsort((clu, np.repeat([b for _, b in edges], [size(a) for a, _ in edges])))
-        self.clu_msg = group[by_id]
-        self.rebuild_clu = np.concatenate((np.arange(off), clu[by_id]))
         self.outer_starts, self.outer_seg = layout.starts[:n_outer], layout.seg[:off]
         # log(1 / entries of its table) at each message entry
         self.uniform = -np.log(np.bincount(self.msg_pair))[self.msg_pair]
-
-    def cluster_logs(self, pots, log_down) -> np.ndarray:
-        """Cluster log tables rebuilt from the potentials and downward messages."""
-        weights = np.concatenate((pots, log_down[self.clu_msg]))
-        return np.bincount(self.rebuild_clu, weights=weights, minlength=self.layout.outer_size)
 
     def belief_logs(self, pots, log_down, log_sub) -> np.ndarray:
         """Every region's normalized log table, flat on the layout.
@@ -177,17 +136,15 @@ class SweepPlan:
         The clusters' come from ``pots`` and ``log_down``, the subsets' are
         the subset block ``log_sub``.
         """
-        outer = _log_normalize(self.cluster_logs(pots, log_down), self.outer_starts, self.outer_seg)
-        logs = np.concatenate((outer, np.empty(self.layout.size - len(outer))))
-        logs[self.sub_at] = log_sub
-        return logs
+        outer = self.layout.into_clusters(pots, log_down)
+        return np.concatenate((_log_normalize(outer, self.outer_starts, self.outer_seg), log_sub))
 
 
 class MessageSet:
     """The up and down log messages of one ``run_gbp`` call, flat on its ``plan``.
 
-    ``logs = (up, down)``, both in the plan's sweep order;
-    ``plan.edge_views`` gives the (start, stop, shape) of each (cluster,
+    ``logs = (up, down)``, both in sweep order: entry j is group j of
+    ``layout.cluster_sums``.  ``plan.edge_views`` gives the (start, stop, shape) of each (cluster,
     subset) pair's table in both.
     """
 
@@ -209,7 +166,8 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
 
     ``pots`` are cluster potentials on a graph's layout, as
     ``inner_potentials`` returns them.  ``c_eff`` maps a subset id to its
-    effective count; a subset it leaves out keeps the graph's count.
+    effective count; a subset it leaves out keeps the graph's count, and a
+    key that is no subset region raises ``ValueError``.
     ``converged`` is true only when the largest change of a sweep fell below
     ``settings.tol`` and every returned table is finite.  The returned
     beliefs and messages hold flat log arrays of this call alone.  ``warm``
@@ -218,17 +176,15 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     """
     settings = settings or InnerSettings()
     layout = pots.layout
-    graph = layout.graph
-    n_outer = len(graph.outer_ids)
+    n_outer = len(layout.graph.outer_ids)
     kept = layout.kept_counts(c_eff)[n_outer:]
-    n = np.array([graph.outer_count[b] for b in graph.subset_ids], dtype=np.intp)
     # The update exponent's denominator of each subset, and below of each
     # subset-block entry.
-    den = n + kept
+    den = layout.outer_counts[n_outer:] + kept
     low = np.flatnonzero(den <= 1e-12)
     if len(low):
         raise ConfigurationError(
-            f"region {graph.subset_ids[low[0]]}: containing-cluster count plus effective "
+            f"region {layout.ids[n_outer + low[0]]}: containing-cluster count plus effective "
             f"overcounting number is {den[low[0]]}; the update exponent needs it positive"
         )
 
@@ -245,11 +201,11 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
         log_up, log_down = warm.logs[0].copy(), warm.logs[1].copy()
     else:
         raise ConfigurationError("warm messages must come from run_gbp on this layout object")
-    den = den[layout.seg[plan.sub_at] - n_outer]
+    den = den[plan.sub_seg]
     acc = np.bincount(plan.msg_sub, weights=log_up, minlength=len(den))
     log_sub = _log_normalize(acc / den, plan.sub_starts, plan.sub_seg)
     q_sub = np.exp(log_sub)
-    logacc = plan.cluster_logs(pots.logs, log_down)
+    logacc = layout.into_clusters(pots.logs, log_down)
     # Each step's weight on its summed upward log messages: the update
     # exponent times the undamped share.
     shares = [(1.0 - damping) / den[step[-1]] for step in plan.steps]
@@ -294,7 +250,7 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
             break
         if sweep % 64 == 0:
             # Incremental cluster updates accumulate round-off; rebuild.
-            logacc = plan.cluster_logs(pots.logs, log_down)
+            logacc = layout.into_clusters(pots.logs, log_down)
         if delta < settings.tol:
             converged = True
             break

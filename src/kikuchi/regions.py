@@ -22,10 +22,13 @@ use, and so are ``counts``, every region's overcounting number as a float,
 and ``hasse_edges``.
 
 ``RegionGraph.layout(cards)`` places every region's table in one flat array
-(``Layout``), once per graph and cards.  Its ``sums`` index maps say which
-entries of a region's table sum into each entry of a region it contains; the
-free energy, the constraint residual, the linearization fold and the sweep
-are reductions over that one array.
+(``Layout``), once per graph and cards: the outer clusters by id, then the
+subsets in the order the inner sweep visits them.  Its ``sums`` index maps
+say which entries of a region's table sum into each entry of a region it
+contains; the free energy, the constraint residual, the linearization fold
+and the sweep are reductions over that one array, and one scatter,
+``into_clusters``, carries values per (cluster, subset) entry group into the
+cluster tables for both the fold and the sweep.
 """
 from __future__ import annotations
 
@@ -162,27 +165,34 @@ class RegionGraph:
 
 
 class Layout:
-    """Every region's table in one flat array: outer clusters, then subsets, by id.
+    """Every region's table in one flat array: outer clusters by id, then subsets in sweep order.
 
-    ``views[rid]`` is the (start, stop, shape) of region ``rid``'s table and
-    ``starts``/``seg`` the start of each region's segment and the region
-    number of each entry, in that order; the outer clusters fill
-    ``[0, outer_size)``.  Only ``RegionGraph.layout`` builds one.
+    Sweep order is the inner sweep's: ``levels`` (``_levels``) in turn,
+    ascending id within a level.  In layout order, ``ids`` holds each
+    region's id, ``starts`` the start of its segment and ``outer_counts``
+    its number of containing clusters (1 for a cluster); ``seg`` holds each
+    entry's region number.  The clusters fill ``[0, outer_size)``.
+    ``views[rid]`` is region ``rid``'s (start, stop, shape), keyed clusters
+    then subsets, each by ascending id.  Only ``RegionGraph.layout`` builds one.
     """
 
     def __init__(self, graph: RegionGraph, cards: tuple[int, ...]):
         self.graph = graph
         self.cards = cards
-        self.ids = graph.outer_ids + graph.subset_ids
+        self.levels = _levels(graph)
+        self.ids = graph.outer_ids + tuple(b for level in self.levels for b in level)
         shapes = [tuple(cards[v] for v in graph.region_vars(r)) for r in self.ids]
         sizes = np.array([math.prod(s) for s in shapes], dtype=np.intp)
         self.starts = np.cumsum(sizes) - sizes
         self.seg = np.repeat(np.arange(len(sizes)), sizes)
-        self.views = {
+        views = {
             r: (int(lo), int(lo + n), s) for r, lo, n, s in zip(self.ids, self.starts, sizes, shapes)
         }
+        self.views = {r: views[r] for r in graph.outer_ids + graph.subset_ids}
         self.size = int(sizes.sum())
         self.outer_size = int(sizes[: len(graph.outer_ids)].sum())
+        self.outer_counts = np.array([graph.outer_count.get(r, 1) for r in self.ids], dtype=np.intp)
+        self._number = {r: i for i, r in enumerate(self.ids)}
 
     @cached_property
     def overcounts(self) -> np.ndarray:
@@ -190,12 +200,18 @@ class Layout:
         return np.array([self.graph.counts[r] for r in self.ids])
 
     def kept_counts(self, subset_counts=None) -> np.ndarray:
-        """``overcounts`` with ``subset_counts.get(b, c_b)`` for each subset ``b``."""
+        """``overcounts`` with ``subset_counts[b]`` for each subset ``b`` it holds.
+
+        Raises ``ValueError`` naming the first key that is not a subset region.
+        """
         if subset_counts is None:
             return self.overcounts
         keep = self.overcounts.copy()
-        for i, b in enumerate(self.graph.subset_ids, start=len(self.graph.outer_ids)):
-            keep[i] = subset_counts.get(b, keep[i])
+        for b, c in subset_counts.items():
+            i = self._number.get(b, -1)
+            if i < len(self.graph.outer_ids):
+                raise ValueError(f"count given for region {b!r}, which is not a subset region")
+            keep[i] = c
         return keep
 
     def span(self, rid: int) -> np.ndarray:
@@ -233,13 +249,40 @@ class Layout:
 
     @cached_property
     def cluster_sums(self):
-        """``sums`` of every (outer cluster, subset inside it), subset by subset.
+        """``sums`` of every (outer cluster, subset inside it), subset by subset in layout order.
 
-        The linearization fold scatters each subset's anchor table back
-        through them.
+        Its groups are the messages of the inner sweep.
         """
         g = self.graph
-        return self.sums([(a, b) for b in g.subset_ids for a in g.containing_outers[b]])
+        return self.sums([(a, b) for b in self.ids[len(g.outer_ids):] for a in g.containing_outers[b]])
+
+    @cached_property
+    def _into(self):
+        return np.concatenate((np.arange(self.outer_size), self.cluster_sums[0]))
+
+    def into_clusters(self, pots: np.ndarray, per_group: np.ndarray) -> np.ndarray:
+        """The cluster tables ``pots`` plus, at each cluster entry, the values of its groups.
+
+        ``per_group`` holds one value per group of ``cluster_sums``; the fold
+        and the sweep both reach the clusters through this one scatter.
+        """
+        weights = np.concatenate((pots, per_group[self.cluster_sums[1]]))
+        return np.bincount(self._into, weights=weights, minlength=self.outer_size)
+
+
+def _levels(graph: RegionGraph) -> tuple[tuple[int, ...], ...]:
+    """Group the subsets (in id order) so no two of a level share a cluster."""
+    top: dict[int, int] = {}
+    groups: list[list[int]] = []
+    for b in graph.subset_ids:
+        cont = graph.containing_outers[b]
+        lv = 1 + max((top[a] for a in cont if a in top), default=-1)
+        if lv == len(groups):
+            groups.append([])
+        groups[lv].append(b)
+        for a in cont:
+            top[a] = lv
+    return tuple(tuple(g) for g in groups)
 
 
 def _canonical_clusters(clusters, num_vars=None):

@@ -9,6 +9,7 @@ import pytest
 
 from kikuchi import (
     Beliefs,
+    BoundSpec,
     ClusterPotentials,
     VARIANTS,
     build_bethe,
@@ -20,6 +21,7 @@ from kikuchi import (
     make_bound_spec,
     outer_log_potentials,
     random_consistent_beliefs,
+    run_gbp,
     uniform_beliefs,
 )
 from conftest import cycle_model, pairwise_model
@@ -139,6 +141,23 @@ def test_zero_entries_contribute_zero_entropy():
     tabs = {0: np.array([[0.5, 0.5], [0.0, 0.0]]), 1: np.array([1.0, 0.0]), 2: np.array([0.5, 0.5])}
     f = free_energy(ClusterPotentials.of(m, g), Beliefs.from_tables(g.layout(m.cards), tabs))
     assert math.isfinite(f)
+
+
+def test_a_count_for_no_subset_region_is_refused():
+    # A key that names no subset region (a typo, or an outer cluster) is an
+    # error wherever a count map is read, not a count silently dropped.
+    m = cycle_model(4, seed=1)
+    g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
+    q = uniform_beliefs(g, m.cards)
+    for key in (999, g.outer_ids[0]):
+        counts = {**g.subset_overcounts(), key: 0.0}
+        with pytest.raises(ValueError, match=f"region {key}, "):
+            free_energy(pots, q, counts)
+        with pytest.raises(ValueError, match=f"region {key}, "):
+            run_gbp(pots, counts)
+        with pytest.raises(ValueError, match=f"region {key}, "):
+            inner_potentials(pots, BoundSpec("conv1", counts), q)
 
 
 def test_touching_and_bounding_consistent_beliefs():

@@ -492,14 +492,16 @@ def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
 def test_entry_maps_match_the_coordinate_reference(n, raw, card_seed):
     # Each cluster entry's index into its subset's table, computed from the
     # cluster's coordinates with np.indices and np.ravel_multi_index; the
-    # messages are numbered in the plan's sweep order, and a cluster sums
-    # its downward messages in ascending subset id.  Outer ids ascend with
-    # the layout, so entries of one subset sort by cluster id.
+    # messages are numbered in the plan's sweep order.  The layout's scatter
+    # is read one subset at a time: with the value k + 1 at each message
+    # entry k of that subset and zero elsewhere, every cluster entry must
+    # receive the number of the entry it sums into, plus one.
     cards = tuple(int(c) for c in np.random.default_rng(card_seed).integers(2, 5, size=n))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         g = build_cvm([tuple(v % n for v in cl) for cl in raw], n)
-    plan = SweepPlan(g.layout(cards))
+    layout = g.layout(cards)
+    plan = SweepPlan(layout)
     want, at = {}, 0
     for a, b in plan.edge_views:
         vb, va = g.region_vars(b), g.region_vars(a)
@@ -507,8 +509,17 @@ def test_entry_maps_match_the_coordinate_reference(n, raw, card_seed):
         keep = tuple(coords[i] for i, v in enumerate(va) if v in vb)
         want[a, b] = at + np.ravel_multi_index(keep, [cards[v] for v in vb])
         at += math.prod(cards[v] for v in vb)
-    by_id = sorted(want, key=lambda pair: (pair[1], pair[0]))
-    np.testing.assert_array_equal(plan.clu_msg, np.concatenate([want[pair] for pair in by_id]) if want else [])
+    zeros = np.zeros(len(plan.msg_pair))
+    for b in g.subset_ids:
+        per_group = zeros.copy()
+        for a in g.containing_outers[b]:
+            lo, hi, _ = plan.edge_views[a, b]
+            per_group[lo:hi] = np.arange(lo, hi) + 1
+        got = layout.into_clusters(np.zeros(layout.outer_size), per_group)
+        for a in g.outer_ids:
+            np.testing.assert_array_equal(got[layout.span(a)], want[a, b] + 1 if (a, b) in want else 0)
+    pots = np.random.default_rng(card_seed).normal(size=layout.outer_size)
+    np.testing.assert_array_equal(layout.into_clusters(pots, zeros), pots)
 
 
 def test_levels_group_regions_with_disjoint_clusters():
@@ -523,6 +534,8 @@ def test_levels_group_regions_with_disjoint_clusters():
         levels = plan.levels
         level_of = {b: i for i, level in enumerate(levels) for b in level}
         assert sorted(level_of) == sorted(g.subset_ids)
+        # The layout holds the subsets in sweep order.
+        assert plan.layout.ids == g.outer_ids + tuple(b for level in levels for b in level)
         for level in levels:
             clusters = [a for b in level for a in g.containing_outers[b]]
             assert len(clusters) == len(set(clusters))
@@ -531,21 +544,29 @@ def test_levels_group_regions_with_disjoint_clusters():
         msg_cuts, sub_cuts = [step[3] for step in plan.steps], [step[-1] for step in plan.steps]
         for cuts, total in ((msg_cuts, len(plan.msg_pair)), (sub_cuts, len(plan.sub_seg))):
             assert [0] + [cut.stop for cut in cuts] == [cut.start for cut in cuts] + [total]
-        layout = plan.layout
-        block = np.arange(float(len(plan.sub_seg)))
-        logs = plan.belief_logs(ClusterPotentials.of(m, g).logs, msgs.logs[1], block)
-        for level, msg, sub in zip(levels, msg_cuts, sub_cuts):
+        for level, msg in zip(levels, msg_cuts):
             pairs = [np.arange(*plan.edge_views[a, b][:2]) for b in level for a in g.containing_outers[b]]
             np.testing.assert_array_equal(np.concatenate(pairs), np.arange(msg.start, msg.stop))
-            # belief_logs puts each subset back at its layout position.
-            np.testing.assert_array_equal(logs[np.concatenate([layout.span(b) for b in level])], block[sub])
         for b, b2 in combinations(sorted(level_of), 2):
             if set(g.containing_outers[b]) & set(g.containing_outers[b2]):
                 assert level_of[b] < level_of[b2]
-    levels = run_gbp(ClusterPotentials.of(plaq, plaq_graph),
-                     make_bound_spec(plaq_graph, "conv3").inner_overcounts,
-                     InnerSettings(max_sweeps=1))[1].plan.levels
-    assert (len(levels), sum(map(len, levels))) == (14, 33)
+
+    # On the 5x5 plaquette graph, sweep order moves most subsets off their
+    # id rank; every reader of a count finds the region where it now is.
+    layout = plaq_graph.layout(plaq.cards)
+    n_outer = len(plaq_graph.outer_ids)
+    rank = {b: i for i, b in enumerate(plaq_graph.subset_ids)}
+    moved = [b for i, b in enumerate(layout.ids[n_outer:]) if rank[b] != i]
+    assert (len(layout.levels), len(rank), len(moved)) == (14, 33, 20)
+    counts = plaq_graph.subset_overcounts()
+    for b in moved:
+        changed = {**counts, b: counts[b] + 0.5}
+        diff = layout.kept_counts(changed) - layout.kept_counts(counts)
+        np.testing.assert_array_equal(np.flatnonzero(diff), [layout.ids.index(b)])
+    b = moved[0]
+    bad = {**counts, b: -float(plaq_graph.outer_count[b])}
+    with pytest.raises(ConfigurationError, match=f"^region {b}: "):
+        run_gbp(ClusterPotentials.of(plaq, plaq_graph), bad)
 
 
 def test_warm_start_reuses_the_plan_and_returns_fresh_tables():
