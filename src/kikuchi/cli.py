@@ -208,10 +208,12 @@ def outer_settings(cfg: ExperimentConfig) -> OuterSettings:
 
 
 def single_variable_marginals(graph, beliefs, cards):
-    """Per-variable marginals read off the beliefs, smallest carrier first.
+    """Per-variable marginals read off the beliefs.
 
-    A variable that no region holds (no factor touches it) is uniform, which
-    is its exact marginal.
+    A variable's marginal is its own single-variable region's table when the
+    graph has one, else the lowest-id outer cluster holding it
+    (``outer_containing``), summed onto it.  A variable that no region holds
+    (no factor touches it) is uniform, which is its exact marginal.
     """
     singleton = {r.vars[0]: r.id for r in graph.regions if len(r.vars) == 1}
     out = {}

@@ -313,6 +313,9 @@ def load(path) -> FactorModel:
     cards = ints(ln, parts, "integer cardinalities")
     if len(cards) != n:
         raise ModelFormatError(f"line {ln}: expected {n} cardinalities, found {len(cards)}")
+    for v, c in enumerate(cards):
+        if c < 2:
+            raise ModelFormatError(f"line {ln}: variable {v}: cardinality must be >= 2")
 
     ln, parts = expect("factors")
     if len(parts) != 1:
@@ -345,11 +348,14 @@ def load(path) -> FactorModel:
             i += 1
             for tok in vparts:
                 try:
-                    values.append(float(tok))
+                    x = float(tok)
                 except ValueError:
                     raise ModelFormatError(
                         f"line {vln}: expected a number, found {tok!r}"
                     ) from None
+                if np.isnan(x) or x == np.inf:  # -inf is log(0), which clamps
+                    raise ModelFormatError(f"line {vln}: factor {tuple(scope)}: non-finite value {tok!r}")
+                values.append(x)
         if len(values) > size:
             raise ModelFormatError(
                 f"line {vln}: factor table for {tuple(scope)}: expected "
@@ -361,10 +367,7 @@ def load(path) -> FactorModel:
     if i != len(rows):
         ln5, parts = rows[i]
         raise ModelFormatError(f"line {ln5}: trailing content {parts[0]!r}")
-    try:
-        return FactorModel(cards, scopes, tables, meta)
-    except GraphError as exc:
-        raise ModelFormatError(str(exc)) from None
+    return FactorModel(cards, scopes, tables, meta)
 
 
 def outer_log_potentials(model: FactorModel, graph: RegionGraph) -> dict[int, np.ndarray]:

@@ -28,7 +28,8 @@ say which entries of a region's table sum into each entry of a region it
 contains; the free energy, the constraint residual, the linearization fold
 and the sweep are reductions over that one array, and one scatter,
 ``into_clusters``, carries values per (cluster, subset) entry group into the
-cluster tables for both the fold and the sweep.
+cluster tables for both the fold and the sweep.  The layout also compiles
+the sweep itself, on first use: its messages, segments and per-level steps.
 """
 from __future__ import annotations
 
@@ -174,6 +175,8 @@ class Layout:
     entry's region number.  The clusters fill ``[0, outer_size)``.
     ``views[rid]`` is region ``rid``'s (start, stop, shape), keyed clusters
     then subsets, each by ascending id.  Only ``RegionGraph.layout`` builds one.
+    It is the inner sweep's one compiled form (``edge_views`` to
+    ``sweep_steps``) and keeps no numbers of a run.
     """
 
     def __init__(self, graph: RegionGraph, cards: tuple[int, ...]):
@@ -248,13 +251,65 @@ class Layout:
         return self.sums(self.graph.hasse_edges)
 
     @cached_property
-    def cluster_sums(self):
-        """``sums`` of every (outer cluster, subset inside it), subset by subset in layout order.
+    def edge_views(self) -> dict[tuple[int, int], tuple[int, int, tuple[int, ...]]]:
+        """Each (cluster, subset inside it) message's (start, stop, shape) in the sweep's message arrays.
 
-        Its groups are the messages of the inner sweep.
+        The pairs run subset by subset in layout order, clusters by id; each
+        message has its subset's shape.
         """
-        g = self.graph
-        return self.sums([(a, b) for b in self.ids[len(g.outer_ids):] for a in g.containing_outers[b]])
+        g, views, at = self.graph, {}, 0
+        for b in self.ids[len(g.outer_ids):]:
+            lo, hi, shape = self.views[b]
+            for a in g.containing_outers[b]:
+                views[a, b] = (at, at + hi - lo, shape)
+                at += hi - lo
+        return views
+
+    @cached_property
+    def cluster_sums(self):
+        """``sums`` of the pairs of ``edge_views``: its groups are the messages of the inner sweep."""
+        return self.sums(self.edge_views)
+
+    @cached_property
+    def message_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """The start of each message of ``edge_views``, and the message of each entry."""
+        sizes = np.array([hi - lo for lo, hi, _ in self.edge_views.values()], dtype=np.intp)
+        return np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes)
+
+    @cached_property
+    def subset_segments(self) -> tuple[np.ndarray, np.ndarray]:
+        """``starts`` and ``seg`` of the subset block ``[outer_size, size)``, counted from its start."""
+        n_outer = len(self.graph.outer_ids)
+        return self.starts[n_outer:] - self.outer_size, self.seg[self.outer_size:] - n_outer
+
+    @cached_property
+    def sweep_steps(self) -> list[tuple]:
+        """The slices of the inner sweep, one step per level of ``levels``.
+
+        A step is, in order: the level's cluster entries, grouped by the
+        message entry they sum into; the level-local message entry of each;
+        the start of each group; the level's message entries; the start of
+        each message and the message of each entry; the subset-block entry
+        of each message entry; the level's subset block.  Apart from the
+        cluster entries and the two slices, each counts from the level's
+        first message entry, cluster entry, message or block entry.  Within a
+        level each gathered cluster entry belongs to one message only.
+        """
+        cont = self.graph.containing_outers
+        clu, group, group_starts, at = self.cluster_sums
+        msg_starts, msg_pair = self.message_segments
+        sub_starts, sub_seg = self.subset_segments
+        # The bounds of each level's messages, message entries, cluster
+        # entries and subset-block entries.
+        p = np.cumsum([0] + [sum(len(cont[b]) for b in level) for level in self.levels])
+        m = np.append(msg_starts, len(msg_pair))[p]
+        c = np.append(group_starts, len(clu))[m]
+        s = np.append(sub_starts, len(sub_seg))[np.cumsum([0] + [len(lv) for lv in self.levels])]
+        return [
+            (clu[c0:c1], group[c0:c1] - m0, group_starts[m0:m1] - c0, slice(m0, m1),
+             msg_starts[p0:p1] - m0, msg_pair[m0:m1] - p0, at[m0:m1] - (self.outer_size + s0), slice(s0, s1))
+            for p0, p1, m0, m1, c0, c1, s0, s1 in zip(p, p[1:], m, m[1:], c, c[1:], s, s[1:])
+        ]
 
     @cached_property
     def _into(self):

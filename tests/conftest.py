@@ -46,20 +46,21 @@ def two_cycles_sharing_edge_model(seed, scale=1.0):
     return pairwise_model(4, edges, rng, scale)
 
 
-def random_messages(plan, rng):
-    """Warm messages on ``plan``: Gamma(1) tables, normalized, as flat logs."""
+def random_messages(layout, rng):
+    """Warm messages on ``layout``: Gamma(1) tables, normalized, as flat logs."""
+    starts, pair = layout.message_segments
 
     def draw():
-        x = np.log(rng.gamma(1.0, size=len(plan.msg_pair)))
-        return x - np.log(np.add.reduceat(np.exp(x), plan.msg_starts))[plan.msg_pair]
+        x = np.log(rng.gamma(1.0, size=len(pair)))
+        return x - np.log(np.add.reduceat(np.exp(x), starts))[pair]
 
-    return MessageSet(plan, draw(), draw())
+    return MessageSet(layout, draw(), draw())
 
 
 def message_tables(msgs):
     """(up, down): the tables of ``msgs`` keyed (cluster, subset) and (subset, cluster)."""
     up, down = (np.exp(logs) for logs in msgs.logs)
-    views = msgs.plan.edge_views.items()
+    views = msgs.layout.edge_views.items()
     return (
         {(a, b): up[lo:hi].reshape(shape) for (a, b), (lo, hi, shape) in views},
         {(b, a): down[lo:hi].reshape(shape) for (a, b), (lo, hi, shape) in views},

@@ -280,7 +280,7 @@ def test_criterion_7_initialization_robustness():
             ref, msgs, _, ok = run_gbp(pots, counts)
             assert ok
             for _ in range(5):
-                q, _, _, ok = run_gbp(pots, counts, warm=random_messages(msgs.plan, rng))
+                q, _, _, ok = run_gbp(pots, counts, warm=random_messages(msgs.layout, rng))
                 assert ok
                 assert q.delta(ref) < 1e-5
 

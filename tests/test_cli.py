@@ -111,6 +111,8 @@ def test_parse_config_reports_line_numbers():
         parse_config(good.replace("rows = 0", "rows = many"))
     with pytest.raises(UsageError, match="max_outer"):
         parse_config(good.replace("max_outer = 10000", "max_outer = many"))
+    with pytest.raises(UsageError, match="line 3: expected 'key = value'"):
+        parse_config("# experiment config v1\nfamily = grid\nrows 4\n")
 
 
 def test_generate_and_load(tmp_path, capsys):
@@ -313,6 +315,30 @@ def test_compare_runs_the_oracle_once_per_seed(tmp_path, monkeypatch):
     assert all(m["kl_to_oracle"] is not None for m in metas)
 
 
+def test_run_seed_flag_writes_the_seed(tmp_path, capsys):
+    outdir = tmp_path / "out"
+    assert main(["run", "--family", "grid", "--rows", "2", "--cols", "2", "--seed", "4",
+                 "--variant", "conv1", "--outdir", str(outdir)]) == 0
+    assert "seeds = 4\n" in (outdir / "config.txt").read_text()
+    assert load_config(outdir / "config.txt").seeds == (4,)
+    assert json.loads((outdir / "trace_conv1.json").read_text())["seed"] == 4
+
+
+def test_refused_oracle_reads_unavailable(tmp_path, capsys, monkeypatch):
+    # An oracle over its clique limit leaves the KL unavailable: the run
+    # says so, its trace holds JSON null, and so do the compare rows.
+    monkeypatch.setattr(kikuchi.oracle, "CLIQUE_LIMIT", 1)
+    flags = ["--family", "grid", "--rows", "2", "--cols", "2"]
+    assert main(["run", *flags, "--variant", "conv1", "--outdir", str(tmp_path / "r")]) == 0
+    assert "kl_to_oracle unavailable" in capsys.readouterr().out
+    assert json.loads((tmp_path / "r" / "trace_conv1.json").read_text())["kl_to_oracle"] is None
+    assert main(["compare", *flags, "--seeds", "0,1", "--variants", "conv1,conv3",
+                 "--outdir", str(tmp_path / "c")]) == 0
+    rows = [ln.split() for ln in (tmp_path / "c" / "summary.txt").read_text().splitlines()
+            if ln.startswith("row ")]
+    assert len(rows) == 4 and all(row[-1] == "unavailable" for row in rows)
+
+
 def test_compare_is_reproducible(tmp_path):
     args = ["compare", "--family", "grid", "--rows", "3", "--cols", "3",
             "--seeds", "0", "--variants", "conv1,cccp"]
@@ -395,6 +421,35 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
     assert main(["check", str(pair), "--recipe", "all-triplets"]) == 2
     assert "at least three variables" in capsys.readouterr().err
+    row = tmp_path / "row.model"
+    main(["generate", "--family", "grid", "--rows", "1", "--cols", "3", "-o", str(row)])
+    capsys.readouterr()
+    assert main(["check", str(row), "--recipe", "grid-plaquettes"]) == 2
+    assert "at least a 2x2 grid" in capsys.readouterr().err
+
+    # Bad values in a config file, in flags and in model shapes.
+    good = config_to_text(ExperimentConfig(family="grid", rows=2, cols=2, outdir=str(tmp_path / "x")))
+    config = tmp_path / "bad.txt"
+    for old, new, message in [
+        ("family = grid", "family = lattice", "unknown model family 'lattice'"),
+        ("recipe = bethe", "recipe = hexagons", "unknown recipe 'hexagons'"),
+        ("seeds = 0", "seeds =", "seed list is empty"),
+    ]:
+        assert old in good
+        config.write_text(good.replace(old, new))
+        assert main(["run", "--config", str(config)]) == 2
+        assert message in capsys.readouterr().err
+    for argv, message in [
+        (["compare", "--family", "grid", "--rows", "2", "--cols", "2", "--variants", "conv9",
+          "--outdir", str(tmp_path / "c")], "unknown variant 'conv9'"),
+        (["run", "--family", "file", "--outdir", str(tmp_path / "f")], "family 'file' needs a model path"),
+        (["generate", "--family", "grid", "--w", "-1", "-o", str(tmp_path / "w.model")],
+         "weight scale must be nonnegative"),
+        (["generate", "--family", "qmr", "--diseases", "0", "-o", str(tmp_path / "d.model")],
+         "qmr model needs at least one disease"),
+    ]:
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_runtime_errors_exit_3(tmp_path, capsys):

@@ -166,6 +166,28 @@ def test_load_reports_line_numbers(tmp_path):
     with pytest.raises(ModelFormatError, match="unexpected end"):
         load(path)
 
+    head = "vars 1\ncards 2\nfactors 1\n"
+    for text, match in [
+        ("vars 1\ncardz 2\n", "line 2: expected 'cards', found 'cardz'"),
+        ("# comment\nvars one\n", "line 2: expected a variable count"),
+        ("vars 1 2\n", "line 1: 'vars' takes one count"),
+        ("vars 0\n", "line 1: variable count must be positive"),
+        ("vars 1\ncards 2\nfactors\n", "line 3: 'factors' takes one count"),
+        (head + "factor\n0 0\n", "line 4: factor with empty scope"),
+        (head + "factor 0\n0 zero\n", "line 5: expected a number, found 'zero'"),
+        # Two checks of FactorModel, made where each value is read.
+        ("vars 2\n\ncards 2 1\nfactors 0\n", r"line 3: variable 1: cardinality must be >= 2"),
+        (head + "factor 0\n0\nnan\n", r"line 6: factor \(0,\): non-finite value 'nan'"),
+        (head + "factor 0\n+inf 0\n", r"line 5: factor \(0,\): non-finite value '\+inf'"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(ModelFormatError, match=match):
+            load(path)
+
+    # -inf is log(0), which clamps.
+    path.write_text(head + "factor 0\n-inf 0\n")
+    assert load(path).tables[0][0] == CLAMP_LOG
+
 
 def test_zero_probability_round_trips_to_clamp(tmp_path):
     with np.errstate(divide="ignore"):

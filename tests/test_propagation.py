@@ -30,7 +30,7 @@ from kikuchi import (
     run_gbp,
 )
 from kikuchi.energy import LOG_FLOOR
-from kikuchi.propagation import SweepPlan, _log_normalize, _segments
+from kikuchi.propagation import _log_normalize
 from conftest import chain_model, cycle_model, message_tables, pairwise_model, random_messages
 
 
@@ -198,7 +198,7 @@ def test_a_count_left_out_is_the_graphs_count():
         run_gbp(pots, {}), run_gbp(pots, g.subset_overcounts())
     )
     assert (sweeps, ok) == (sweeps_full, ok_full)
-    assert msgs.plan.levels == msgs_full.plan.levels
+    assert msgs.layout is msgs_full.layout
     np.testing.assert_array_equal(q.logs, q_full.logs)
     for mine, full in zip(msgs.logs, msgs_full.logs):
         np.testing.assert_array_equal(mine, full)
@@ -216,7 +216,7 @@ def test_chain_ends_get_no_region_and_every_subset_is_swept():
     assert [g.region_vars(b) for b in g.subset_ids] == [(1,), (2,)]
     q, msgs, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
-    assert sorted(b for level in msgs.plan.levels for b in level) == list(g.subset_ids)
+    assert sorted(b for level in msgs.layout.levels for b in level) == list(g.subset_ids)
     assert constraint_residual(q) < 1e-8
 
 
@@ -232,7 +232,7 @@ def test_direct_intersections_stay_active_at_zero_count():
     assert spec.inner_overcounts[shared] == 0.0
     q, msgs, _, converged = run_gbp(pots, spec.inner_overcounts)
     assert converged
-    assert any(b == shared for _, b in msgs.plan.edge_views)
+    assert any(b == shared for _, b in msgs.layout.edge_views)
     assert constraint_residual(q) < 1e-8
 
 
@@ -274,7 +274,7 @@ def test_random_message_inits_agree():
     c = _true_counts(g)
     ref, msgs, _, _ = run_gbp(pots, c)
     for _ in range(5):
-        q, _, _, converged = run_gbp(pots, c, warm=random_messages(msgs.plan, rng))
+        q, _, _, converged = run_gbp(pots, c, warm=random_messages(msgs.layout, rng))
         assert converged
         assert q.delta(ref) < 1e-5
 
@@ -475,7 +475,7 @@ def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
     want = _reference_gbp(m, g, c, short)
     cold = run_gbp(pots, c, short)
     _assert_same_run(cold, want)
-    # Warm starts: the level sweep from its own messages (reusing their plan)
+    # Warm starts: the level sweep from its own messages (on their layout)
     # and the reference from its own.
     _assert_same_run(run_gbp(pots, c, full, warm=cold[1]), _reference_gbp(m, g, c, full, warm=want[1]))
 
@@ -492,7 +492,7 @@ def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
 def test_entry_maps_match_the_coordinate_reference(n, raw, card_seed):
     # Each cluster entry's index into its subset's table, computed from the
     # cluster's coordinates with np.indices and np.ravel_multi_index; the
-    # messages are numbered in the plan's sweep order.  The layout's scatter
+    # messages are numbered in the layout's sweep order.  The layout's scatter
     # is read one subset at a time: with the value k + 1 at each message
     # entry k of that subset and zero elsewhere, every cluster entry must
     # receive the number of the entry it sums into, plus one.
@@ -501,19 +501,18 @@ def test_entry_maps_match_the_coordinate_reference(n, raw, card_seed):
         warnings.simplefilter("ignore")
         g = build_cvm([tuple(v % n for v in cl) for cl in raw], n)
     layout = g.layout(cards)
-    plan = SweepPlan(layout)
     want, at = {}, 0
-    for a, b in plan.edge_views:
+    for a, b in layout.edge_views:
         vb, va = g.region_vars(b), g.region_vars(a)
         coords = np.indices([cards[v] for v in va]).reshape(len(va), -1)
         keep = tuple(coords[i] for i, v in enumerate(va) if v in vb)
         want[a, b] = at + np.ravel_multi_index(keep, [cards[v] for v in vb])
         at += math.prod(cards[v] for v in vb)
-    zeros = np.zeros(len(plan.msg_pair))
+    zeros = np.zeros(len(layout.message_segments[1]))
     for b in g.subset_ids:
         per_group = zeros.copy()
         for a in g.containing_outers[b]:
-            lo, hi, _ = plan.edge_views[a, b]
+            lo, hi, _ = layout.edge_views[a, b]
             per_group[lo:hi] = np.arange(lo, hi) + 1
         got = layout.into_clusters(np.zeros(layout.outer_size), per_group)
         for a in g.outer_ids:
@@ -530,22 +529,24 @@ def test_levels_group_regions_with_disjoint_clusters():
     for m, g, variant in cases:
         _, msgs, _, _ = run_gbp(ClusterPotentials.of(m, g), make_bound_spec(g, variant).inner_overcounts,
                                 InnerSettings(max_sweeps=1))
-        plan = msgs.plan
-        levels = plan.levels
+        layout = msgs.layout
+        levels = layout.levels
         level_of = {b: i for i, level in enumerate(levels) for b in level}
         assert sorted(level_of) == sorted(g.subset_ids)
         # The layout holds the subsets in sweep order.
-        assert plan.layout.ids == g.outer_ids + tuple(b for level in levels for b in level)
+        assert layout.ids == g.outer_ids + tuple(b for level in levels for b in level)
         for level in levels:
             clusters = [a for b in level for a in g.containing_outers[b]]
             assert len(clusters) == len(set(clusters))
         # The steps' message and subset-block slices tile both arrays in
         # level order, each level's pairs and subsets in ascending id.
-        msg_cuts, sub_cuts = [step[3] for step in plan.steps], [step[-1] for step in plan.steps]
-        for cuts, total in ((msg_cuts, len(plan.msg_pair)), (sub_cuts, len(plan.sub_seg))):
+        steps = layout.sweep_steps
+        msg_cuts, sub_cuts = [step[3] for step in steps], [step[-1] for step in steps]
+        totals = len(layout.message_segments[1]), len(layout.subset_segments[1])
+        for cuts, total in zip((msg_cuts, sub_cuts), totals):
             assert [0] + [cut.stop for cut in cuts] == [cut.start for cut in cuts] + [total]
         for level, msg in zip(levels, msg_cuts):
-            pairs = [np.arange(*plan.edge_views[a, b][:2]) for b in level for a in g.containing_outers[b]]
+            pairs = [np.arange(*layout.edge_views[a, b][:2]) for b in level for a in g.containing_outers[b]]
             np.testing.assert_array_equal(np.concatenate(pairs), np.arange(msg.start, msg.stop))
         for b, b2 in combinations(sorted(level_of), 2):
             if set(g.containing_outers[b]) & set(g.containing_outers[b2]):
@@ -569,14 +570,14 @@ def test_levels_group_regions_with_disjoint_clusters():
         run_gbp(ClusterPotentials.of(plaq, plaq_graph), bad)
 
 
-def test_warm_start_reuses_the_plan_and_returns_fresh_tables():
+def test_warm_start_keeps_the_layout_and_returns_fresh_tables():
     m = chain_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
     q1, msgs1, _, _ = run_gbp(pots, c, InnerSettings(max_sweeps=3))
     q2, msgs2, _, _ = run_gbp(pots, c, warm=msgs1)
-    assert msgs2.plan is msgs1.plan
+    assert msgs2.layout is msgs1.layout is pots.layout
     for a, b in zip(msgs1.logs + (q1.logs, q1.probs), msgs2.logs + (q2.logs, q2.probs)):
         assert not np.shares_memory(a, b)
 
@@ -591,9 +592,9 @@ def test_stopping_test_passes_over_nan_regions():
     c = _true_counts(g)
     _, msgs, _, _ = run_gbp(pots, c, InnerSettings(max_sweeps=3))
     log_down = msgs.logs[1].copy()
-    lo, hi, _ = next(iter(msgs.plan.edge_views.values()))
+    lo, hi, _ = next(iter(msgs.layout.edge_views.values()))
     log_down[lo:hi] = np.nan
-    warm = MessageSet(msgs.plan, msgs.logs[0], log_down)
+    warm = MessageSet(msgs.layout, msgs.logs[0], log_down)
     with np.errstate(invalid="ignore"):
         q, msgs, sweeps, converged = run_gbp(pots, c, warm=warm)
         q_ref, msgs_ref, sweeps_ref, converged_ref = _reference_gbp(m, g, c, warm=message_tables(warm))
@@ -615,11 +616,12 @@ def test_zero_sweeps_return_the_warm_messages_normalized():
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    plan = run_gbp(pots, c, InnerSettings(max_sweeps=3))[1].plan
+    layout = run_gbp(pots, c, InnerSettings(max_sweeps=3))[1].layout
+    msg_starts, msg_pair = layout.message_segments
     rng = np.random.default_rng(2)
-    want = random_messages(plan, rng)
-    shifted = [x + rng.normal(0.0, 50.0, len(plan.msg_starts))[plan.msg_pair] for x in want.logs]
-    _, msgs, sweeps, converged = run_gbp(pots, c, InnerSettings(max_sweeps=0), warm=MessageSet(plan, *shifted))
+    want = random_messages(layout, rng)
+    shifted = [x + rng.normal(0.0, 50.0, len(msg_starts))[msg_pair] for x in want.logs]
+    _, msgs, sweeps, converged = run_gbp(pots, c, InnerSettings(max_sweeps=0), warm=MessageSet(layout, *shifted))
     assert (sweeps, converged) == (0, False)
     for mine, ref in zip(msgs.logs, want.logs):
         np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12)
@@ -642,6 +644,7 @@ def test_log_normalize_matches_the_max_shifted_reference():
         want = np.concatenate([v - (v.max() + np.log(np.exp(v - v.max()).sum())) for v in segments] or [x])
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = _log_normalize(x, *_segments([len(v) for v in segments]))
+            sizes = np.array([len(v) for v in segments], dtype=np.intp)
+            got = _log_normalize(x, np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
