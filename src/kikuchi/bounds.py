@@ -12,10 +12,12 @@ entropy mass sitting on containing regions: an allocation matrix with
 Existence is decided by a max-flow: donors feed receivers through admissible
 arcs, and feasibility means the flow saturates the total receiver demand.  One
 allocation routine serves all four networks: the two certificates and conv3's
-down and up flows.  The arcs come from the region graph's containment map
-(``RegionGraph.supersets``), never from an all-pairs test, and the
-augmenting-path search visits nodes in ascending index order, so the same
-graph always yields the same witness.
+down and up flows.  The flow runs on that bipartite network itself, with no
+source or sink: its residual state is each donor's supply left, each
+receiver's demand left and each arc's flow.  The arcs come from the region
+graph's containment map (``RegionGraph.supersets``), never from an all-pairs
+test, and the augmenting-path search visits donors, then receivers, in
+ascending id order, so the same graph always yields the same witness.
 
 Variants differ in which subset entropies keep their exact (possibly concave)
 term and which are linearized around the anchor:
@@ -66,89 +68,81 @@ class BoundSpec:
 
 
 def _max_flow(supply, demand, arcs):
-    """Deterministic max flow on a bipartite donor/receiver network.
+    """Deterministic max flow on the bipartite donor/receiver network itself.
 
     ``supply`` and ``demand`` are lists of (region id, capacity); ``arcs`` lists
     the (donor id, receiver id) pairs that may carry flow, read off the
-    containment map ``RegionGraph.supersets``.  Nodes are numbered source, sink,
-    donors by id, receivers by id; each adjacency list is sorted once, and the
-    breadth-first search visits neighbours in ascending node index and stops as
-    soon as the sink's parent is known.  So the augmenting paths, and with them
-    the flow on every arc, depend only on the network, which keeps witnesses
-    and conv3 counts reproducible.  Returns (total flow, {(donor, receiver):
-    flow}), its keys in ascending (donor, receiver) order.
+    containment map ``RegionGraph.supersets``.  An arc carries any amount, so
+    the residual network is each donor's supply left, each receiver's demand
+    left and each arc's flow.  Nodes are numbered donors by id, then receivers
+    by id, each with one sorted adjacency list.  Every breadth-first search
+    starts from the donors with supply left, in index order; it takes an arc
+    forward from a donor, backward from a receiver while the arc's flow is
+    above a tolerance, visits neighbours in ascending index, and stops at the
+    first labelled receiver with demand left.  So the augmenting paths, and
+    with them the flow on every arc, depend only on the network, which keeps
+    witnesses and conv3 counts reproducible.  Returns (total flow, {(donor,
+    receiver): flow}), its keys in ascending (donor, receiver) order.
     """
     supply = sorted(supply)
     demand = sorted(demand)
-    arcs = sorted(arcs)
-    source, sink = 0, 1
-    s_node = {gid: 2 + i for i, (gid, _) in enumerate(supply)}
-    d_node = {bid: 2 + len(supply) + j for j, (bid, _) in enumerate(demand)}
-    size = 2 + len(supply) + len(demand)
-    cap = [dict() for _ in range(size)]
-    big = sum(c for _, c in supply) + sum(c for _, c in demand) + 1.0
-
-    def link(u, v, c):
-        cap[u][v] = c
-        cap[v][u] = 0.0
-
-    for gid, c in supply:
-        link(source, s_node[gid], float(c))
-    for bid, c in demand:
-        link(d_node[bid], sink, float(c))
-    for gid, bid in arcs:
-        link(s_node[gid], d_node[bid], big)
-    adj = [sorted(c) for c in cap]
+    ns = len(supply)
+    donor = {gid: i for i, (gid, _) in enumerate(supply)}
+    receiver = {bid: ns + j for j, (bid, _) in enumerate(demand)}
+    # Supply left per donor, then demand left per receiver.
+    left = [float(c) for _, c in supply] + [float(c) for _, c in demand]
+    adj = [[] for _ in left]
+    flow = {}
+    for gid, bid in sorted(arcs):
+        u, v = donor[gid], receiver[bid]
+        adj[u].append(v)
+        adj[v].append(u)
+        flow[u, v] = 0.0
 
     eps = FLOW_TOL * 1e-3
-    # Every search starts as the source's scan leaves it: each donor the source
-    # still feeds labelled, queued in index order.  A source arc only closes
-    # when an augmenting path saturates it.
-    fed = [v for v in adj[source] if cap[source][v] > eps]
-    root = [-1] * size
-    for v in [source] + fed:
-        root[v] = source
+    # A fed donor is labelled as its own parent; it stays fed until an
+    # augmenting path spends its supply.
+    fed = [u for u in range(ns) if left[u] > eps]
+    root = [-1] * len(left)
+    for u in fed:
+        root[u] = u
     total = 0.0
     while True:
         prev = root[:]
         queue = deque(fed)
-        while queue and prev[sink] < 0:
+        end = -1
+        while queue and end < 0:
             u = queue.popleft()
-            cap_u = cap[u]
             for v in adj[u]:
-                if prev[v] < 0 and cap_u[v] > eps:
+                if prev[v] < 0 and (u < ns or flow[v, u] > eps):
                     prev[v] = u
                     queue.append(v)
-                    # The first labelled node with a residual arc into the sink
-                    # is the first dequeued one: it labels the sink.
-                    if cap[v].get(sink, 0.0) > eps:
-                        prev[sink] = v
+                    if v >= ns and left[v] > eps:
+                        end = v
                         break
-        if prev[sink] < 0:
+        if end < 0:
             break
-        bottleneck = big
-        v = sink
-        while v != source:
-            u = prev[v]
-            bottleneck = min(bottleneck, cap[u][v])
-            v = u
-        v = sink
-        while v != source:
-            u = prev[v]
-            cap[u][v] -= bottleneck
-            cap[v][u] += bottleneck
-            if u == source and cap[u][v] <= eps:
-                fed.remove(v)
-                root[v] = -1
-            v = u
+        path = [end]
+        while prev[path[-1]] != path[-1]:
+            path.append(prev[path[-1]])
+        start = path[-1]
+        # The path runs end receiver, donor, receiver, ..., fed donor.  Forward
+        # arcs never bind: the end's demand, the fed donor's supply and the
+        # flows the path sends back do.
+        back = list(zip(path[1::2], path[2::2]))
+        bottleneck = min([left[end], left[start]] + [flow[a] for a in back])
+        for a in zip(path[1::2], path[::2]):
+            flow[a] += bottleneck
+        for a in back:
+            flow[a] -= bottleneck
+        left[end] -= bottleneck
+        left[start] -= bottleneck
+        if left[start] <= eps:
+            fed.remove(start)
+            root[start] = -1
         total += bottleneck
 
-    flows = {}
-    for gid, bid in arcs:
-        f = cap[d_node[bid]][s_node[gid]]
-        if f > eps:
-            flows[(gid, bid)] = f
-    return total, flows
+    return total, {(supply[u][0], demand[v - ns][0]): f for (u, v), f in flow.items() if f > eps}
 
 
 def _allocate(graph, supply, demand, up=False):

@@ -321,6 +321,8 @@ def load(path) -> FactorModel:
     if len(parts) != 1:
         raise ModelFormatError(f"line {ln}: 'factors' takes one count")
     nf = ints(ln, parts, "a factor count")[0]
+    if nf < 0:
+        raise ModelFormatError(f"line {ln}: factor count must not be negative")
 
     scopes, tables = [], []
     for _ in range(nf):

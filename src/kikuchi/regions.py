@@ -3,12 +3,13 @@
 A region graph is a poset of variable subsets: "outer" clusters that carry the
 model potentials, plus subset regions generated by intersections of outer
 clusters.  Every region gets an overcounting number chosen so that entropy
-contributions add up without double counting; the numbers are kept as exact
-rationals and only converted to floats at the numerical boundary.
+contributions add up without double counting.
 
 Overcounting numbers follow the standard recursion: outer clusters count once,
 and every subset region gets one minus the sum over all regions strictly
-containing it.
+containing it.  The recursion only ever adds and subtracts integers, so a
+built graph's numbers are Python ``int``s, converted to floats at the
+numerical boundary (``counts``).
 
 Containment is derived once per graph from a variable -> regions index: the
 regions strictly containing a region are those that hold every one of its
@@ -17,9 +18,9 @@ max-flow arcs of ``bounds`` are all read off that one map, ``supersets``.  The
 graph keeps the index to place factor scopes (``outer_containing``, read by
 ``outer_log_potentials`` and the CLI's single-variable marginals) and to find
 the axes of a region's table that a contained region lacks (``outside_axes``,
-read by the layout's index maps).  Both answers are derived once, on first
-use, and so are ``counts``, every region's overcounting number as a float,
-and ``hasse_edges``.
+read by the layout's index maps).  Both are computed on each call; ``counts``,
+every region's overcounting number as a float, and ``hasse_edges`` are derived
+once, on first use.
 
 ``RegionGraph.layout(cards)`` places every region's table in one flat array
 (``Layout``), once per graph and cards: the outer clusters by id, then the
@@ -37,7 +38,6 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from typing import Sequence
@@ -60,7 +60,7 @@ class RecipeError(ValueError):
 class Region:
     id: int
     vars: tuple[int, ...]
-    overcount: Fraction
+    overcount: int  # a hand-built poset may pass any rational
     kind: str  # "outer" or "subset"
 
     def __post_init__(self):
@@ -105,8 +105,6 @@ class RegionGraph:
         self.zero_ids = tuple(b for b in subset_ids if self.by_id[b].overcount == 0)
 
         self._members, self.supersets = _containment or _index(varsets)
-        self._placement: dict[tuple[int, ...], int | None] = {}
-        self._axes: dict[tuple[int, int], tuple[int, ...]] = {}
         self._layouts: dict[tuple[int, ...], Layout] = {}
         outer_set = self._outer_set = set(self.outer_ids)
         self.containing_outers = {
@@ -142,17 +140,13 @@ class RegionGraph:
 
     def outer_containing(self, vars: tuple[int, ...]) -> int | None:
         """The lowest-id outer cluster holding every variable of ``vars``, else None."""
-        if vars not in self._placement:
-            holders = set.intersection(*(self._members.get(v, set()) for v in vars))
-            self._placement[vars] = min(holders & self._outer_set, default=None)
-        return self._placement[vars]
+        holders = set.intersection(*(self._members.get(v, set()) for v in vars))
+        return min(holders & self._outer_set, default=None)
 
     def outside_axes(self, p: int, c: int) -> tuple[int, ...]:
         """The axes of ``p``'s table over variables that ``c``'s table lacks."""
-        if (p, c) not in self._axes:
-            vc = self._varsets[c]
-            self._axes[(p, c)] = tuple(i for i, v in enumerate(self.by_id[p].vars) if v not in vc)
-        return self._axes[(p, c)]
+        vc = self._varsets[c]
+        return tuple(i for i, v in enumerate(self.by_id[p].vars) if v not in vc)
 
     def subset_overcounts(self) -> dict[int, float]:
         return {b: self.counts[b] for b in self.subset_ids}
@@ -385,11 +379,11 @@ def _index(varsets: dict[int, frozenset]):
     }
 
 
-def _moebius(varsets: dict[int, frozenset], supersets) -> dict[int, Fraction]:
+def _moebius(varsets: dict[int, frozenset], supersets) -> dict[int, int]:
     order = sorted(varsets, key=lambda i: (-len(varsets[i]), i))
-    counts: dict[int, Fraction] = {}
+    counts: dict[int, int] = {}
     for i in order:
-        counts[i] = Fraction(1) - sum((counts[j] for j in supersets[i]), Fraction(0))
+        counts[i] = 1 - sum(counts[j] for j in supersets[i])
     return counts
 
 
@@ -403,9 +397,7 @@ def _assemble(outer_varsets, subset_varsets):
         varsets[base + k] = frozenset(s)
     containment = _index(varsets)
     counts = _moebius(varsets, containment[1])
-    regions = [
-        Region(i, tuple(t), Fraction(1), "outer") for i, t in enumerate(outer_varsets)
-    ]
+    regions = [Region(i, tuple(t), 1, "outer") for i, t in enumerate(outer_varsets)]
     for k, s in enumerate(subs):
         rid = base + k
         regions.append(Region(rid, tuple(sorted(s)), counts[rid], "subset"))
@@ -417,7 +409,7 @@ def build_cvm(outer_clusters, num_vars=None) -> RegionGraph:
 
     The closure includes intersections of intersections, so the result is a
     full cluster variation poset.  Overcounting numbers come out of the
-    recursion in exact rational arithmetic.
+    recursion as integers.
     """
     outers = _canonical_clusters(outer_clusters, num_vars)
     outer_sets = [frozenset(t) for t in outers]
@@ -514,14 +506,14 @@ def is_singly_connected(g: RegionGraph) -> bool:
     return True
 
 
-def per_variable_counting_sums(g: RegionGraph) -> dict[int, Fraction]:
+def per_variable_counting_sums(g: RegionGraph) -> dict[int, int]:
     """Sum of overcounting numbers over the regions holding each variable.
 
     Equals one for every variable on well-balanced graphs; reported as a
     diagnostic, never enforced.
     """
-    sums: dict[int, Fraction] = {}
+    sums: Counter = Counter()
     for r in g.regions:
         for v in r.vars:
-            sums[v] = sums.get(v, Fraction(0)) + r.overcount
+            sums[v] += r.overcount
     return dict(sorted(sums.items()))

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kikuchi import (
@@ -303,8 +303,10 @@ def test_flow_certificate_matches_subset_enumeration():
 def _reference_max_flow(supply, demand, admissible):
     """Max flow over an all-pairs admissibility predicate, one BFS per path.
 
-    The oracle for ``bounds._max_flow``: the same node numbering, the same
-    ascending-index BFS from the source, the same capacities and tolerances.
+    The oracle for ``bounds._max_flow``: a textbook source/sink residual
+    network with the same search order (donors, then receivers, each by id,
+    in an ascending-index BFS from the source), the same supplies, demands
+    and tolerances.
     """
     supply = sorted(supply)
     demand = sorted(demand)
@@ -394,6 +396,20 @@ def _outcome(call):
         return type(exc), str(exc)
 
 
+def _plaquettes(rows, cols):
+    return build_cvm([
+        (r * cols + c, r * cols + c + 1, (r + 1) * cols + c, (r + 1) * cols + c + 1)
+        for r in range(rows - 1) for c in range(cols - 1)
+    ], rows * cols)
+
+
+def _bethe_grid(rows, cols):
+    n = rows * cols
+    edges = [(v, v + 1) for v in range(n) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range(n - cols)]
+    return build_bethe(edges, n)
+
+
 @st.composite
 def _region_graphs(draw):
     kind = draw(st.sampled_from(("poset", "cvm", "bethe", "triplets", "plaquettes")))
@@ -401,11 +417,7 @@ def _region_graphs(draw):
         n = draw(st.integers(4, 7))
         return build_cvm(list(combinations(range(n), 3)), n)
     if kind == "plaquettes":
-        rows, cols = draw(st.integers(2, 5)), draw(st.integers(2, 5))
-        return build_cvm([
-            (r * cols + c, r * cols + c + 1, (r + 1) * cols + c, (r + 1) * cols + c + 1)
-            for r in range(rows - 1) for c in range(cols - 1)
-        ], rows * cols)
+        return _plaquettes(draw(st.integers(2, 5)), draw(st.integers(2, 5)))
     n = draw(st.integers(3, 7))
     sets = draw(st.lists(
         st.frozensets(st.integers(0, n - 1), min_size=1, max_size=4),
@@ -428,6 +440,10 @@ def _region_graphs(draw):
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(graph=_region_graphs())
+# The draws stay small; these add networks with longer alternating paths.
+@example(graph=_plaquettes(12, 12))
+@example(graph=build_cvm(list(combinations(range(12), 3)), 12))
+@example(graph=_bethe_grid(12, 12))
 def test_max_flow_matches_the_predicate_reference(graph):
     counts = {r.id: float(r.overcount) for r in graph.regions}
     # Both certificates.

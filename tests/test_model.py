@@ -173,6 +173,7 @@ def test_load_reports_line_numbers(tmp_path):
         ("vars 1 2\n", "line 1: 'vars' takes one count"),
         ("vars 0\n", "line 1: variable count must be positive"),
         ("vars 1\ncards 2\nfactors\n", "line 3: 'factors' takes one count"),
+        ("vars 1\ncards 2\nfactors -1\n", "line 3: factor count must not be negative"),
         (head + "factor\n0 0\n", "line 4: factor with empty scope"),
         (head + "factor 0\n0 zero\n", "line 5: expected a number, found 'zero'"),
         # Two checks of FactorModel, made where each value is read.
@@ -187,6 +188,10 @@ def test_load_reports_line_numbers(tmp_path):
     # -inf is log(0), which clamps.
     path.write_text(head + "factor 0\n-inf 0\n")
     assert load(path).tables[0][0] == CLAMP_LOG
+
+    # A model may have no factors at all.
+    path.write_text("vars 1\ncards 2\nfactors 0\n")
+    assert load(path).scopes == []
 
 
 def test_zero_probability_round_trips_to_clamp(tmp_path):

@@ -94,6 +94,8 @@ def test_region_graphs_match_brute_force_definitions(n, raw, bethe):
     assert g.containing_outers == outers
     assert list(g.hasse_edges) == hasse
     assert {r.id: r.overcount for r in g.regions} == counts
+    # The recursion only adds and subtracts integers, so the counts are ints.
+    assert all(type(r.overcount) is int for r in g.regions)
     # Factor placement: the lowest-id outer holding a scope, else None.  Every
     # region is placed; pairs across outers, all variables together and a
     # variable no region holds are not.
