@@ -1,12 +1,12 @@
 """Generalized belief propagation on a two-layer view of the region graph.
 
 Every subset region exchanges messages with every outer cluster whose
-variables contain it.  One sweep updates the subsets in ascending id order;
-for each subset the containing clusters are queried (cluster belief
-marginalized, divided by the last downward message), the subset belief is
-rebuilt from the geometric mean of the upward messages with exponent
-1 / (number of containing clusters + effective overcounting number), and the
-downward messages and cluster beliefs are refreshed.
+variables contain it.  One sweep updates the subsets colour by colour
+(``Layout.levels``); for each subset the containing clusters are queried
+(cluster belief marginalized, divided by the last downward message), the
+subset belief is rebuilt from the geometric mean of the upward messages
+with exponent 1 / (number of containing clusters + effective overcounting
+number), and the downward messages and cluster beliefs are refreshed.
 
 The sweep runs in the log domain.  Cluster tables, up and down messages and
 subset beliefs are log tables; a marginal is a pairwise ``logaddexp``
@@ -36,15 +36,16 @@ the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
 ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
 ``minimize`` does.  The layout compiles the sweep, once per graph and
 cards: the cluster log tables are its outer block, and the subset beliefs
-and the messages are two more flat arrays.  The layout groups the subsets
-into levels: the level of a subset is one more than the highest level
-among the earlier subsets that share a containing cluster with it.  The
-subsets of one level touch disjoint clusters and messages, so their
-updates commute, and one batched update per level, levels in order,
-replays the ascending-id sweep update for update; only the order of
-floating-point sums differs.  The layout holds the subsets in that order
-and the messages follow it, so each level reads and writes one slice of
-each (``Layout.sweep_steps``); the layout's one scatter into the clusters
+and the messages are two more flat arrays.  The layout colours the
+subsets greedily: in ascending id, each takes the lowest colour that no
+earlier subset sharing a containing cluster with it holds, and each colour
+is one level.  The subsets of one level touch disjoint clusters and
+messages, so their updates commute, and one batched update per level,
+levels in order, replays the sequential sweep that visits the subsets
+colour by colour, update for update; only the order of floating-point sums
+differs.  The layout holds the subsets in that order and the messages
+follow it, so each level reads and writes one slice of each
+(``Layout.sweep_steps``); the layout's one scatter into the clusters
 rebuilds the cluster tables.  The returned ``Beliefs`` and ``MessageSet``
 hold flat log arrays and carry their layout: the beliefs on it, the
 messages in sweep order, located by its ``edge_views``.  A warm start reads

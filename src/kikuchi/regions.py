@@ -162,11 +162,12 @@ class RegionGraph:
 class Layout:
     """Every region's table in one flat array: outer clusters by id, then subsets in sweep order.
 
-    Sweep order is the inner sweep's: ``levels`` (``_levels``) in turn,
-    ascending id within a level.  In layout order, ``ids`` holds each
-    region's id, ``starts`` the start of its segment and ``outer_counts``
-    its number of containing clusters (1 for a cluster); ``seg`` holds each
-    entry's region number.  The clusters fill ``[0, outer_size)``.
+    Sweep order is the inner sweep's: the colours of ``levels``
+    (``_levels``) in turn, ascending id within a colour.  In layout order,
+    ``ids`` holds each region's id, ``starts`` the start of its segment and
+    ``outer_counts`` its number of containing clusters (1 for a cluster);
+    ``seg`` holds each entry's region number.  The clusters fill
+    ``[0, outer_size)``.
     ``views[rid]`` is region ``rid``'s (start, stop, shape), keyed clusters
     then subsets, each by ascending id.  Only ``RegionGraph.layout`` builds one.
     It is the inner sweep's one compiled form (``edge_views`` to
@@ -320,17 +321,23 @@ class Layout:
 
 
 def _levels(graph: RegionGraph) -> tuple[tuple[int, ...], ...]:
-    """Group the subsets (in id order) so no two of a level share a cluster."""
-    top: dict[int, int] = {}
+    """Colour the subsets greedily, one level per colour, ascending id within a level.
+
+    In ascending id, each subset takes the lowest colour that no earlier
+    subset sharing one of its clusters holds, so no two subsets of a level
+    share a cluster.
+    """
+    held: dict[int, set[int]] = {}
     groups: list[list[int]] = []
     for b in graph.subset_ids:
         cont = graph.containing_outers[b]
-        lv = 1 + max((top[a] for a in cont if a in top), default=-1)
+        taken = set().union(*(held.get(a, ()) for a in cont))
+        lv = min(set(range(len(groups) + 1)) - taken)
         if lv == len(groups):
             groups.append([])
         groups[lv].append(b)
         for a in cont:
-            top[a] = lv
+            held.setdefault(a, set()).add(lv)
     return tuple(tuple(g) for g in groups)
 
 

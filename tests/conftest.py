@@ -1,6 +1,8 @@
 """Shared model builders, message draws and message views for the test suite."""
 from __future__ import annotations
 
+from itertools import combinations, count
+
 import numpy as np
 
 from kikuchi import FactorModel, MessageSet
@@ -65,3 +67,21 @@ def message_tables(msgs):
         {(a, b): up[lo:hi].reshape(shape) for (a, b), (lo, hi, shape) in views},
         {(b, a): down[lo:hi].reshape(shape) for (a, b), (lo, hi, shape) in views},
     )
+
+
+def assert_greedy_colouring(graph, levels):
+    """``levels`` are the greedy colours of ``graph``'s subsets, one level per colour.
+
+    No level holds two subsets that share a cluster; each subset's level is
+    the lowest that no lower-id subset sharing a cluster with it holds; and
+    within a level the subsets are in ascending id.
+    """
+    colour = {b: i for i, level in enumerate(levels) for b in level}
+    assert sorted(b for level in levels for b in level) == sorted(colour) == sorted(graph.subset_ids)
+    cont = {b: set(graph.containing_outers[b]) for b in graph.subset_ids}
+    for level in levels:
+        assert level and list(level) == sorted(level)
+        assert all(not cont[b] & cont[b2] for b, b2 in combinations(level, 2))
+    for b in graph.subset_ids:
+        held = {colour[b2] for b2 in graph.subset_ids if b2 < b and cont[b] & cont[b2]}
+        assert colour[b] == next(c for c in count() if c not in held), b

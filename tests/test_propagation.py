@@ -31,7 +31,14 @@ from kikuchi import (
 )
 from kikuchi.energy import LOG_FLOOR
 from kikuchi.propagation import _log_normalize
-from conftest import chain_model, cycle_model, message_tables, pairwise_model, random_messages
+from conftest import (
+    assert_greedy_colouring,
+    chain_model,
+    cycle_model,
+    message_tables,
+    pairwise_model,
+    random_messages,
+)
 
 
 def _true_counts(graph):
@@ -337,17 +344,20 @@ def test_zero_potentials_fix_uniform_beliefs():
 
 
 def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
-    """The sweep one subset region at a time, in ascending id order.
+    """The sweep one subset region at a time, in the layout's colour order.
 
     The oracle for ``run_gbp``'s level-by-level sweep: the same floors,
-    normalizations, damping rule, rebuild period and stopping test.  ``warm``
-    is an (up, down) pair of message tables, as ``message_tables`` gives them,
-    and the messages come back as such a pair, the beliefs as tables.
+    normalizations, damping rule, rebuild period and stopping test.  It
+    visits the subsets one by one, colour after colour: the subsets of one
+    colour share no cluster, so any order that keeps the colour classes in
+    turn is one and the same sequential sweep.  ``warm`` is an (up, down)
+    pair of message tables, as ``message_tables`` gives them, and the
+    messages come back as such a pair, the beliefs as tables.
     """
     settings = settings or InnerSettings()
     cards, pots, cont = model.cards, outer_log_potentials(model, graph), graph.containing_outers
     count = {b: float(c_eff.get(b, graph.by_id[b].overcount)) for b in graph.subset_ids}
-    act = graph.subset_ids
+    act = tuple(b for level in graph.layout(cards).levels for b in level)
     denom = {b: graph.outer_count[b] + count[b] for b in act}
     damping = 0.0 if all(count[b] >= 0 for b in act) else 0.5
 
@@ -486,7 +496,7 @@ def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
     raw=st.lists(st.lists(st.integers(0, 5), min_size=2, max_size=4), min_size=2, max_size=6),
     card_seed=st.integers(0, 2**16),
 )
-# The 5x5 plaquette graph: its 14 levels visit the subsets out of id order.
+# The 5x5 plaquette graph: its 8 colours visit the subsets out of id order.
 @example(n=25, raw=[[v, v + 1, v + 5, v + 6] for v in (r * 5 + c for r in range(4) for c in range(4))],
          card_seed=0)
 def test_entry_maps_match_the_coordinate_reference(n, raw, card_seed):
@@ -531,13 +541,9 @@ def test_levels_group_regions_with_disjoint_clusters():
                                 InnerSettings(max_sweeps=1))
         layout = msgs.layout
         levels = layout.levels
-        level_of = {b: i for i, level in enumerate(levels) for b in level}
-        assert sorted(level_of) == sorted(g.subset_ids)
+        assert_greedy_colouring(g, levels)
         # The layout holds the subsets in sweep order.
         assert layout.ids == g.outer_ids + tuple(b for level in levels for b in level)
-        for level in levels:
-            clusters = [a for b in level for a in g.containing_outers[b]]
-            assert len(clusters) == len(set(clusters))
         # The steps' message and subset-block slices tile both arrays in
         # level order, each level's pairs and subsets in ascending id.
         steps = layout.sweep_steps
@@ -548,9 +554,24 @@ def test_levels_group_regions_with_disjoint_clusters():
         for level, msg in zip(levels, msg_cuts):
             pairs = [np.arange(*layout.edge_views[a, b][:2]) for b in level for a in g.containing_outers[b]]
             np.testing.assert_array_equal(np.concatenate(pairs), np.arange(msg.start, msg.stop))
-        for b, b2 in combinations(sorted(level_of), 2):
-            if set(g.containing_outers[b]) & set(g.containing_outers[b2]):
-                assert level_of[b] < level_of[b2]
+
+    # The number of colours does not grow with the graph.
+    qmr = generate(ModelSpec("qmr_like", diseases=20, findings=10, seed=0))
+    graphs = {
+        "plaquettes-5x5": (plaq_graph, plaq.cards),
+        "plaquettes-8x8": (build_cvm(_plaquettes(8, 8), 64), (2,) * 64),
+        "plaquettes-16x16": (build_cvm(_plaquettes(16, 16), 256), (2,) * 256),
+        "triplets-n5": (build_cvm(list(combinations(range(5), 3)), 5), (2,) * 5),
+        "qmr-20x10-bethe": (build_bethe(qmr.scopes, qmr.num_vars), qmr.cards),
+        "chain-300-bethe": (build_bethe([(i, i + 1) for i in range(299)], 300), (2,) * 300),
+    }
+    colours = {}
+    for name, (g, cards) in graphs.items():
+        levels = g.layout(cards).levels
+        assert_greedy_colouring(g, levels)
+        colours[name] = len(levels)
+    assert colours == {"plaquettes-5x5": 8, "plaquettes-8x8": 8, "plaquettes-16x16": 8, "triplets-n5": 12,
+                       "qmr-20x10-bethe": 3, "chain-300-bethe": 2}
 
     # On the 5x5 plaquette graph, sweep order moves most subsets off their
     # id rank; every reader of a count finds the region where it now is.
@@ -558,7 +579,7 @@ def test_levels_group_regions_with_disjoint_clusters():
     n_outer = len(plaq_graph.outer_ids)
     rank = {b: i for i, b in enumerate(plaq_graph.subset_ids)}
     moved = [b for i, b in enumerate(layout.ids[n_outer:]) if rank[b] != i]
-    assert (len(layout.levels), len(rank), len(moved)) == (14, 33, 20)
+    assert (len(rank), len(moved)) == (33, 31)
     counts = plaq_graph.subset_overcounts()
     for b in moved:
         changed = {**counts, b: counts[b] + 0.5}

@@ -31,6 +31,7 @@ from kikuchi import (
     outer_log_potentials,
     uniform_beliefs,
 )
+from conftest import assert_greedy_colouring
 
 
 def _brute_poset(g):
@@ -111,6 +112,23 @@ def test_region_graphs_match_brute_force_definitions(n, raw, bethe):
         for p in ps:
             want = tuple(i for i, v in enumerate(g.region_vars(p)) if v not in vs[c])
             assert g.outside_axes(p, c) == want, (p, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    n=st.integers(2, 12),
+    raw=st.lists(st.lists(st.integers(0, 11), min_size=1, max_size=5), min_size=1, max_size=12),
+    bethe=st.booleans(),
+)
+def test_sweep_levels_are_the_greedy_colouring(n, raw, bethe):
+    # The inner sweep's levels colour the subsets greedily in id order, and
+    # the layout holds the subsets level by level.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = (build_bethe if bethe else build_cvm)([tuple(v % n for v in cl) for cl in raw], n)
+    layout = g.layout((2,) * n)
+    assert_greedy_colouring(g, layout.levels)
+    assert layout.ids == g.outer_ids + tuple(b for level in layout.levels for b in level)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
