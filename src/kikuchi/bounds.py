@@ -17,7 +17,8 @@ source or sink: its residual state is each donor's supply left, each
 receiver's demand left and each arc's flow.  The arcs come from the region
 graph's containment map (``RegionGraph.supersets``), never from an all-pairs
 test, and the augmenting-path search visits donors, then receivers, in
-ascending id order, so the same graph always yields the same witness.
+ascending id order, so the same graph always yields the same witness; as
+supply and demand only fall, one direct pass takes its first augmentations.
 
 Variants differ in which subset entropies keep their exact (possibly concave)
 term and which are linearized around the anchor:
@@ -81,8 +82,12 @@ def _max_flow(supply, demand, arcs):
     above a tolerance, visits neighbours in ascending index, and stops at the
     first labelled receiver with demand left.  So the augmenting paths, and
     with them the flow on every arc, depend only on the network, which keeps
-    witnesses and conv3 counts reproducible.  Returns (total flow, {(donor,
-    receiver): flow}), its keys in ascending (donor, receiver) order.
+    witnesses and conv3 counts reproducible.  A search ends at the first fed
+    donor with a receiver whose demand is left, at its first such receiver; as
+    supply and demand only fall, a donor without one never gets one again.  So
+    one direct pass, donors in order, each to its receivers in order, makes
+    the searches' first augmentations in linear time.  Returns (total flow,
+    {(donor, receiver): flow}), its keys in ascending (donor, receiver) order.
     """
     supply = sorted(supply)
     demand = sorted(demand)
@@ -100,21 +105,27 @@ def _max_flow(supply, demand, arcs):
         flow[u, v] = 0.0
 
     eps = FLOW_TOL * 1e-3
+    total = 0.0
+    # The direct pass: the searches' own first augmentations, in their order.
+    for u in range(ns):
+        for v in adj[u]:
+            if left[u] > eps and left[v] > eps:
+                b = min(left[v], left[u])
+                flow[u, v] += b
+                left[v] -= b
+                left[u] -= b
+                total += b
     # A fed donor is labelled as its own parent; it stays fed until an
     # augmenting path spends its supply.
     fed = [u for u in range(ns) if left[u] > eps]
-    root = [-1] * len(left)
-    for u in fed:
-        root[u] = u
-    total = 0.0
     while True:
-        prev = root[:]
+        prev = {u: u for u in fed}
         queue = deque(fed)
         end = -1
         while queue and end < 0:
             u = queue.popleft()
             for v in adj[u]:
-                if prev[v] < 0 and (u < ns or flow[v, u] > eps):
+                if v not in prev and (u < ns or flow[v, u] > eps):
                     prev[v] = u
                     queue.append(v)
                     if v >= ns and left[v] > eps:
@@ -139,7 +150,6 @@ def _max_flow(supply, demand, arcs):
         left[start] -= bottleneck
         if left[start] <= eps:
             fed.remove(start)
-            root[start] = -1
         total += bottleneck
 
     return total, {(supply[u][0], demand[v - ns][0]): f for (u, v), f in flow.items() if f > eps}

@@ -364,6 +364,40 @@ def _reference_max_flow(supply, demand, admissible):
     return total, flows
 
 
+# Quarter units, and capacities a flow treats as spent.
+_capacities = st.one_of(
+    st.integers(1, 8).map(lambda k: k / 4),
+    st.sampled_from((0.0, FLOW_TOL * 1e-4, FLOW_TOL * 1e-3)),
+)
+
+
+@st.composite
+def _networks(draw):
+    donors = draw(st.lists(st.integers(0, 9), max_size=6, unique=True))
+    receivers = draw(st.lists(st.integers(10, 19), max_size=6, unique=True))
+    supply = [(g, draw(_capacities)) for g in donors]
+    demand = [(b, draw(_capacities)) for b in receivers]
+    pairs = [(g, b) for g in donors for b in receivers]
+    arcs = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return supply, demand, arcs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(network=_networks())
+def test_max_flow_matches_the_reference_on_random_networks(network):
+    supply, demand, arcs = network
+    want = _reference_max_flow(supply, demand, lambda g, b: (g, b) in arcs)
+    assert bounds._max_flow(supply, demand, arcs) == want
+
+
+def test_max_flow_finishes_along_an_alternating_path():
+    # A fills x directly, so B reaches y only by x, back to A, then on to y.
+    supply = [("A", 1.0), ("B", 1.0)]
+    demand = [("x", 1.0), ("y", 1.0)]
+    arcs = [("A", "x"), ("A", "y"), ("B", "x")]
+    assert bounds._max_flow(supply, demand, arcs) == (2.0, {("A", "y"): 1.0, ("B", "x"): 1.0})
+
+
 def _with_reference_flows(graph, call, upward=()):
     """``call()`` with every max flow checked against, and replaced by, the reference.
 
@@ -440,12 +474,15 @@ def _region_graphs(draw):
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(graph=_region_graphs())
-# The draws stay small; these add networks with longer alternating paths.
+# The draws stay small; these add larger networks.  Every augmentation on the
+# 12x12 plaquettes and the 12 triplets is a direct donor-to-receiver path; the
+# 12x12 Bethe grid takes one alternating path, in the convexity certificate and
+# in conv3's first flow.
 @example(graph=_plaquettes(12, 12))
 @example(graph=build_cvm(list(combinations(range(12), 3)), 12))
 @example(graph=_bethe_grid(12, 12))
 def test_max_flow_matches_the_predicate_reference(graph):
-    counts = {r.id: float(r.overcount) for r in graph.regions}
+    counts = graph.counts
     # Both certificates.
     for call in (lambda: check_convex_over_constraints(graph, counts),
                  lambda: check_conv2_bound(graph)):
