@@ -7,7 +7,8 @@ inner minimum can only lower the true free energy.  An inner solve that does
 not converge within its sweep budget gives no such minimum: its beliefs are
 not taken, and the run stops at the anchor, unconverged.  Inexact inner solves
 can produce sub-noise rises; those steps are rejected, keeping the recorded
-trace non-increasing, and the run stops at the anchor.  A rise that breaks the
+trace non-increasing, and the run stops at the anchor, converged only if the
+anchor's constraint residual is within ``RESIDUAL_TOL``.  A rise that breaks the
 bound itself indicates a bug and raises rather than being papered over.
 
 Before it returns, ``minimize`` checks the promises of its trace: every
@@ -150,7 +151,8 @@ def minimize(
             records.append(
                 OuterRecord(outer_index, f_prev, sweeps, records[-1].constraint_residual, 0.0)
             )
-            converged = True
+            # A loose inner solve can leave the anchor itself inconsistent.
+            converged = records[-1].constraint_residual <= RESIDUAL_TOL
             stop_reason = "rejected_rise"
             break
         delta = q_new.delta(q)

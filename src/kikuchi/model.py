@@ -3,6 +3,11 @@
 A model is a list of variables (id, cardinality) plus dense log-potential
 tables, one per cluster scope.  Tables are natural-log valued and kept finite:
 log of an exactly-zero probability is clamped at ``CLAMP_LOG``.
+``FactorModel`` checks each factor's scope and table shape in turn, then
+copies every table into one fresh buffer and clamps and checks the values in
+one pass over it; its ``tables`` are views of that buffer, so later changes
+to the caller's arrays do not reach them, and a NaN or ``+inf`` raises
+``GraphError`` naming the first factor that holds one.
 
 Text format (one model per file)::
 
@@ -55,26 +60,31 @@ class FactorModel:
             if c < 2:
                 raise GraphError(f"variable {i}: cardinality must be >= 2")
         self.scopes = []
-        self.tables = []
+        arrays = []
         self.meta = dict(meta or {})
         n = len(self.cards)
         for scope, table in zip(scopes, tables, strict=True):
-            t = tuple(int(v) for v in scope)
+            t = tuple(map(int, scope))
             if tuple(sorted(set(t))) != t:
                 raise GraphError(f"factor scope {t} must be sorted and unique")
             if not t or t[0] < 0 or t[-1] >= n:
                 raise GraphError(f"factor scope {t} references an unknown variable")
             arr = np.asarray(table, dtype=float)
-            want = tuple(self.cards[v] for v in t)
+            want = tuple(map(self.cards.__getitem__, t))
             if arr.shape != want:
                 raise GraphError(
                     f"factor {t}: table shape {arr.shape} does not match {want}"
                 )
-            arr = np.where(np.isneginf(arr), CLAMP_LOG, arr)
-            if not np.all(np.isfinite(arr)):
-                raise GraphError(f"factor {t}: table has non-finite entries")
             self.scopes.append(t)
-            self.tables.append(arr)
+            arrays.append(arr)
+        ends = np.cumsum([a.size for a in arrays], dtype=np.intp).tolist()
+        flat = np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
+        flat[np.isneginf(flat)] = CLAMP_LOG
+        bad = np.flatnonzero(~np.isfinite(flat))
+        if bad.size:
+            t = self.scopes[int(np.searchsorted(ends, bad[0], side="right"))]
+            raise GraphError(f"factor {t}: table has non-finite entries")
+        self.tables = [flat[hi - a.size:hi].reshape(a.shape) for a, hi in zip(arrays, ends)]
 
     @property
     def num_vars(self) -> int:
@@ -106,16 +116,16 @@ def _pairwise_boltzmann(n, edges, degrees, w, seed, meta):
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-w, w, size=n)
     weights = rng.uniform(-w, w, size=len(edges))
-    tables = []
-    for k, (i, j) in enumerate(edges):
-        xi = np.arange(2).reshape(2, 1)
-        xj = np.arange(2).reshape(1, 2)
-        t = (
-            weights[k] * xi * xj
-            + theta[i] * xi / degrees[i]
-            + theta[j] * xj / degrees[j]
-        )
-        tables.append(t.astype(float))
+    # One (edge, x_i, x_j) broadcast, in the per-edge formula's operation order.
+    i, j = np.array(edges, dtype=np.intp).reshape(-1, 2, 1, 1).transpose(1, 0, 2, 3)
+    deg = np.asarray(degrees)
+    xi = np.arange(2).reshape(1, 2, 1)
+    xj = np.arange(2).reshape(1, 1, 2)
+    tables = (
+        weights.reshape(-1, 1, 1) * xi * xj
+        + theta[i] * xi / deg[i]
+        + theta[j] * xj / deg[j]
+    )
     return FactorModel([2] * n, edges, tables, meta)
 
 

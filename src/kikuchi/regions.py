@@ -11,23 +11,32 @@ containing it.  The recursion only ever adds and subtracts integers, so a
 built graph's numbers are Python ``int``s, converted to floats at the
 numerical boundary (``counts``).
 
-Containment is derived once per graph from a variable -> regions index: the
+Containment is derived once per graph from one variable -> regions index:
+a builder indexes the clusters (which finds the absorbed ones), then extends
+that index with the subset regions, and the graph takes it as it is.  The
 regions strictly containing a region are those that hold every one of its
 variables.  The overcounts, the Hasse edges, the containing-outer map and the
 max-flow arcs of ``bounds`` are all read off that one map, ``supersets``.  The
 graph keeps the index to place factor scopes (``outer_containing``, read by
-``outer_log_potentials`` and the CLI's single-variable marginals) and to find
-the axes of a region's table that a contained region lacks (``outside_axes``,
-read by the layout's index maps).  Both are computed on each call; ``counts``,
-every region's overcounting number as a float, and ``hasse_edges`` are derived
-once, on first use.
+``outer_log_potentials`` and the CLI's single-variable marginals, computed on
+each call); ``counts``, every region's overcounting number as a float, and
+``hasse_edges`` are derived once, on first use.
+
+``build_cvm`` intersects new sets with clusters only: an intersection of k
+clusters is one of k - 1 of them intersected with one more, and all k hold
+each of its variables.  So it first intersects each pair of clusters that
+hold a common variable, then each new set with every cluster holding one of
+its variables, until no new set appears.
 
 ``RegionGraph.layout(cards)`` places every region's table in one flat array
 (``Layout``), once per graph and cards: the outer clusters by id, then the
 subsets in the order the inner sweep visits them.  Its ``sums`` index maps
 say which entries of a region's table sum into each entry of a region it
-contains; the free energy, the constraint residual, the linearization fold
-and the sweep are reductions over that one array, and one scatter,
+contains.  Which entries of the larger table a pair reads, and in what order,
+depends only on that table's shape and the axes the smaller region keeps, so
+``sums`` lays out each such shape class of pairs in one broadcast.  The free
+energy, the constraint residual, the linearization fold and the sweep are
+reductions over that one array, and one scatter,
 ``into_clusters``, carries values per (cluster, subset) entry group into the
 cluster tables for both the fold and the sweep.  The layout also compiles
 the sweep itself, on first use: its messages, segments and per-level steps.
@@ -39,7 +48,8 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, starmap
+from operator import and_
 from typing import Sequence
 
 import numpy as np
@@ -83,19 +93,22 @@ class RegionGraph:
     containing ``rid``.
     ``strict`` requires every subset region to sit strictly inside at least one
     outer cluster, which holds for all built graphs; synthetic test posets may
-    disable it.  ``_containment`` is the ``_index`` of the regions' variable
-    sets, for a builder that has already computed it.
+    disable it.  ``_index`` is the regions' (variable -> ids index,
+    supersets), for a builder that has already computed them.
     """
 
-    def __init__(self, regions: Sequence[Region], strict=True, *, _containment=None):
+    def __init__(self, regions: Sequence[Region], strict=True, *, _index=None):
         self.regions = tuple(regions)
         self.by_id = {r.id: r for r in self.regions}
         if len(self.by_id) != len(self.regions):
             raise GraphError("duplicate region ids")
-        varsets = {r.id: frozenset(r.vars) for r in self.regions}
-        if len(set(varsets.values())) != len(self.regions):
-            raise GraphError("two regions share one variable set")
-        self._varsets = varsets
+        if _index is None:
+            varsets = {r.id: frozenset(r.vars) for r in self.regions}
+            if len(set(varsets.values())) != len(self.regions):
+                raise GraphError("two regions share one variable set")
+            members = _extend({}, varsets.items())
+            _index = members, {rid: _supersets(members, rid, vs) for rid, vs in varsets.items()}
+        self._members, self.supersets = _index
 
         self.outer_ids = tuple(sorted(r.id for r in self.regions if r.kind == "outer"))
         subset_ids = tuple(sorted(r.id for r in self.regions if r.kind == "subset"))
@@ -104,14 +117,12 @@ class RegionGraph:
         self.pos_ids = tuple(b for b in subset_ids if self.by_id[b].overcount > 0)
         self.zero_ids = tuple(b for b in subset_ids if self.by_id[b].overcount == 0)
 
-        self._members, self.supersets = _containment or _index(varsets)
         self._layouts: dict[tuple[int, ...], Layout] = {}
         outer_set = self._outer_set = set(self.outer_ids)
         self.containing_outers = {
-            b: tuple(a for a in self.supersets[b] if a in outer_set)
-            for b in subset_ids
+            b: tuple(filter(outer_set.__contains__, self.supersets[b])) for b in subset_ids
         }
-        self.outer_count = {b: len(self.containing_outers[b]) for b in subset_ids}
+        self.outer_count = {b: len(c) for b, c in self.containing_outers.items()}
         if strict:
             for b in subset_ids:
                 if self.outer_count[b] == 0:
@@ -143,11 +154,6 @@ class RegionGraph:
         holders = set.intersection(*(self._members.get(v, set()) for v in vars))
         return min(holders & self._outer_set, default=None)
 
-    def outside_axes(self, p: int, c: int) -> tuple[int, ...]:
-        """The axes of ``p``'s table over variables that ``c``'s table lacks."""
-        vc = self._varsets[c]
-        return tuple(i for i, v in enumerate(self.by_id[p].vars) if v not in vc)
-
     def subset_overcounts(self) -> dict[int, float]:
         return {b: self.counts[b] for b in self.subset_ids}
 
@@ -164,8 +170,9 @@ class Layout:
 
     Sweep order is the inner sweep's: the colours of ``levels``
     (``_levels``) in turn, ascending id within a colour.  In layout order,
-    ``ids`` holds each region's id, ``starts`` the start of its segment and
-    ``outer_counts`` its number of containing clusters (1 for a cluster);
+    ``ids`` holds each region's id, ``starts`` and ``sizes`` the start and
+    length of its segment and ``outer_counts`` its number of containing
+    clusters (1 for a cluster);
     ``seg`` holds each entry's region number.  The clusters fill
     ``[0, outer_size)``.
     ``views[rid]`` is region ``rid``'s (start, stop, shape), keyed clusters
@@ -180,7 +187,7 @@ class Layout:
         self.levels = _levels(graph)
         self.ids = graph.outer_ids + tuple(b for level in self.levels for b in level)
         shapes = [tuple(cards[v] for v in graph.region_vars(r)) for r in self.ids]
-        sizes = np.array([math.prod(s) for s in shapes], dtype=np.intp)
+        self.sizes = sizes = np.array([math.prod(s) for s in shapes], dtype=np.intp)
         self.starts = np.cumsum(sizes) - sizes
         self.seg = np.repeat(np.arange(len(sizes)), sizes)
         views = {
@@ -212,10 +219,6 @@ class Layout:
             keep[i] = c
         return keep
 
-    def span(self, rid: int) -> np.ndarray:
-        lo, hi, _ = self.views[rid]
-        return np.arange(lo, hi)
-
     def tables(self, flat: np.ndarray) -> dict[int, np.ndarray]:
         """Each region's table as a view into ``flat``."""
         return {r: flat[lo:hi].reshape(shape) for r, (lo, hi, shape) in self.views.items()}
@@ -228,16 +231,27 @@ class Layout:
         so that every group is one contiguous run of ``src`` and groups count
         up from 0; ``starts``, the start of each group; and ``at``, the flat
         entry of c of each group.  Within a group the entries of p keep their
-        order in p's table.
+        order in p's table.  Each shape class of pairs (p's shape and the
+        axes of p that c keeps) is laid out in one broadcast.
         """
-        src, at, width = [], [], []
-        for p, c in pairs:
-            shape = self.views[p][2]
-            inside = [i for i in range(len(shape)) if i not in self.graph.outside_axes(p, c)]
-            src.append(np.moveaxis(self.span(p).reshape(shape), inside, range(len(inside))).ravel())
-            at.append(self.span(c))
-            width.append(np.full(len(at[-1]), len(src[-1]) // len(at[-1])))
-        src, at, width = (np.concatenate(x) if x else np.zeros(0, dtype=np.intp) for x in (src, at, width))
+        by_id, number = self.graph.by_id, self._number
+        classes: dict[tuple, list[int]] = {}
+        ps, cs = [], []
+        for k, (p, c) in enumerate(pairs):
+            kept = tuple(map(by_id[p].vars.index, by_id[c].vars))
+            classes.setdefault((self.views[p][2], kept), []).append(k)
+            ps.append(number[p])
+            cs.append(number[c])
+        ps, cs = np.array(ps, dtype=np.intp), np.array(cs, dtype=np.intp)
+        p_size, c_size = self.sizes[ps], self.sizes[cs]
+        src = np.empty(p_size.sum(), dtype=np.intp)
+        first = np.cumsum(p_size) - p_size
+        for (shape, kept), ks in classes.items():
+            n = math.prod(shape)
+            order = np.moveaxis(np.arange(n).reshape(shape), kept, range(len(kept))).ravel()
+            src[first[ks][:, None] + np.arange(n)] = self.starts[ps[ks]][:, None] + order
+        width = np.repeat(p_size // c_size, c_size)
+        at = np.arange(c_size.sum()) + np.repeat(self.starts[cs] - (np.cumsum(c_size) - c_size), c_size)
         return src, np.repeat(np.arange(len(at)), width), np.cumsum(width) - width, at
 
     @cached_property
@@ -342,9 +356,14 @@ def _levels(graph: RegionGraph) -> tuple[tuple[int, ...], ...]:
 
 
 def _canonical_clusters(clusters, num_vars=None):
+    """The clusters as sorted tuples, with duplicates and clusters inside a larger one absorbed.
+
+    The survivors keep their first-occurrence order and are numbered from 0;
+    also returns their index, each variable's set of the survivors holding it.
+    """
     cooked = []
     for cl in clusters:
-        t = tuple(sorted(set(int(v) for v in cl)))
+        t = tuple(sorted(set(map(int, cl))))
         if not t:
             raise GraphError("empty cluster in input")
         if num_vars is not None and (t[0] < 0 or t[-1] >= num_vars):
@@ -353,91 +372,86 @@ def _canonical_clusters(clusters, num_vars=None):
     if not cooked:
         raise GraphError("no clusters given")
 
-    # Absorb duplicates and clusters contained in a larger one; the survivors
-    # keep their first-occurrence order.
-    uniq: list[tuple[int, ...]] = []
-    seen = set()
-    for t in cooked:
-        if t not in seen:
-            uniq.append(t)
-            seen.add(t)
-    _, sups = _index({i: frozenset(t) for i, t in enumerate(uniq)})
-    kept = [t for i, t in enumerate(uniq) if not sups[i]]
+    uniq = list(dict.fromkeys(cooked))
+    members = _extend({}, enumerate(uniq))
+    kept = [t for t in uniq if len(set.intersection(*map(members.__getitem__, t))) == 1]
     dropped = len(cooked) - len(kept)
     if dropped:
         warnings.warn(f"absorbed {dropped} duplicate or contained cluster(s)")
-    return kept
+    if len(kept) < len(uniq):
+        members = _extend({}, enumerate(kept))
+    return kept, members
 
 
-def _index(varsets: dict[int, frozenset]):
-    """The variable -> ids index, and each id's sorted strict supersets.
+def _extend(members: dict[int, set[int]], sets) -> dict[int, set[int]]:
+    """``members``, the variable -> ids index, with the (id, variables) of ``sets`` added."""
+    for rid, vs in sets:
+        for v in vs:
+            members.setdefault(v, set()).add(rid)
+    return members
 
-    A region containing ``rid`` holds every variable of ``rid``, so it lies in
+
+def _supersets(members, rid, vs) -> tuple[int, ...]:
+    """The sorted ids of the sets strictly containing ``rid``, whose variables are ``vs``.
+
+    A set containing ``rid`` holds every variable of ``rid``, so it lies in
     the intersection of those variables' member sets; the variable sets are
     distinct, so every other member of that intersection contains it strictly.
     """
-    members: dict[int, set[int]] = {}
-    for rid, vs in varsets.items():
-        for v in vs:
-            members.setdefault(v, set()).add(rid)
-    return members, {
-        rid: tuple(sorted(set.intersection(*(members[v] for v in vs)) - {rid}))
-        for rid, vs in varsets.items()
-    }
+    return tuple(sorted(set.intersection(*map(members.__getitem__, vs)) - {rid}))
 
 
-def _moebius(varsets: dict[int, frozenset], supersets) -> dict[int, int]:
-    order = sorted(varsets, key=lambda i: (-len(varsets[i]), i))
-    counts: dict[int, int] = {}
-    for i in order:
-        counts[i] = 1 - sum(counts[j] for j in supersets[i])
-    return counts
+def _built_region(rid, vars, overcount, kind) -> Region:
+    """A ``Region`` that a builder made valid by construction, made without its checks."""
+    region = object.__new__(Region)
+    region.__dict__.update(id=rid, vars=vars, overcount=overcount, kind=kind)
+    return region
 
 
-def _assemble(outer_varsets, subset_varsets):
-    varsets: dict[int, frozenset] = {}
-    for i, t in enumerate(outer_varsets):
-        varsets[i] = frozenset(t)
-    base = len(outer_varsets)
-    subs = sorted(subset_varsets, key=lambda s: (-len(s), tuple(sorted(s))))
-    for k, s in enumerate(subs):
-        varsets[base + k] = frozenset(s)
-    containment = _index(varsets)
-    counts = _moebius(varsets, containment[1])
-    regions = [Region(i, tuple(t), 1, "outer") for i, t in enumerate(outer_varsets)]
-    for k, s in enumerate(subs):
-        rid = base + k
-        regions.append(Region(rid, tuple(sorted(s)), counts[rid], "subset"))
-    return RegionGraph(regions, _containment=containment)
+def _assemble(outers, subsets, members):
+    """The graph of the clusters ``outers``, indexed by ``members``, and the sets ``subsets``.
+
+    The subsets are numbered after the clusters, largest first, then by
+    their sorted variables, and added to ``members``.  Every subset lies
+    inside a cluster and no cluster inside another, so no region contains a
+    cluster, and every region containing a subset comes before it: the
+    overcounts follow in id order.
+    """
+    base = len(outers)
+    subs = sorted(map(tuple, map(sorted, subsets)))
+    subs.sort(key=len, reverse=True)
+    _extend(members, enumerate(subs, base))
+    supersets = dict.fromkeys(range(base), ())
+    regions = [_built_region(i, t, 1, "outer") for i, t in enumerate(outers)]
+    counts = [1] * base
+    for rid, t in enumerate(subs, base):
+        sups = supersets[rid] = _supersets(members, rid, t)
+        counts.append(1 - sum(map(counts.__getitem__, sups)))
+        regions.append(_built_region(rid, t, counts[rid], "subset"))
+    return RegionGraph(regions, _index=(members, supersets))
 
 
 def build_cvm(outer_clusters, num_vars=None) -> RegionGraph:
-    """Close the outer clusters under pairwise intersection, recursively.
+    """Close the outer clusters under intersection, by the rule of the module docstring.
 
-    The closure includes intersections of intersections, so the result is a
-    full cluster variation poset.  Overcounting numbers come out of the
-    recursion as integers.
+    The closure holds every nonempty intersection of two or more clusters,
+    so the result is a full cluster variation poset.  Overcounting numbers
+    come out of the recursion as integers.
     """
-    outers = _canonical_clusters(outer_clusters, num_vars)
+    outers, members = _canonical_clusters(outer_clusters, num_vars)
     outer_sets = [frozenset(t) for t in outers]
     closure = set(outer_sets)
-    # Each round intersects every set found in the last round once with every
-    # set before it that shares a variable; other pairs are empty or were
-    # intersected in an earlier round.
-    members: dict[int, list[frozenset]] = {}
-    fresh = outer_sets
-    while fresh:
+    pairs = (combinations(map(outer_sets.__getitem__, ids), 2) for ids in members.values())
+    found = set().union(*(starmap(and_, p) for p in pairs))
+    while fresh := found - closure:
+        closure |= fresh
         found = set()
         for a in fresh:
-            partners = set()
-            for v in a:
-                partners.update(members.setdefault(v, []))
-                members[v].append(a)
-            found.update(a & b for b in partners)
-        fresh = found - closure
-        closure |= fresh
-    subsets = closure - set(outer_sets)
-    return _assemble(outers, subsets)
+            if len(a) > 1:  # every cluster holding a single variable contains it
+                held = list(map(members.__getitem__, a))
+                partners = set().union(*held) - set.intersection(*held)
+                found.update(map(a.intersection, map(outer_sets.__getitem__, partners)))
+    return _assemble(outers, closure.difference(outer_sets), members)
 
 
 def build_bethe(clusters, num_vars=None) -> RegionGraph:
@@ -450,9 +464,8 @@ def build_bethe(clusters, num_vars=None) -> RegionGraph:
     A single-variable cluster is never shared, since a cluster holding it
     would absorb it.
     """
-    outers = _canonical_clusters(clusters, num_vars)
-    holders = Counter(v for t in outers for v in t)
-    return _assemble(outers, [frozenset((v,)) for v, n in holders.items() if n > 1])
+    outers, members = _canonical_clusters(clusters, num_vars)
+    return _assemble(outers, [(v,) for v, held in members.items() if len(held) > 1], members)
 
 
 def recipe_graph(model, recipe: str) -> RegionGraph:

@@ -28,7 +28,7 @@ from kikuchi import (
     write_trace_csv,
     write_trace_json,
 )
-from kikuchi.doubleloop import DESCENT_SLACK, DescentError, _check_promises
+from kikuchi.doubleloop import DESCENT_SLACK, RESIDUAL_TOL, DescentError, _check_promises
 from conftest import (
     chain_model,
     cycle_model,
@@ -173,6 +173,24 @@ def test_stop_reason_names_a_rejected_rise():
     assert trace.converged and last.inner_converged
     assert (last.f_kik, last.marginal_delta) == (prev.f_kik, 0.0)
     assert "stop_reason" not in json.dumps(trace_metadata(trace, spec))
+
+
+@pytest.mark.parametrize("case", ["plaquettes-conv3", "bethe-conv1"])
+def test_rejected_rise_at_a_loose_anchor_is_unconverged(case):
+    # A loose inner tolerance (1e-4) ends both runs on a rejected rise at an
+    # anchor whose constraint residual (6.6e-5 and 1.2e-5) is above
+    # RESIDUAL_TOL: the run returns that anchor, unconverged, instead of
+    # claiming convergence and failing its own promise check.
+    if case == "plaquettes-conv3":
+        m, g, variant = generate(ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0)), _plaquettes(5, 5), "conv3"
+    else:
+        m = _grid_model(3, 3, seed=4)
+        g, variant = build_bethe(m.scopes, m.num_vars), "conv1"
+    trace = minimize(m, g, make_bound_spec(g, variant), OuterSettings(inner=InnerSettings(tol=1e-4)))
+    last, prev = trace.outer[-1], trace.outer[-2]
+    assert trace.stop_reason == "rejected_rise" and not trace.converged
+    assert last.constraint_residual == prev.constraint_residual > RESIDUAL_TOL
+    assert (last.f_kik, last.marginal_delta) == (prev.f_kik, 0.0)
 
 
 def test_stop_reason_names_a_failed_inner_solve():

@@ -122,6 +122,24 @@ def test_neg_inf_clamped_to_floor():
     assert m.tables[0][0] == CLAMP_LOG
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factor_values_are_checked_and_copied_per_factor(bad):
+    # The values of all tables are checked in one pass over one buffer; the
+    # error still names the factor holding the bad entry, and the tables
+    # are copies: the caller's arrays can change without reaching them.
+    scopes = [(0, 1), (1, 2), (0, 2)]
+    tables = [np.arange(4.0).reshape(2, 2) + k for k in range(3)]
+    tables[1][0, 0] = -np.inf
+    m = FactorModel([2, 2, 2], scopes, tables)
+    for t in tables:
+        t += 100.0
+    assert m.tables[1][0, 0] == CLAMP_LOG
+    assert [t.tolist() for t in m.tables] == [[[0, 1], [2, 3]], [[CLAMP_LOG, 2], [3, 4]], [[2, 3], [4, 5]]]
+    tables[2][1, 0] = bad
+    with pytest.raises(GraphError, match=r"factor \(0, 2\): table has non-finite entries"):
+        FactorModel([2, 2, 2], scopes, tables)
+
+
 def test_save_load_round_trip(tmp_path):
     for spec in (
         ModelSpec("grid_boltzmann", rows=3, cols=3, weight_scale=2.0, seed=1),

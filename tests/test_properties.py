@@ -107,11 +107,29 @@ def test_region_graphs_match_brute_force_definitions(n, raw, bethe):
         want = next((a for a in g.outer_ids if set(s) <= vs[a]), None)
         assert g.outer_containing(s) == want, s
     assert g.outer_containing((n,)) is None
-    # Table axes: those of the larger region's variables the smaller one lacks.
-    for c, ps in sups.items():
-        for p in ps:
-            want = tuple(i for i, v in enumerate(g.region_vars(p)) if v not in vs[c])
-            assert g.outside_axes(p, c) == want, (p, c)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 7),
+    raw=st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=5), min_size=1, max_size=8),
+)
+def test_cvm_regions_are_the_intersections_of_cluster_families(n, raw):
+    # The regions are every nonempty intersection of a nonempty family of
+    # the clusters left after absorption, enumerated family by family; the
+    # count of each is 1 minus the counts of the regions strictly containing
+    # it (none, for a cluster).
+    clusters = {frozenset(v % n for v in cl) for cl in raw}
+    kept = {c for c in clusters if not any(c < d for d in clusters)}
+    want = {frozenset.intersection(*f) for k in range(1, len(kept) + 1) for f in combinations(kept, k)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        g = build_cvm([tuple(v % n for v in cl) for cl in raw], n)
+    got = {frozenset(r.vars): r for r in g.regions}
+    assert got.keys() == want - {frozenset()}
+    assert {s for s, r in got.items() if r.kind == "outer"} == kept
+    for s, r in got.items():
+        assert r.overcount == 1 - sum(q.overcount for t, q in got.items() if s < t)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)

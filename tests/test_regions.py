@@ -20,6 +20,7 @@ from kikuchi import (
     per_variable_counting_sums,
     recipe_graph,
 )
+from kikuchi.regions import Layout
 
 PLAQUETTES_3X3 = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
 
@@ -163,3 +164,64 @@ def test_recipe_graph_builds_and_rejects():
         with pytest.raises(RecipeError) as info:
             recipe_graph(model, recipe)
         assert not isinstance(info.value, GraphError)
+
+
+def _per_pair_sums(layout, pairs):
+    """``Layout.sums`` pair by pair, one ``moveaxis`` of p's entries each: the reference."""
+    src, at, width = [], [], []
+    for p, c in pairs:
+        lo, hi, shape = layout.views[p]
+        inside = [i for i, v in enumerate(layout.graph.region_vars(p)) if v in layout.graph.region_vars(c)]
+        src.append(np.moveaxis(np.arange(lo, hi).reshape(shape), inside, range(len(inside))).ravel())
+        at.append(np.arange(*layout.views[c][:2]))
+        width.append(np.full(len(at[-1]), len(src[-1]) // len(at[-1])))
+    src, at, width = (np.concatenate(x) if x else np.zeros(0, dtype=np.intp) for x in (src, at, width))
+    return src, np.repeat(np.arange(len(at)), width), np.cumsum(width) - width, at
+
+
+def _layout_case(case):
+    if case == "qmr-bethe":  # clusters of two and three variables
+        m = generate(ModelSpec("qmr_like", diseases=20, findings=10, seed=0))
+        return recipe_graph(m, "bethe"), m.cards
+    if case in ("cards3-cvm", "cards3-bethe"):
+        cards = (3, 2, 3, 3, 2, 3)
+        scopes = [(0, 1, 2), (1, 2, 3), (2, 3, 4, 5), (0, 5), (0, 3, 4)]
+        return (build_cvm if case == "cards3-cvm" else build_bethe)(scopes, 6), cards
+    if case == "one-cluster":  # no pairs at all
+        return build_cvm([(0, 1, 2)], 3), (2, 3, 2)
+    if case == "plaquettes-4x4":
+        m = generate(ModelSpec("grid_boltzmann", rows=4, cols=4, seed=0))
+        return recipe_graph(m, "grid-plaquettes"), m.cards
+    m = generate(ModelSpec("full_boltzmann", nodes=5, seed=0))
+    return recipe_graph(m, "all-triplets"), m.cards
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(got, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    elif isinstance(got, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert (got == want).all()
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize(
+    "case", ["qmr-bethe", "cards3-cvm", "cards3-bethe", "one-cluster", "plaquettes-4x4", "triplets-5"]
+)
+def test_shape_class_sums_match_the_per_pair_reference(case):
+    # Layout.sums lays out each class of pairs sharing p's shape and kept
+    # axes in one broadcast; every index map must equal the per-pair one,
+    # and so must the sweep steps compiled from it.
+    g, cards = _layout_case(case)
+    layout = g.layout(cards)
+    _assert_same(layout.cluster_sums, _per_pair_sums(layout, layout.edge_views))
+    _assert_same(layout.hasse_sums, _per_pair_sums(layout, g.hasse_edges))
+    ref = Layout(g, cards)
+    ref.cluster_sums = _per_pair_sums(ref, ref.edge_views)
+    assert len(layout.sweep_steps) == len(ref.sweep_steps) == len(layout.levels)
+    for got, want in zip(layout.sweep_steps, ref.sweep_steps):
+        _assert_same(got, want)
