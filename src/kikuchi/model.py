@@ -64,13 +64,13 @@ class FactorModel:
         self.meta = dict(meta or {})
         n = len(self.cards)
         for scope, table in zip(scopes, tables, strict=True):
-            t = tuple(map(int, scope))
+            t = tuple(int(v) for v in scope)
             if tuple(sorted(set(t))) != t:
                 raise GraphError(f"factor scope {t} must be sorted and unique")
             if not t or t[0] < 0 or t[-1] >= n:
                 raise GraphError(f"factor scope {t} references an unknown variable")
             arr = np.asarray(table, dtype=float)
-            want = tuple(map(self.cards.__getitem__, t))
+            want = tuple(self.cards[v] for v in t)
             if arr.shape != want:
                 raise GraphError(
                     f"factor {t}: table shape {arr.shape} does not match {want}"

@@ -120,9 +120,10 @@ class RegionGraph:
         self._layouts: dict[tuple[int, ...], Layout] = {}
         outer_set = self._outer_set = set(self.outer_ids)
         self.containing_outers = {
-            b: tuple(filter(outer_set.__contains__, self.supersets[b])) for b in subset_ids
+            b: tuple(a for a in self.supersets[b] if a in outer_set)
+            for b in subset_ids
         }
-        self.outer_count = {b: len(c) for b, c in self.containing_outers.items()}
+        self.outer_count = {b: len(self.containing_outers[b]) for b in subset_ids}
         if strict:
             for b in subset_ids:
                 if self.outer_count[b] == 0:
@@ -363,7 +364,7 @@ def _canonical_clusters(clusters, num_vars=None):
     """
     cooked = []
     for cl in clusters:
-        t = tuple(sorted(set(map(int, cl))))
+        t = tuple(sorted(set(int(v) for v in cl)))
         if not t:
             raise GraphError("empty cluster in input")
         if num_vars is not None and (t[0] < 0 or t[-1] >= num_vars):
@@ -401,13 +402,6 @@ def _supersets(members, rid, vs) -> tuple[int, ...]:
     return tuple(sorted(set.intersection(*map(members.__getitem__, vs)) - {rid}))
 
 
-def _built_region(rid, vars, overcount, kind) -> Region:
-    """A ``Region`` that a builder made valid by construction, made without its checks."""
-    region = object.__new__(Region)
-    region.__dict__.update(id=rid, vars=vars, overcount=overcount, kind=kind)
-    return region
-
-
 def _assemble(outers, subsets, members):
     """The graph of the clusters ``outers``, indexed by ``members``, and the sets ``subsets``.
 
@@ -422,12 +416,12 @@ def _assemble(outers, subsets, members):
     subs.sort(key=len, reverse=True)
     _extend(members, enumerate(subs, base))
     supersets = dict.fromkeys(range(base), ())
-    regions = [_built_region(i, t, 1, "outer") for i, t in enumerate(outers)]
+    regions = [Region(i, t, 1, "outer") for i, t in enumerate(outers)]
     counts = [1] * base
     for rid, t in enumerate(subs, base):
         sups = supersets[rid] = _supersets(members, rid, t)
         counts.append(1 - sum(map(counts.__getitem__, sups)))
-        regions.append(_built_region(rid, t, counts[rid], "subset"))
+        regions.append(Region(rid, t, counts[rid], "subset"))
     return RegionGraph(regions, _index=(members, supersets))
 
 
