@@ -30,7 +30,6 @@ from .energy import (
     Beliefs,
     free_energy,
     kl_marginals,
-    random_consistent_beliefs,
     uniform_beliefs,
 )
 from .model import (
@@ -109,7 +108,6 @@ __all__ = [
     "minimize",
     "outer_log_potentials",
     "per_variable_counting_sums",
-    "random_consistent_beliefs",
     "recipe_graph",
     "run_gbp",
     "save",

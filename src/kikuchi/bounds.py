@@ -65,7 +65,6 @@ class Allocation:
 class BoundSpec:
     variant: str
     inner_overcounts: dict[int, float]
-    witness: Allocation | None = None
 
 
 def _max_flow(supply, demand, arcs):
@@ -219,14 +218,13 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
             variant, {b: (1.0 if c < 0 else c) for b, c in counts.items()}
         )
     if variant == "conv2":
-        witness = check_conv2_bound(graph)
-        if witness is None:
+        if check_conv2_bound(graph) is None:
             raise ConvexityError(
                 "conv2 is not a certified bound on this region graph "
                 "(a positive subset region is not covered by negative ones); "
                 "use conv1 instead"
             )
-        return BoundSpec(variant, {b: 0.0 for b in counts}, witness=witness)
+        return BoundSpec(variant, {b: 0.0 for b in counts})
 
     # conv3: keep as much negative mass as remains convex over the constraints.
     supply = [(g, c) for g, c in graph.counts.items() if c > FLOW_TOL]
@@ -252,7 +250,7 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
         ct[b] = max(ct[b], counts[b])
     for b in graph.pos_ids:
         ct[b] = min(max(ct[b], 0.0), counts[b])
-    return BoundSpec(variant, ct, witness=witness)
+    return BoundSpec(variant, ct)
 
 
 def inner_potentials(base: ClusterPotentials, spec: BoundSpec, anchor) -> ClusterPotentials:

@@ -225,7 +225,6 @@ def single_variable_marginals(graph, beliefs, cards):
         else:
             axes = tuple(i for i, u in enumerate(graph.region_vars(a)) if u != v)
             t = beliefs.tables[a].sum(axis=axes)
-        t = np.maximum(t, 0.0)
         out[v] = t / t.sum()
     return out
 

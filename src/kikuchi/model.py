@@ -90,13 +90,6 @@ class FactorModel:
     def num_vars(self) -> int:
         return len(self.cards)
 
-    def equal(self, other: "FactorModel") -> bool:
-        return (
-            self.cards == other.cards
-            and self.scopes == other.scopes
-            and all(np.array_equal(a, b) for a, b in zip(self.tables, other.tables))
-        )
-
 
 def _merged(scopes, tables):
     """Collapse duplicate scopes by adding their tables, preserving order."""

@@ -103,7 +103,7 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     subset it leaves out keeps the graph's count, and a key that is no
     subset region raises ``ValueError``.  ``converged`` is true only when
     the largest change of a sweep fell below ``settings.tol`` and every
-    returned table is finite.  The returned beliefs and messages carry
+    returned log table is finite.  The returned beliefs and messages carry
     ``pots.layout`` and hold flat log arrays of this call alone.  ``warm``
     is the messages of an earlier call, carrying the same layout object,
     under any counts; anything else raises ``ConfigurationError``.
@@ -196,7 +196,7 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     outer = layout.into_clusters(pots.logs, log_down)
     outer = _log_normalize(outer, layout.starts[:n_outer], layout.seg[: layout.outer_size])
     q = Beliefs(layout, np.concatenate((outer, log_sub)))
-    converged = converged and bool(np.isfinite(q.probs).all())
+    converged = converged and bool(np.isfinite(q.logs).all())
     logs = [_log_normalize(x, *layout.message_segments) for x in (log_up, log_down)]
     return q, MessageSet(layout, *logs), sweeps, converged
 

@@ -1,11 +1,11 @@
-"""Shared model builders, message draws and message views for the test suite."""
+"""Shared model builders, belief and message draws, and message views for the test suite."""
 from __future__ import annotations
 
 from itertools import combinations, count
 
 import numpy as np
 
-from kikuchi import FactorModel, MessageSet
+from kikuchi import Beliefs, FactorModel, MessageSet
 
 
 def pairwise_model(n, edges, rng, scale=1.0, cards=None):
@@ -46,6 +46,69 @@ def two_cycles_sharing_edge_model(seed, scale=1.0):
     rng = np.random.default_rng(seed)
     edges = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
     return pairwise_model(4, edges, rng, scale)
+
+
+def same_model(a, b):
+    """Whether two models have the same cards, scopes and tables, bit for bit."""
+    return (
+        a.cards == b.cards
+        and a.scopes == b.scopes
+        and all(np.array_equal(s, t) for s, t in zip(a.tables, b.tables))
+    )
+
+
+def beliefs_from_tables(layout, tables):
+    """Beliefs on ``layout`` from positive, normalized tables keyed by region id."""
+    probs = np.empty(layout.size)
+    for rid, (lo, hi, _) in layout.views.items():
+        probs[lo:hi] = tables[rid].ravel()
+    return Beliefs(layout, np.log(probs))
+
+
+MAX_JOINT_SAMPLER = 1 << 16
+
+
+def random_consistent_beliefs(graph, cards, rng, components=3):
+    """Marginals of a random joint distribution, so consistency holds exactly.
+
+    Small state spaces draw a dense random joint and marginalize it.  Larger
+    ones use a random mixture of product distributions, whose region marginals
+    are available in closed form and are marginals of the same implicit joint.
+    """
+    n = len(cards)
+    states = 1
+    for c in cards:
+        states *= c
+        if states > MAX_JOINT_SAMPLER:
+            break
+    if states <= MAX_JOINT_SAMPLER:
+        joint = rng.gamma(1.0, size=tuple(cards))
+        joint /= joint.sum()
+        tabs = {}
+        for r in graph.regions:
+            axes = tuple(i for i in range(n) if i not in r.vars)
+            tabs[r.id] = joint.sum(axis=axes)
+        return beliefs_from_tables(graph.layout(cards), tabs)
+
+    weights = rng.gamma(1.0, size=components)
+    weights /= weights.sum()
+    comps = [
+        [rng.gamma(1.0, size=cards[v]) for v in range(n)] for _ in range(components)
+    ]
+    for k in range(components):
+        for v in range(n):
+            comps[k][v] /= comps[k][v].sum()
+    tabs = {}
+    for r in graph.regions:
+        shape = tuple(cards[v] for v in r.vars)
+        t = np.zeros(shape)
+        for k in range(components):
+            part = np.array(weights[k])
+            for v in r.vars:
+                part = np.multiply.outer(part, comps[k][v])
+            t += part
+        tabs[r.id] = t
+    return beliefs_from_tables(graph.layout(cards), tabs)
 
 
 def random_messages(layout, rng):

@@ -26,7 +26,6 @@ from kikuchi import (
     kl_marginals,
     make_bound_spec,
     minimize,
-    random_consistent_beliefs,
     run_gbp,
     save,
 )
@@ -35,6 +34,7 @@ from conftest import (
     chain_model,
     cycle_model,
     k4_model,
+    random_consistent_beliefs,
     random_messages,
     random_tree_model,
     two_cycles_sharing_edge_model,

@@ -24,12 +24,11 @@ from kikuchi import (
     free_energy,
     inner_potentials,
     make_bound_spec,
-    random_consistent_beliefs,
     uniform_beliefs,
 )
 from kikuchi import bounds
 from kikuchi.bounds import FLOW_TOL
-from conftest import cycle_model, k4_model, pairwise_model
+from conftest import cycle_model, k4_model, pairwise_model, random_consistent_beliefs
 
 PLAQUETTES_3X3 = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
 
@@ -40,6 +39,14 @@ def _given(alloc, donor):
 
 def _received(alloc, receiver):
     return sum(v for (_, b), v in alloc.entries.items() if b == receiver)
+
+
+def _conv3_first_flow(graph):
+    """conv3's first flow: positive regions charged with the negative subsets' demand."""
+    counts = graph.subset_overcounts()
+    supply = [(g, c) for g, c in graph.counts.items() if c > FLOW_TOL]
+    demand = [(b, -counts[b]) for b in graph.neg_ids]
+    return bounds._allocate(graph, supply, demand)[0]
 
 
 def _verify_witness(graph, counts, alloc):
@@ -190,7 +197,7 @@ def test_conv3_respects_outer_capacity():
         eff[b] = -retained[b] if c < 0 else counts[b]
     # positive subsets spent in step three no longer back the retained mass
     for b in g.pos_ids:
-        eff[b] = counts[b] - _given(spec.witness, b)
+        eff[b] = counts[b] - _given(_conv3_first_flow(g), b)
     assert check_convex_over_constraints(g, eff) is not None
 
 
@@ -207,7 +214,7 @@ def test_conv3_positive_subset_donates_down_then_spends_up():
     ]
     g = RegionGraph(regions, strict=False)
     spec = make_bound_spec(g, "conv3")
-    assert spec.witness.entries == {(0, 1): 1.0, (2, 3): 1.0}
+    assert _conv3_first_flow(g).entries == {(0, 1): 1.0, (2, 3): 1.0}
     assert spec.inner_overcounts == {1: -1.0, 2: 1.0, 3: -1.0}
     kept = {0: 1.0, **spec.inner_overcounts}
     assert check_convex_over_constraints(g, kept) is not None

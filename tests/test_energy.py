@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -20,11 +19,10 @@ from kikuchi import (
     kl_marginals,
     make_bound_spec,
     outer_log_potentials,
-    random_consistent_beliefs,
     run_gbp,
     uniform_beliefs,
 )
-from conftest import cycle_model, pairwise_model
+from conftest import beliefs_from_tables, cycle_model, pairwise_model, random_consistent_beliefs
 
 PLAQUETTES_3X3 = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
 
@@ -65,53 +63,29 @@ def test_uniform_free_energy_closed_form():
     assert abs(free_energy(ClusterPotentials.of(m, g), q) - want) < 1e-12
 
 
-def _tables(q):
-    """Editable copies of ``q``'s tables, keyed by region id."""
-    return {k: v.copy() for k, v in q.tables.items()}
-
-
 def test_belief_validation():
+    # A NaN or +inf log is a non-finite entry, and a log of -inf is a zero
+    # entry whose entropy term 0 * -inf has no value: each is refused, in q
+    # and in the anchor, before any arithmetic.
     m = cycle_model(4, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
     layout = g.layout(m.cards)
     q = uniform_beliefs(g, m.cards)
-
-    missing = _tables(q)
-    del missing[g.subset_ids[0]]
-    with pytest.raises(ValueError, match="missing"):
-        Beliefs.from_tables(layout, missing)
-
-    bad_shape = _tables(q)
-    bad_shape[g.outer_ids[0]] = np.full((3, 3), 1.0 / 9.0)
-    with pytest.raises(ValueError, match="shape"):
-        Beliefs.from_tables(layout, bad_shape)
-
-    unnorm = _tables(q)
-    unnorm[g.outer_ids[0]] = np.full((2, 2), 0.3)
-    with pytest.raises(ValueError, match="normalized"):
-        Beliefs.from_tables(layout, unnorm)
-
-    negative = _tables(q)
-    negative[g.outer_ids[0]] = np.array([[1.2, -0.2], [0.0, 0.0]])
-    with pytest.raises(ValueError, match="negative"):
-        Beliefs.from_tables(layout, negative)
-
-    # Every comparison with NaN is false, so a NaN table passes the sign and
-    # normalization tests; it needs a check of its own, at the door and on
-    # the layout.
-    bound = make_bound_spec(g, "conv1").inner_overcounts
+    spec = make_bound_spec(g, "conv1")
     pots = ClusterPotentials.of(m, g)
     for bad in (np.nan, np.inf, -np.inf):
         for rid in (g.outer_ids[1], g.subset_ids[1]):
-            nonfinite = _tables(q)
-            nonfinite[rid].flat[0] = bad
-            with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
-                Beliefs.from_tables(layout, nonfinite)
             logs = q.logs.copy()
-            logs[layout.views[rid][0]] = abs(bad)  # a log of -inf is a zero entry
-            for args in ((), (bound, q)):
+            logs[layout.views[rid][0]] = bad
+            b = Beliefs(layout, logs)
+            calls = (
+                lambda: free_energy(pots, b),
+                lambda: free_energy(pots, q, spec.inner_overcounts, b),
+                lambda: inner_potentials(pots, spec, b),
+            )
+            for call in calls:
                 with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
-                    free_energy(pots, Beliefs(layout, logs), *args)
+                    call()
 
 
 def test_beliefs_on_another_layout_are_refused():
@@ -136,10 +110,20 @@ def test_beliefs_on_another_layout_are_refused():
 
 
 def test_zero_entries_contribute_zero_entropy():
-    m = pairwise_model(2, [(0, 1)], np.random.default_rng(1), 1.0)
+    # A zero entry is written as a log of -1e3: its exponential underflows
+    # to 0, so its entropy term is 0 * -1e3 == 0 and the value is finite.
+    # Variable 1 is 0 for sure; clusters (0, 1) and (1, 2) and the subset
+    # (1,) each hold zero entries.
+    m = pairwise_model(3, [(0, 1), (1, 2)], np.random.default_rng(1), 1.0)
     g = build_bethe(m.scopes, m.num_vars)
-    tabs = {0: np.array([[0.5, 0.5], [0.0, 0.0]]), 1: np.array([1.0, 0.0]), 2: np.array([0.5, 0.5])}
-    f = free_energy(ClusterPotentials.of(m, g), Beliefs.from_tables(g.layout(m.cards), tabs))
+    layout = g.layout(m.cards)
+    zero, half = -1e3, math.log(0.5)
+    by_vars = {(0, 1): [[half, zero], [half, zero]], (1, 2): [[half, half], [zero, zero]], (1,): [0.0, zero]}
+    logs = np.concatenate([np.ravel(by_vars[g.region_vars(rid)]) for rid in layout.views])
+    q = Beliefs(layout, logs)
+    assert (q.probs == 0.0).sum() == 5
+    assert constraint_residual(q) == 0.0
+    f = free_energy(ClusterPotentials.of(m, g), q)
     assert math.isfinite(f)
 
 
@@ -208,7 +192,7 @@ def test_pointwise_bounding_without_consistency():
                 a = rng.gamma(1.0, size=shape)
                 anch[r.id] = a / a.sum()
             layout = g.layout(m.cards)
-            q, anchor = Beliefs.from_tables(layout, tabs), Beliefs.from_tables(layout, anch)
+            q, anchor = beliefs_from_tables(layout, tabs), beliefs_from_tables(layout, anch)
             f = free_energy(pots, q)
             assert free_energy(pots, q, spec.inner_overcounts, anchor) >= f - 1e-9
 
@@ -252,15 +236,22 @@ def test_kl_marginals():
     assert kl_marginals(degenerate, p, [0]) == pytest.approx(math.log(2.0))
 
 
-def test_bound_warns_on_floored_anchor():
-    m = pairwise_model(3, [(0, 1), (1, 2)], np.random.default_rng(3), 1.0)
-    g = build_bethe(m.scopes, m.num_vars)
-    spec = make_bound_spec(g, "conv1")
-    q = uniform_beliefs(g, m.cards)
-    tabs = _tables(q)
-    b = g.neg_ids[0]  # only gapped subsets consult the anchor
-    tabs[b] = np.array([1.0, 0.0])
-    anchor = Beliefs.from_tables(g.layout(m.cards), tabs)
-    with pytest.warns(UserWarning, match="floor"):
-        free_energy(ClusterPotentials.of(m, g), q, spec.inner_overcounts, anchor)
 
+def test_public_surface_has_one_way_in_for_beliefs():
+    # Every exported name resolves, and beliefs are made only by
+    # Beliefs(layout, logs): no dict door, log floor, sampler or spec witness.
+    import kikuchi
+    from kikuchi import energy
+
+    for name in kikuchi.__all__:
+        assert hasattr(kikuchi, name), name
+    for module in (kikuchi, energy):
+        for name in ("random_consistent_beliefs", "LOG_FLOOR", "MAX_JOINT_SAMPLER"):
+            assert not hasattr(module, name), name
+    m = cycle_model(4, seed=0)
+    g = build_bethe(m.scopes, m.num_vars)
+    q = uniform_beliefs(g, m.cards)
+    for name in ("from_tables", "floored"):
+        assert not hasattr(q, name), name
+    for variant in ("conv2", "conv3"):
+        assert not hasattr(make_bound_spec(g, variant), "witness"), variant
