@@ -268,6 +268,4 @@ def inner_potentials(base: ClusterPotentials, spec: BoundSpec, anchor) -> Cluste
     gap = layout.overcounts - layout.kept_counts(spec.inner_overcounts)
     share = (gap / layout.outer_counts)[layout.seg] * logs
     pots = layout.into_clusters(base.logs, -share[layout.cluster_sums[3]])
-    meta = dict(base.meta)
-    meta["inner_variant"] = spec.variant
-    return ClusterPotentials(layout, pots, meta)
+    return ClusterPotentials(layout, pots, base.meta)

@@ -69,8 +69,7 @@ class Beliefs:
 def uniform_beliefs(graph: RegionGraph, cards) -> Beliefs:
     """Every region's uniform table, on the graph's layout for ``cards``."""
     layout = graph.layout(cards)
-    sizes = np.diff(layout.starts, append=layout.size)
-    return Beliefs(layout, -np.log(sizes)[layout.seg])
+    return Beliefs(layout, -np.log(layout.sizes)[layout.seg])
 
 
 def free_energy(pots: ClusterPotentials, q, subset_counts=None, anchor=None) -> float:

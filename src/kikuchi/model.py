@@ -400,8 +400,7 @@ class ClusterPotentials:
     The only form in which the inner loop reads a model: ``of`` lays a
     ``FactorModel`` out once (through ``outer_log_potentials``), and
     ``bounds.inner_potentials`` returns one per outer step.  ``layout``
-    carries the graph and the cards; ``meta`` carries the model's metadata
-    and, for inner potentials, the bound's.
+    carries the graph and the cards; ``meta`` carries the model's metadata.
     """
 
     def __init__(self, layout: Layout, logs: np.ndarray, meta=None):

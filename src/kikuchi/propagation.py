@@ -13,15 +13,19 @@ subset beliefs are log tables; a marginal is a pairwise ``logaddexp``
 reduction over the cluster entries that share a subset entry, and division
 is subtraction.  Nothing in the sweep is floored: the reduction neither
 overflows nor underflows a group to -inf, so a message far below 1e-300
-stays exact and finite.  Only ratios within a table matter to the update,
-so tables are normalized no more often than needed: a subset's new log
-belief is left unnormalized until the end of the sweep, when the whole
-subset block is normalized at once, before the stopping test.  That is
-exact: within the sweep the belief only enters its downward messages,
-which are shifted to a maximum of zero at once, so a constant per region
-cancels; and the damped mix below is formed once per sweep, from the
-previous sweep's normalized block.  Every sweep rewrites every upward
-message, so the upward messages are written out once per solve, on return.
+stays exact and finite.
+
+One sweep is a map on the solver state, which ``_sweep`` applies in place:
+the cluster log tables, the up and down log messages and the subset
+log-belief block.  Each level writes its slice of the messages and of the
+block; the block's new log beliefs are left unnormalized until the end of
+the sweep, then normalized at once.  That is exact: within the sweep a
+belief only enters its downward messages, which are shifted to a maximum of
+zero at once, so a constant per region cancels; and the damped mix below
+reads the block as the previous sweep left it.  ``run_gbp`` is the driver:
+it checks the exponents, starts cold or warm, stops on the largest change
+of the block's beliefs, rebuilds the cluster tables from the downward
+messages every 64 sweeps and normalizes what it returns.
 
 With Bethe counting numbers (1 - n per variable) the exponent is one and the
 sweep reduces to ordinary loopy belief propagation.  When any kept count is
@@ -31,16 +35,13 @@ is NaN stops the run unconverged.  Every subset of a built graph lies in
 two or more clusters; a hand-built graph may hold one inside a single
 cluster, which is swept like any other.
 
-``run_gbp(pots, c_eff, settings=None, warm=None)`` reads the graph and
-the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
+``run_gbp(pots, c_eff, settings=None, warm=None)`` reads the graph and the
+cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
 ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
 ``minimize`` does.  The layout compiles the sweep, once per graph and
-cards: the cluster log tables are its outer block, and the subset beliefs
-and the messages are two more flat arrays.  The layout colours the
-subsets greedily: in ascending id, each takes the lowest colour that no
-earlier subset sharing a containing cluster with it holds, and each colour
-is one level.  The subsets of one level touch disjoint clusters and
-messages, so their updates commute, and one batched update per level,
+cards.  It colours the subsets greedily, one level per colour
+(``regions._levels``).  The subsets of one level touch disjoint clusters
+and messages, so their updates commute, and one batched update per level,
 levels in order, replays the sequential sweep that visits the subsets
 colour by colour, update for update; only the order of floating-point sums
 differs.  The layout holds the subsets in that order and the messages
@@ -48,9 +49,10 @@ follow it, so each level reads and writes one slice of each
 (``Layout.sweep_steps``); the layout's one scatter into the clusters
 rebuilds the cluster tables.  The returned ``Beliefs`` and ``MessageSet``
 hold flat log arrays and carry their layout: the beliefs on it, the
-messages in sweep order, located by its ``edge_views``.  A warm start reads
-the logs of messages that ``run_gbp`` computed on the same layout object,
-under any counts.  Any other ``warm`` raises ``ConfigurationError``.
+messages in sweep order, located by its ``edge_views``.  A warm start
+reads the logs of messages that ``run_gbp`` computed on the same layout
+object, under any counts.  Any other ``warm`` raises
+``ConfigurationError``.
 """
 from __future__ import annotations
 
@@ -92,6 +94,36 @@ class InnerSettings:
 
     tol: float = 1e-8
     max_sweeps: int = 2000
+
+
+def _sweep(layout: Layout, shares, damping, logacc, log_up, log_down, log_sub) -> None:
+    """Apply one sweep, level by level, to the state ``logacc, log_up, log_down, log_sub`` in place.
+
+    ``shares`` holds each step's weight on its summed upward log messages.
+    """
+    mix = damping * log_sub if damping else None
+    for step, share in zip(layout.sweep_steps, shares):
+        clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub, sub = step
+        la = logacc[clu]
+        down = log_down[msg]
+        u = np.logaddexp.reduceat(la, group_starts, out=log_up[msg])
+        u -= down
+        q = np.multiply(np.bincount(msg_sub, weights=u), share, out=log_sub[sub])
+        if damping:
+            q += mix[sub]
+        nd = q[msg_sub]
+        nd -= u
+        # A constant shift of a message cancels in the beliefs; a maximum of
+        # zero keeps the cluster tables bounded.
+        nd -= np.maximum.reduceat(nd, msg_starts)[msg_pair]
+        # ``down`` is the level's slice of ``log_down``: it holds the old
+        # minus the new messages until the new ones are written.
+        down -= nd
+        la -= down[group]
+        logacc[clu] = la
+        down[...] = nd
+    sub_starts, sub_seg = layout.subset_segments
+    log_sub -= np.logaddexp.reduceat(log_sub, sub_starts)[sub_seg]
 
 
 def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
@@ -146,53 +178,21 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     # exponent times the undamped share.
     shares = [(1.0 - damping) / den[step[-1]] for step in layout.sweep_steps]
 
-    # A message shifted by a constant gives the same beliefs: the shift
-    # cancels in the next normalization.  So the downward messages are only
-    # shifted to a maximum of zero, which keeps the cluster tables bounded,
-    # and both directions are normalized once, on return; every sweep
-    # rewrites every upward message, so only the last sweep's, one array per
-    # level, are joined then.
-    # A new subset belief enters the sweep only through its downward messages
-    # and the next sweep's damped mix; so the block is normalized, and the mix
-    # formed from it, once per sweep.
-    sweeps, converged, ups = 0, False, []
-    for sweep in range(1, settings.max_sweeps + 1):
-        sweeps, ups = sweep, []
-        mix = damping * log_sub if damping else None
-        for step, share in zip(layout.sweep_steps, shares):
-            clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub, sub = step
-            la = logacc[clu]
-            down = log_down[msg]
-            u = np.logaddexp.reduceat(la, group_starts)
-            u -= down
-            ups.append(u)
-            q = np.multiply(np.bincount(msg_sub, weights=u), share, out=log_sub[sub])
-            if damping:
-                q += mix[sub]
-            nd = q[msg_sub]
-            nd -= u
-            nd -= np.maximum.reduceat(nd, msg_starts)[msg_pair]
-            # ``down`` is the level's slice of ``log_down``: it holds the
-            # old minus the new messages until the new ones are written.
-            down -= nd
-            la -= down[group]
-            logacc[clu] = la
-            down[...] = nd
-        log_sub = _log_normalize(log_sub, sub_starts, sub_seg)
+    sweeps, converged = 0, False
+    for sweeps in range(1, settings.max_sweeps + 1):
+        _sweep(layout, shares, damping, logacc, log_up, log_down, log_sub)
         prev, q_sub = q_sub, np.exp(log_sub)
         prev -= q_sub
         delta = float(np.maximum.reduce(np.abs(prev, out=prev), initial=0.0))
         if math.isnan(delta):
             break
-        if sweep % 64 == 0:
+        if sweeps % 64 == 0:
             # Incremental cluster updates accumulate round-off; rebuild.
             logacc = layout.into_clusters(pots.logs, log_down)
         if delta < settings.tol:
             converged = True
             break
 
-    if ups:
-        log_up = np.concatenate(ups)
     outer = layout.into_clusters(pots.logs, log_down)
     outer = _log_normalize(outer, layout.starts[:n_outer], layout.seg[: layout.outer_size])
     q = Beliefs(layout, np.concatenate((outer, log_sub)))

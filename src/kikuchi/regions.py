@@ -123,10 +123,9 @@ class RegionGraph:
             b: tuple(a for a in self.supersets[b] if a in outer_set)
             for b in subset_ids
         }
-        self.outer_count = {b: len(self.containing_outers[b]) for b in subset_ids}
         if strict:
             for b in subset_ids:
-                if self.outer_count[b] == 0:
+                if not self.containing_outers[b]:
                     raise GraphError(
                         f"subset region {b} is not strictly inside any outer cluster"
                     )
@@ -197,7 +196,7 @@ class Layout:
         self.views = {r: views[r] for r in graph.outer_ids + graph.subset_ids}
         self.size = int(sizes.sum())
         self.outer_size = int(sizes[: len(graph.outer_ids)].sum())
-        self.outer_counts = np.array([graph.outer_count.get(r, 1) for r in self.ids], dtype=np.intp)
+        self.outer_counts = np.array([len(graph.containing_outers.get(r, (r,))) for r in self.ids], dtype=np.intp)
         self._number = {r: i for i, r in enumerate(self.ids)}
 
     @cached_property
@@ -208,7 +207,8 @@ class Layout:
     def kept_counts(self, subset_counts=None) -> np.ndarray:
         """``overcounts`` with ``subset_counts[b]`` for each subset ``b`` it holds.
 
-        Raises ``ValueError`` naming the first key that is not a subset region.
+        Raises ``ValueError`` naming the first key that is not a subset
+        region, or else a region whose count is not finite.
         """
         if subset_counts is None:
             return self.overcounts
@@ -218,6 +218,9 @@ class Layout:
             if i < len(self.graph.outer_ids):
                 raise ValueError(f"count given for region {b!r}, which is not a subset region")
             keep[i] = c
+        bad = np.flatnonzero(~np.isfinite(keep))
+        if len(bad):
+            raise ValueError(f"region {self.ids[bad[0]]}: count {keep[bad[0]]} is not finite")
         return keep
 
     def tables(self, flat: np.ndarray) -> dict[int, np.ndarray]:

@@ -254,7 +254,8 @@ def test_inner_potentials_metadata_and_scopes():
     inner = inner_potentials(ClusterPotentials.of(m, g), spec, anchor)
     # The layout carries the outer scopes: the graph's, for the model's cards.
     assert inner.layout is g.layout(m.cards)
-    assert inner.meta["inner_variant"] == "cccp"
+    # The metadata is the model's, passed through.
+    assert inner.meta == m.meta
 
 
 def _gale_feasible(supply, demand, admissible):

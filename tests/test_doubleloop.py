@@ -330,13 +330,17 @@ def test_cccp_on_strong_triplets_stays_finite():
      "conv3", (17, 267, 13.976206694567631)),
     (ModelSpec("qmr_like", diseases=20, findings=10, seed=0), lambda m: build_bethe(m.scopes, m.num_vars),
      "conv1", (36, 159, 13.976206697905278)),
-], ids=["plaquettes-5x5", "plaquettes-5x5-seed1", "triplets-n5-w3", "qmr-20x10-bethe", "qmr-20x10-bethe-conv1"])
+    (ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0), lambda m: _all_triplets(5), "cccp",
+     (61, 770, -7.098872928640136)),
+], ids=["plaquettes-5x5", "plaquettes-5x5-seed1", "triplets-n5-w3", "qmr-20x10-bethe", "qmr-20x10-bethe-conv1",
+        "triplets-n5-w3-cccp"])
 def test_schedules_are_pinned(spec, graph, variant, want):
-    # Outer and inner counts and the final value of four conv3 solves and
-    # one conv1 solve, under the coloured sweep order (``Layout.levels``).
-    # The QMR graph's 8 subsets each lie in two or more clusters, and every
-    # one is swept: damped under conv3, undamped under conv1, whose outer
-    # stop reads the marginal change.
+    # Outer and inner counts and the final value of four conv3 solves, one
+    # conv1 solve and one cccp solve, under the coloured sweep order
+    # (``Layout.levels``).  The QMR graph's 8 subsets each lie in two or more
+    # clusters, and every one is swept: damped under conv3, undamped under
+    # conv1, whose outer stop reads the marginal change.  The strong-triplet
+    # cccp solve is undamped too, with inner messages far below 1e-300.
     m = generate(spec)
     g = graph(m)
     trace = minimize(m, g, make_bound_spec(g, variant))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from kikuchi import (
     Beliefs,
     BoundSpec,
     ClusterPotentials,
+    ModelSpec,
     VARIANTS,
     build_bethe,
     build_cvm,
     constraint_residual,
     free_energy,
+    generate,
     inner_potentials,
     kl_marginals,
     make_bound_spec,
+    minimize,
     outer_log_potentials,
     run_gbp,
     uniform_beliefs,
@@ -142,6 +146,28 @@ def test_a_count_for_no_subset_region_is_refused():
             run_gbp(pots, counts)
         with pytest.raises(ValueError, match=f"region {key}, "):
             inner_potentials(pots, BoundSpec("conv1", counts), q)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_count_is_refused(bad):
+    # A count that is not finite gives neither a free energy nor an update
+    # exponent: every reader of a count map refuses it and names the region.
+    m = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
+    g = build_cvm(PLAQUETTES_3X3, 9)
+    pots = ClusterPotentials.of(m, g)
+    q = uniform_beliefs(g, m.cards)
+    b = g.subset_ids[0]
+    counts = {**g.subset_overcounts(), b: bad}
+    match = re.escape(f"region {b}: count {bad} is not finite")
+    for call in (
+        lambda: free_energy(pots, q, counts),
+        lambda: free_energy(pots, q, counts, anchor=q),
+        lambda: inner_potentials(pots, BoundSpec("conv1", counts), q),
+        lambda: run_gbp(pots, counts),
+        lambda: minimize(m, g, BoundSpec("conv1", counts)),
+    ):
+        with pytest.raises(ValueError, match=match):
+            call()
 
 
 def test_touching_and_bounding_consistent_beliefs():

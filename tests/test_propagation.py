@@ -24,12 +24,14 @@ from kikuchi import (
     exact_inference,
     free_energy,
     generate,
+    inner_potentials,
     make_bound_spec,
     minimize,
     outer_log_potentials,
     run_gbp,
+    uniform_beliefs,
 )
-from kikuchi.propagation import _log_normalize
+from kikuchi.propagation import _log_normalize, _sweep
 from conftest import (
     assert_greedy_colouring,
     chain_model,
@@ -192,7 +194,7 @@ def test_exponent_must_stay_positive():
     pots = ClusterPotentials.of(m, g)
     bad = _true_counts(g)
     b = g.subset_ids[0]
-    bad[b] = -float(g.outer_count[b])
+    bad[b] = -float(len(g.containing_outers[b]))
     with pytest.raises(ConfigurationError, match="exponent"):
         run_gbp(pots, bad)
 
@@ -360,7 +362,7 @@ def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
     cards, pots, cont = model.cards, outer_log_potentials(model, graph), graph.containing_outers
     count = {b: float(c_eff.get(b, graph.by_id[b].overcount)) for b in graph.subset_ids}
     act = tuple(b for level in graph.layout(cards).levels for b in level)
-    denom = {b: graph.outer_count[b] + count[b] for b in act}
+    denom = {b: len(cont[b]) + count[b] for b in act}
     damping = 0.0 if all(count[b] >= 0 for b in act) else 0.5
 
     def softmax(t):
@@ -588,7 +590,7 @@ def test_levels_group_regions_with_disjoint_clusters():
         diff = layout.kept_counts(changed) - layout.kept_counts(counts)
         np.testing.assert_array_equal(np.flatnonzero(diff), [layout.ids.index(b)])
     b = moved[0]
-    bad = {**counts, b: -float(plaq_graph.outer_count[b])}
+    bad = {**counts, b: -float(len(plaq_graph.containing_outers[b]))}
     with pytest.raises(ConfigurationError, match=f"^region {b}: "):
         run_gbp(ClusterPotentials.of(plaq, plaq_graph), bad)
 
@@ -671,3 +673,45 @@ def test_log_normalize_matches_the_max_shifted_reference():
             got = _log_normalize(x, np.cumsum(sizes) - sizes, np.repeat(np.arange(len(sizes)), sizes))
         assert got.shape == want.shape
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("spec, graph, variant, damped", [
+    (ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0), lambda m: build_cvm(_plaquettes(5, 5), 25), "conv3", True),
+    (ModelSpec("qmr_like", diseases=20, findings=10, seed=0), lambda m: build_bethe(m.scopes, m.num_vars),
+     "conv1", False),
+], ids=["plaquettes-5x5-conv3", "qmr-20x10-bethe-conv1"])
+def test_sweep_is_a_map_on_the_solver_state(spec, graph, variant, damped):
+    # ``_sweep`` maps the state (cluster log tables, up and down log
+    # messages, subset log-belief block) to the next one in place.  From the
+    # state of a short run, 64 sweeps with no rebuild keep the carried
+    # cluster tables equal to the scatter of the downward messages, which the
+    # driver's rebuild and any mixing of iterates rely on; leave every subset
+    # table normalized; and act on two copies of one state alike, bit for bit.
+    m = generate(spec)
+    g = graph(m)
+    bound = make_bound_spec(g, variant)
+    pots = inner_potentials(ClusterPotentials.of(m, g), bound, uniform_beliefs(g, m.cards))
+    layout, n_outer = pots.layout, len(g.outer_ids)
+    q, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, InnerSettings(max_sweeps=5))
+    assert sweeps == 5
+    # The driver's exponents and damping, for these counts.
+    kept = layout.kept_counts(bound.inner_overcounts)[n_outer:]
+    damping = 0.0 if (kept >= 0).all() else 0.5
+    assert bool(damping) == damped
+    den = (layout.outer_counts[n_outer:] + kept)[layout.subset_segments[1]]
+    shares = [(1.0 - damping) / den[step[-1]] for step in layout.sweep_steps]
+
+    log_up, log_down = (x.copy() for x in msgs.logs)
+    state = [layout.into_clusters(pots.logs, log_down), log_up, log_down, q.logs[layout.outer_size:].copy()]
+    start = [x.copy() for x in state]
+    twin = [x.copy() for x in state]
+    for _ in range(64):
+        _sweep(layout, shares, damping, *state)
+        _sweep(layout, shares, damping, *twin)
+    for now, then, other in zip(state, start, twin):
+        assert not np.array_equal(now, then)
+        np.testing.assert_array_equal(now, other)
+    logacc, _, log_down, log_sub = state
+    np.testing.assert_allclose(logacc, layout.into_clusters(pots.logs, log_down), rtol=0, atol=1e-9)
+    totals = np.add.reduceat(np.exp(log_sub), layout.subset_segments[0])
+    np.testing.assert_allclose(totals, 1.0, rtol=0, atol=1e-12)

@@ -89,7 +89,7 @@ def test_region_graphs_match_brute_force_definitions(n, raw, bethe):
     else:
         want = _brute_closure(kept)
     assert {frozenset(r.vars) for r in g.regions} == want | {frozenset(t) for t in kept}
-    assert all(g.outer_count[b] >= 2 for b in g.subset_ids)
+    assert all(len(g.containing_outers[b]) >= 2 for b in g.subset_ids)
     sups, outers, hasse, counts = _brute_poset(g)
     assert g.supersets == sups
     assert g.containing_outers == outers
@@ -251,7 +251,7 @@ def _dict_fold(g, m, kept, anchor):
     pots = outer_log_potentials(m, g)
     counts = g.subset_overcounts()
     for b in g.subset_ids:
-        share = (counts[b] - kept.get(b, counts[b])) / g.outer_count[b]
+        share = (counts[b] - kept.get(b, counts[b])) / len(g.containing_outers[b])
         share = share * np.log(np.maximum(anchor.tables[b], 1e-300))
         for a in g.containing_outers[b]:
             pots[a] = pots[a] - np.expand_dims(share, _outside(g, a, b))
