@@ -22,9 +22,7 @@ from .doubleloop import (
     RunTrace,
     iterations_to_reach,
     minimize,
-    trace_metadata,
-    write_trace_csv,
-    write_trace_json,
+    write_trace,
 )
 from .energy import (
     Beliefs,
@@ -111,8 +109,6 @@ __all__ = [
     "recipe_graph",
     "run_gbp",
     "save",
-    "trace_metadata",
     "uniform_beliefs",
-    "write_trace_csv",
-    "write_trace_json",
+    "write_trace",
 ]

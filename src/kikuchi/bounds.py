@@ -30,12 +30,12 @@ term and which are linearized around the anchor:
          leftover positive mass to sharpen the linearized remainder
   cccp   keep one unit of entropy per negative subset and linearize the rest
 
-``inner_potentials(base, spec, anchor)`` folds a spec's linearized terms
-into ``base``, the ``ClusterPotentials`` that ``ClusterPotentials.of(model,
-graph)`` lays out once per run; the graph and the cards come off its layout,
-and the fold is the layout's one scatter into the clusters
-(``Layout.into_clusters``), the same one the inner sweep rebuilds its
-cluster tables with.
+``inner_potentials(base, subset_counts, anchor)`` folds the terms that a
+count map, such as a spec's ``inner_overcounts``, linearizes into ``base``,
+the ``ClusterPotentials`` that ``ClusterPotentials.of(model, graph)`` lays
+out once per run; the graph and the cards come off its layout, and the fold
+is the layout's one scatter into the clusters (``Layout.into_clusters``),
+the same one the inner sweep rebuilds its cluster tables with.
 """
 from __future__ import annotations
 
@@ -253,11 +253,12 @@ def make_bound_spec(graph: RegionGraph, variant: str) -> BoundSpec:
     return BoundSpec(variant, ct)
 
 
-def inner_potentials(base: ClusterPotentials, spec: BoundSpec, anchor) -> ClusterPotentials:
+def inner_potentials(base: ClusterPotentials, subset_counts, anchor) -> ClusterPotentials:
     """Fold the linearized entropy terms into the outer log potentials.
 
-    Each subset region whose entropy is (partially) linearized contributes the
-    anchor's log table, split evenly across the outer clusters containing it:
+    ``subset_counts`` is read as ``free_energy`` reads it.  Each subset
+    region whose entropy is (partially) linearized contributes the anchor's
+    log table, split evenly across the outer clusters containing it:
     ``base.layout.into_clusters``, with each subset's share at every entry
     group of ``cluster_sums``, subsets in layout order.  The result is new
     ``ClusterPotentials`` on that layout and ``base`` is untouched.  The
@@ -265,7 +266,7 @@ def inner_potentials(base: ClusterPotentials, spec: BoundSpec, anchor) -> Cluste
     """
     layout = base.layout
     _, logs = anchor.flat(layout)
-    gap = layout.overcounts - layout.kept_counts(spec.inner_overcounts)
+    gap = layout.overcounts - layout.kept_counts(subset_counts)
     share = (gap / layout.outer_counts)[layout.seg] * logs
     pots = layout.into_clusters(base.logs, -share[layout.cluster_sums[3]])
     return ClusterPotentials(layout, pots, base.meta)

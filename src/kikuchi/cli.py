@@ -32,9 +32,7 @@ from .doubleloop import (
     OuterSettings,
     iterations_to_reach,
     minimize,
-    trace_metadata,
-    write_trace_csv,
-    write_trace_json,
+    write_trace,
 )
 from .energy import kl_marginals
 from .model import ModelFormatError, ModelSpec, generate, load, save
@@ -167,6 +165,13 @@ def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         raise UsageError("variant list is empty")
     if not cfg.seeds:
         raise UsageError("seed list is empty")
+    for key in ("variants", "seeds"):
+        dups = [x for x in getattr(cfg, key) if getattr(cfg, key).count(x) > 1]
+        if dups:
+            raise UsageError(f"{key} lists {dups[0]!r} twice")
+    for key in ("outer_tol", "marginal_tol", "inner_tol", "consensus_window", "max_outer", "inner_max_sweeps"):
+        if not 0 <= getattr(cfg, key) < math.inf:
+            raise UsageError(f"{key} must be finite and nonnegative, got {getattr(cfg, key)!r}")
     return cfg
 
 
@@ -254,12 +259,9 @@ def _kl_text(kl) -> str:
 
 def _write_trace(stem, model, graph, spec, trace, seed, exact):
     """Write ``stem``.csv and ``stem``.json; returns the trace's KL to ``exact``."""
-    write_trace_csv(trace, f"{stem}.csv")
-    meta = trace_metadata(trace, spec, model.meta)
-    meta["seed"] = seed
-    meta["kl_to_oracle"] = kl_to_oracle(exact, graph, trace.final_beliefs)
-    write_trace_json(meta, f"{stem}.json")
-    return meta["kl_to_oracle"]
+    kl = kl_to_oracle(exact, graph, trace.final_beliefs)
+    write_trace(trace, spec, stem, model.meta, seed=seed, kl_to_oracle=kl)
+    return kl
 
 
 def cmd_generate(args) -> int:

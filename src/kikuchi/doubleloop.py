@@ -121,7 +121,7 @@ def minimize(
     stop_reason = "max_outer"
 
     for outer_index in range(1, settings.max_outer + 1):
-        inner = inner_potentials(base, spec, q)
+        inner = inner_potentials(base, spec.inner_overcounts, q)
         q_new, messages, sweeps, inner_ok = run_gbp(
             inner, spec.inner_overcounts, settings.inner, warm=messages
         )
@@ -200,20 +200,20 @@ def iterations_to_reach(trace: RunTrace, target: float, window: float = 1e-4):
     return math.inf
 
 
-def write_trace_csv(trace: RunTrace, path) -> None:
+def write_trace(trace: RunTrace, spec: BoundSpec, stem, model_meta=None, **extra) -> None:
+    """Write the outer records to ``stem``.csv and, to ``stem``.json, the run's
+    variant, kept counts, model metadata, settings and totals with the keys
+    of ``extra``, sorted; never ``stop_reason``."""
     lines = ["outer_index,f_kik,inner_sweeps,constraint_residual,marginal_delta"]
     for r in trace.outer:
         lines.append(
             f"{r.outer_index},{r.f_kik:.17g},{r.inner_sweeps},"
             f"{r.constraint_residual:.17g},{r.marginal_delta:.17g}"
         )
-    with open(path, "w") as fh:
+    with open(f"{stem}.csv", "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def trace_metadata(trace: RunTrace, spec: BoundSpec, model_meta=None) -> dict:
     s = trace.settings
-    return {
+    meta = {
         "variant": trace.variant,
         "inner_overcounts": {str(k): v for k, v in sorted(spec.inner_overcounts.items())},
         "model": dict(model_meta or {}),
@@ -229,9 +229,7 @@ def trace_metadata(trace: RunTrace, spec: BoundSpec, model_meta=None) -> dict:
         "final_f_kik": trace.final_f,
         "converged": trace.converged,
         "inner_failures": sum(1 for r in trace.outer if not r.inner_converged),
+        **extra,
     }
-
-
-def write_trace_json(meta: dict, path) -> None:
-    with open(path, "w") as fh:
+    with open(f"{stem}.json", "w") as fh:
         fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")

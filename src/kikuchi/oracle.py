@@ -1,7 +1,7 @@
 """Exact inference by calibrating one junction tree.
 
-The moral graph of the factor scopes, with every requested region's
-variables joined into a clique as well, is triangulated by a min-fill
+The moral graph of the factor scopes, with every requested region (a
+variable tuple) joined into a clique as well, is triangulated by a min-fill
 elimination order, ties broken by variable id.  Each variable's elimination
 clique (the variable and its neighbours when it is eliminated) is a node of a
 junction forest, parented at the clique of its earliest-eliminated separator
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FactorModel
-from .regions import RegionGraph
 
 CLIQUE_LIMIT = 1 << 22
 
@@ -78,9 +77,10 @@ def _min_fill_cliques(n, varsets):
 def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     """Partition function and exact marginals by junction-tree calibration.
 
-    ``regions`` is either a RegionGraph (marginals keyed by region id) or an
-    iterable of variable tuples (keyed by position); each table's axes follow
-    ascending variable order, and an empty region gets ``1.0``.  Each
+    ``regions`` is an iterable of variable tuples, and the marginals are
+    keyed by position, so ``[r.vars for r in graph.regions]`` keys a built
+    graph's by region id; each table's axes follow ascending variable order,
+    and an empty region gets ``1.0``.  Each
     clique's log potential, the sum of the factors assigned to it, is shifted
     by its maximum and exponentiated.  The upward pass runs in elimination
     order and the downward pass in reverse, each message the product of the
@@ -93,11 +93,7 @@ def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     probability.
     """
     cards = model.cards
-    if isinstance(regions, RegionGraph):
-        regions = ((r.id, r.vars) for r in regions.regions)
-    else:
-        regions = enumerate(regions)
-    items = [(k, sorted({int(v) for v in vs})) for k, vs in regions]
+    items = [(k, sorted({int(v) for v in vs})) for k, vs in enumerate(regions)]
 
     elim = _min_fill_cliques(len(cards), [*model.scopes, *(vs for _, vs in items)])
     pos = {v: i for i, (v, _) in enumerate(elim)}

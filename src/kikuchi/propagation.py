@@ -35,16 +35,16 @@ is NaN stops the run unconverged.  Every subset of a built graph lies in
 two or more clusters; a hand-built graph may hold one inside a single
 cluster, which is swept like any other.
 
-``run_gbp(pots, c_eff, settings=None, warm=None)`` reads the graph and the
-cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
+``run_gbp(pots, subset_counts, settings=None, warm=None)`` reads the graph
+and the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
 ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
-``minimize`` does.  The layout compiles the sweep, once per graph and
-cards.  It colours the subsets greedily, one level per colour
-(``regions._levels``).  The subsets of one level touch disjoint clusters
-and messages, so their updates commute, and one batched update per level,
-levels in order, replays the sequential sweep that visits the subsets
-colour by colour, update for update; only the order of floating-point sums
-differs.  The layout holds the subsets in that order and the messages
+``minimize`` does; ``free_energy`` and ``inner_potentials`` read the same
+count map.  The layout compiles the sweep, once per graph and cards.  It
+colours the subsets greedily, one level per colour (``regions._levels``).
+The subsets of one level touch disjoint clusters and messages, so their
+updates commute, and one batched update per level, levels in order,
+replays the sequential sweep that visits the subsets colour by colour,
+update for update; only the order of floating-point sums differs.  The layout holds the subsets in that order and the messages
 follow it, so each level reads and writes one slice of each
 (``Layout.sweep_steps``); the layout's one scatter into the clusters
 rebuilds the cluster tables.  The returned ``Beliefs`` and ``MessageSet``
@@ -126,14 +126,14 @@ def _sweep(layout: Layout, shares, damping, logacc, log_up, log_down, log_sub) -
     log_sub -= np.logaddexp.reduceat(log_sub, sub_starts)[sub_seg]
 
 
-def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
+def run_gbp(pots: ClusterPotentials, subset_counts, settings=None, warm=None):
     """Sweep to a fixed point; returns (beliefs, messages, sweeps, converged).
 
     ``pots`` are cluster potentials on a graph's layout, as
     ``inner_potentials`` returns them; the sweep runs on the steps that
-    layout compiles.  ``c_eff`` maps a subset id to its effective count; a
-    subset it leaves out keeps the graph's count, and a key that is no
-    subset region raises ``ValueError``.  ``converged`` is true only when
+    layout compiles.  ``subset_counts`` maps a subset id to its effective
+    count; a subset it leaves out keeps the graph's count, and a key that is
+    no subset region raises ``ValueError``.  ``converged`` is true only when
     the largest change of a sweep fell below ``settings.tol`` and every
     returned log table is finite.  The returned beliefs and messages carry
     ``pots.layout`` and hold flat log arrays of this call alone.  ``warm``
@@ -143,7 +143,7 @@ def run_gbp(pots: ClusterPotentials, c_eff, settings=None, warm=None):
     settings = settings or InnerSettings()
     layout = pots.layout
     n_outer = len(layout.graph.outer_ids)
-    kept = layout.kept_counts(c_eff)[n_outer:]
+    kept = layout.kept_counts(subset_counts)[n_outer:]
     # The update exponent's denominator of each subset, and below of each
     # subset-block entry.
     den = layout.outer_counts[n_outer:] + kept

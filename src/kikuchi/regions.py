@@ -11,6 +11,10 @@ containing it.  The recursion only ever adds and subtracts integers, so a
 built graph's numbers are Python ``int``s, converted to floats at the
 numerical boundary (``counts``).
 
+The builders take the model's variable count and refuse a cluster naming a
+variable outside it.  ``RegionGraph`` takes any poset of regions; only its
+``Layout`` needs each subset region inside an outer cluster.
+
 Containment is derived once per graph from one variable -> regions index:
 a builder indexes the clusters (which finds the absorbed ones), then extends
 that index with the subset regions, and the graph takes it as it is.  The
@@ -80,6 +84,8 @@ class Region:
             raise GraphError(f"region {self.id}: empty variable set")
         if tuple(sorted(set(self.vars))) != self.vars:
             raise GraphError(f"region {self.id}: vars must be sorted and unique")
+        if self.vars[0] < 0:
+            raise GraphError(f"region {self.id}: negative variable {self.vars[0]}")
         if self.kind == "outer" and self.overcount != 1:
             raise GraphError(f"region {self.id}: outer clusters must count once")
 
@@ -90,14 +96,13 @@ class RegionGraph:
     Containment, sign groupings and containing-outer maps are computed at
     construction, the Hasse edges and the float counts on first use.
     ``supersets[rid]`` is the sorted tuple of the ids of the regions strictly
-    containing ``rid``.
-    ``strict`` requires every subset region to sit strictly inside at least one
-    outer cluster, which holds for all built graphs; synthetic test posets may
-    disable it.  ``_index`` is the regions' (variable -> ids index,
-    supersets), for a builder that has already computed them.
+    containing ``rid``.  Any poset of regions builds; its ``layout`` needs
+    every subset region inside an outer cluster, which holds for all built
+    graphs.  ``_index`` is the regions' (variable -> ids index, supersets),
+    for a builder that has already computed them.
     """
 
-    def __init__(self, regions: Sequence[Region], strict=True, *, _index=None):
+    def __init__(self, regions: Sequence[Region], *, _index=None):
         self.regions = tuple(regions)
         self.by_id = {r.id: r for r in self.regions}
         if len(self.by_id) != len(self.regions):
@@ -123,12 +128,6 @@ class RegionGraph:
             b: tuple(a for a in self.supersets[b] if a in outer_set)
             for b in subset_ids
         }
-        if strict:
-            for b in subset_ids:
-                if not self.containing_outers[b]:
-                    raise GraphError(
-                        f"subset region {b} is not strictly inside any outer cluster"
-                    )
 
     @cached_property
     def hasse_edges(self) -> tuple[tuple[int, int], ...]:
@@ -182,6 +181,9 @@ class Layout:
     """
 
     def __init__(self, graph: RegionGraph, cards: tuple[int, ...]):
+        for b in graph.subset_ids:
+            if not graph.containing_outers[b]:
+                raise GraphError(f"subset region {b} is not strictly inside any outer cluster")
         self.graph = graph
         self.cards = cards
         self.levels = _levels(graph)
@@ -359,7 +361,7 @@ def _levels(graph: RegionGraph) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(g) for g in groups)
 
 
-def _canonical_clusters(clusters, num_vars=None):
+def _canonical_clusters(clusters, num_vars):
     """The clusters as sorted tuples, with duplicates and clusters inside a larger one absorbed.
 
     The survivors keep their first-occurrence order and are numbered from 0;
@@ -370,7 +372,7 @@ def _canonical_clusters(clusters, num_vars=None):
         t = tuple(sorted(set(int(v) for v in cl)))
         if not t:
             raise GraphError("empty cluster in input")
-        if num_vars is not None and (t[0] < 0 or t[-1] >= num_vars):
+        if t[0] < 0 or t[-1] >= num_vars:
             raise GraphError(f"cluster {t} references an unknown variable")
         cooked.append(t)
     if not cooked:
@@ -428,7 +430,7 @@ def _assemble(outers, subsets, members):
     return RegionGraph(regions, _index=(members, supersets))
 
 
-def build_cvm(outer_clusters, num_vars=None) -> RegionGraph:
+def build_cvm(outer_clusters, num_vars) -> RegionGraph:
     """Close the outer clusters under intersection, by the rule of the module docstring.
 
     The closure holds every nonempty intersection of two or more clusters,
@@ -451,7 +453,7 @@ def build_cvm(outer_clusters, num_vars=None) -> RegionGraph:
     return _assemble(outers, closure.difference(outer_sets), members)
 
 
-def build_bethe(clusters, num_vars=None) -> RegionGraph:
+def build_bethe(clusters, num_vars) -> RegionGraph:
     """Bethe construction: the given clusters plus every shared single variable.
 
     A variable that two or more clusters share gets a subset region counting

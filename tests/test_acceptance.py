@@ -116,7 +116,7 @@ def test_criterion_3_exact_on_singly_connected_models():
             variant = BOUND_VARIANTS[i % len(BOUND_VARIANTS)]
             trace = minimize(m, g, make_bound_spec(g, variant))
             assert trace.converged
-            exact = exact_inference(m, regions=g)
+            exact = exact_inference(m, regions=[r.vars for r in g.regions])
             assert abs(trace.final_f + exact.log_z) < 1e-6
             kl = kl_marginals(exact.marginals, trace.final_beliefs.tables,
                               [r.id for r in g.regions])
@@ -133,7 +133,7 @@ def test_criterion_3_exact_at_scale(model):
     with criterion(3, "exact results on large singly connected models"):
         m = model()
         g = build_bethe(m.scopes, m.num_vars)
-        exact = exact_inference(m, regions=g)
+        exact = exact_inference(m, regions=[r.vars for r in g.regions])
         for variant in BOUND_VARIANTS:
             trace = minimize(m, g, make_bound_spec(g, variant))
             assert trace.converged, variant
@@ -252,7 +252,7 @@ def test_criterion_6_flow_certificate_matches_enumeration():
             if not any(c < 0 for c in counts.values()):
                 continue
             built += 1
-            g = RegionGraph(regions, strict=False)
+            g = RegionGraph(regions)
             varsets = {r.id: set(r.vars) for r in regions}
             supply = [(i, c) for i, c in counts.items() if c > 0]
             demand = [(i, -c) for i, c in counts.items() if c < 0]

@@ -97,7 +97,7 @@ def test_fractional_supply_saturates():
         Region(2, (0, 2), Fraction(1, 2), "subset"),
         Region(3, (0,), Fraction(-1), "subset"),
     ]
-    g = RegionGraph(regions, strict=False)
+    g = RegionGraph(regions)
     counts = {r.id: float(r.overcount) for r in g.regions if r.kind == "subset"}
     alloc = check_convex_over_constraints(g, counts)
     assert alloc is not None
@@ -112,7 +112,7 @@ def test_admissibility_requires_strict_containment():
         Region(1, (0, 1), Fraction(1), "subset"),
         Region(2, (2,), Fraction(-1), "subset"),
     ]
-    g = RegionGraph(regions, strict=False)
+    g = RegionGraph(regions)
     counts = {1: 1.0, 2: -1.0}
     assert check_convex_over_constraints(g, counts) is None
 
@@ -173,7 +173,7 @@ def test_conv2_infeasible_raises_and_names_fallback():
         Region(1, (0, 1), Fraction(1, 2), "subset"),
         Region(2, (0,), Fraction(-1, 4), "subset"),
     ]
-    g = RegionGraph(regions, strict=False)
+    g = RegionGraph(regions)
     with pytest.raises(ConvexityError, match="conv1"):
         make_bound_spec(g, "conv2")
 
@@ -212,7 +212,7 @@ def test_conv3_positive_subset_donates_down_then_spends_up():
         Region(2, (0, 1), Fraction(3, 2), "subset"),
         Region(3, (0,), Fraction(-1), "subset"),
     ]
-    g = RegionGraph(regions, strict=False)
+    g = RegionGraph(regions)
     spec = make_bound_spec(g, "conv3")
     assert _conv3_first_flow(g).entries == {(0, 1): 1.0, (2, 3): 1.0}
     assert spec.inner_overcounts == {1: -1.0, 2: 1.0, 3: -1.0}
@@ -238,7 +238,7 @@ def test_inner_counts_match_bound_functional():
         base = ClusterPotentials.of(m, g)
         for variant in ("conv1", "conv2", "conv3", "cccp"):
             spec = make_bound_spec(g, variant)
-            inner = inner_potentials(base, spec, anchor)
+            inner = inner_potentials(base, spec.inner_overcounts, anchor)
             for _ in range(5):
                 q = random_consistent_beliefs(g, m.cards, rng)
                 lhs = free_energy(inner, q, subset_counts=spec.inner_overcounts)
@@ -251,7 +251,7 @@ def test_inner_potentials_metadata_and_scopes():
     g = build_bethe(m.scopes, m.num_vars)
     spec = make_bound_spec(g, "cccp")
     anchor = uniform_beliefs(g, m.cards)
-    inner = inner_potentials(ClusterPotentials.of(m, g), spec, anchor)
+    inner = inner_potentials(ClusterPotentials.of(m, g), spec.inner_overcounts, anchor)
     # The layout carries the outer scopes: the graph's, for the model's cards.
     assert inner.layout is g.layout(m.cards)
     # The metadata is the model's, passed through.
@@ -291,7 +291,7 @@ def test_flow_certificate_matches_subset_enumeration():
             regions.append(Region(rid, vs, c, "subset"))
             counts[rid] = float(c)
             rid += 1
-        g = RegionGraph(regions, strict=False)
+        g = RegionGraph(regions)
         varsets = {r.id: set(r.vars) for r in regions}
         supply = [(i, c) for i, c in counts.items() if c > 0]
         supply.append((0, 1.0))
@@ -473,7 +473,7 @@ def _region_graphs(draw):
             else Region(i, tuple(sorted(s)), Fraction(draw(st.integers(-8, 8)), 4), "subset")
             for i, s in enumerate(sets)
         ]
-        return RegionGraph(regions, strict=False)
+        return RegionGraph(regions)
     clusters = [tuple(sorted(s)) for s in sets]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -452,6 +452,39 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_compare_refuses_a_repeated_variant_or_seed(tmp_path, capsys):
+    # A repeat would solve a case twice, rewrite its trace files and print
+    # its summary lines twice.
+    base = ["compare", "--family", "grid", "--rows", "2", "--cols", "2"]
+    for flags, message in [
+        (["--variants", "conv1,conv3,conv1"], "variants lists 'conv1' twice"),
+        (["--seeds", "0,1,0"], "seeds lists 0 twice"),
+    ]:
+        outdir = tmp_path / flags[0].lstrip("-")
+        assert main(base + flags + ["--outdir", str(outdir)]) == 2
+        assert message in capsys.readouterr().err
+        assert not outdir.exists()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("outer_tol", "nan"), ("outer_tol", "-1e-8"), ("marginal_tol", "inf"),
+    ("inner_tol", "nan"), ("inner_tol", "-inf"), ("consensus_window", "-1e-4"),
+    ("max_outer", "-1"), ("inner_max_sweeps", "-5"),
+])
+def test_settings_that_cannot_run_are_refused(tmp_path, capsys, key, value):
+    # A NaN, infinite or negative tolerance or window and a negative budget
+    # are usage errors that name the key, before any solve; zero is legal.
+    command = "compare" if key == "consensus_window" else "run"
+    outdir = tmp_path / "o"
+    argv = [command, "--family", "grid", "--rows", "2", "--cols", "2",
+            f"--{key.replace('_', '-')}={value}", "--outdir", str(outdir)]
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
+    assert not outdir.exists()
+    zero = ExperimentConfig(**{key: type(getattr(ExperimentConfig(), key))(0)})
+    assert cli._validate_config(zero) == zero
+
+
 def test_runtime_errors_exit_3(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.model")]) == 3
     err = capsys.readouterr().err

@@ -23,10 +23,8 @@ from kikuchi import (
     iterations_to_reach,
     make_bound_spec,
     minimize,
-    trace_metadata,
     uniform_beliefs,
-    write_trace_csv,
-    write_trace_json,
+    write_trace,
 )
 from kikuchi.doubleloop import DESCENT_SLACK, RESIDUAL_TOL, DescentError, _check_promises
 from conftest import (
@@ -86,7 +84,7 @@ def test_tree_recovers_exact_answer():
     spec = make_bound_spec(g, "conv3")
     trace = minimize(m, g, spec)
     assert trace.converged
-    exact = exact_inference(m, regions=g)
+    exact = exact_inference(m, regions=[r.vars for r in g.regions])
     assert abs(trace.final_f + exact.log_z) < 1e-8
     for rid in g.by_id:
         got = trace.final_beliefs.tables[rid]
@@ -157,7 +155,7 @@ def test_stop_reason_converged_on_a_tree():
     assert trace.stop_reason == "converged"
 
 
-def test_stop_reason_names_a_rejected_rise():
+def test_stop_reason_names_a_rejected_rise(tmp_path):
     # A deliberately coarse inner solve (belief-change tolerance 1e-6, 100x
     # the default) on 4x4 plaquettes under conv1, with no outer stall test:
     # the run can only stop on a rise, and the coarse solves make one come,
@@ -172,7 +170,8 @@ def test_stop_reason_names_a_rejected_rise():
     assert trace.stop_reason == "rejected_rise"
     assert trace.converged and last.inner_converged
     assert (last.f_kik, last.marginal_delta) == (prev.f_kik, 0.0)
-    assert "stop_reason" not in json.dumps(trace_metadata(trace, spec))
+    write_trace(trace, spec, tmp_path / "trace")
+    assert "stop_reason" not in (tmp_path / "trace.json").read_text()
 
 
 @pytest.mark.parametrize("case", ["plaquettes-conv3", "bethe-conv1"])
@@ -193,7 +192,7 @@ def test_rejected_rise_at_a_loose_anchor_is_unconverged(case):
     assert (last.f_kik, last.marginal_delta) == (prev.f_kik, 0.0)
 
 
-def test_stop_reason_names_a_failed_inner_solve():
+def test_stop_reason_names_a_failed_inner_solve(tmp_path):
     # Three sweeps leave the first conv3 solve on 5x5 plaquettes far from
     # its fixed point (its beliefs have a constraint residual of 4.7e-2):
     # the run keeps the uniform start and stops, unconverged, rather than
@@ -208,7 +207,8 @@ def test_stop_reason_names_a_failed_inner_solve():
     assert (last.f_kik, last.constraint_residual, last.marginal_delta) == (
         start.f_kik, start.constraint_residual, 0.0)
     assert trace.final_beliefs.delta(uniform_beliefs(g, m.cards)) == 0.0
-    assert trace_metadata(trace, spec)["inner_failures"] == 1
+    write_trace(trace, spec, tmp_path / "trace")
+    assert json.loads((tmp_path / "trace.json").read_text())["inner_failures"] == 1
 
 
 def _broken(trace, defect):
@@ -250,10 +250,10 @@ def test_iterations_to_reach_window():
 def test_trace_csv_round_trip(tmp_path):
     m = k4_model(seed=6)
     g = build_bethe(m.scopes, m.num_vars)
-    trace = minimize(m, g, make_bound_spec(g, "conv3"))
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
-    lines = path.read_text().splitlines()
+    spec = make_bound_spec(g, "conv3")
+    trace = minimize(m, g, spec)
+    write_trace(trace, spec, tmp_path / "trace")
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
     head = "outer_index,f_kik,inner_sweeps,constraint_residual,marginal_delta"
     assert lines[0] == head
     assert len(lines) == len(trace.outer) + 1
@@ -272,17 +272,13 @@ def test_metadata_is_json_serializable(tmp_path):
     spec = make_bound_spec(g, "conv2")
     trace = minimize(m, g, spec,
                      OuterSettings(inner=InnerSettings(max_sweeps=500)))
-    meta = trace_metadata(trace, spec, model_meta=m.meta)
-    text = json.dumps(meta)
-    back = json.loads(text)
+    write_trace(trace, spec, tmp_path / "trace", model_meta=m.meta)
+    back = json.loads((tmp_path / "trace.json").read_text())
     assert back["variant"] == "conv2"
     assert back["outer_iterations"] == trace.outer_iterations
     assert back["final_f_kik"] == trace.final_f
     assert back["settings"]["inner_max_sweeps"] == 500
     assert set(back["inner_overcounts"]) == {str(b) for b in g.subset_ids}
-    path = tmp_path / "trace.json"
-    write_trace_json(meta, path)
-    assert json.loads(path.read_text()) == back
 
 
 def test_deterministic_repeat():

@@ -85,7 +85,7 @@ def test_belief_validation():
             calls = (
                 lambda: free_energy(pots, b),
                 lambda: free_energy(pots, q, spec.inner_overcounts, b),
-                lambda: inner_potentials(pots, spec, b),
+                lambda: inner_potentials(pots, spec.inner_overcounts, b),
             )
             for call in calls:
                 with pytest.raises(ValueError, match=f"region {rid}: belief table has non-finite"):
@@ -106,7 +106,7 @@ def test_beliefs_on_another_layout_are_refused():
         with pytest.raises(ValueError, match="laid out"):
             free_energy(pots, q, spec.inner_overcounts, foreign)
         with pytest.raises(ValueError, match="laid out"):
-            inner_potentials(pots, spec, foreign)
+            inner_potentials(pots, spec.inner_overcounts, foreign)
         with pytest.raises(ValueError, match="laid out"):
             q.delta(foreign)
         # The residual reads the graph off the beliefs' own layout.
@@ -145,7 +145,7 @@ def test_a_count_for_no_subset_region_is_refused():
         with pytest.raises(ValueError, match=f"region {key}, "):
             run_gbp(pots, counts)
         with pytest.raises(ValueError, match=f"region {key}, "):
-            inner_potentials(pots, BoundSpec("conv1", counts), q)
+            inner_potentials(pots, counts, q)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -162,7 +162,7 @@ def test_a_non_finite_count_is_refused(bad):
     for call in (
         lambda: free_energy(pots, q, counts),
         lambda: free_energy(pots, q, counts, anchor=q),
-        lambda: inner_potentials(pots, BoundSpec("conv1", counts), q),
+        lambda: inner_potentials(pots, counts, q),
         lambda: run_gbp(pots, counts),
         lambda: minimize(m, g, BoundSpec("conv1", counts)),
     ):

@@ -46,16 +46,21 @@ def test_independent_factors_product_form():
     assert abs(res.log_z - sum(np.log(np.exp(l).sum()) for l in logits)) < 1e-12
 
 
-def test_region_graph_keying():
+def test_regions_are_keyed_by_position():
+    # Regions are variable tuples only; a built graph's regions, in order,
+    # are keyed by their positions, which are their ids.
     m = chain_model(4, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
-    res = exact_inference(m, g)
-    assert set(res.marginals) == {r.id for r in g.regions}
-    for r in g.regions:
-        assert res.marginals[r.id].shape == tuple(
+    res = exact_inference(m, [r.vars for r in g.regions])
+    assert set(res.marginals) == set(range(len(g.regions)))
+    for k, r in enumerate(g.regions):
+        assert r.id == k
+        assert res.marginals[k].shape == tuple(
             m.cards[v] for v in r.vars
         )
-        assert abs(res.marginals[r.id].sum() - 1.0) < 1e-12
+        assert abs(res.marginals[k].sum() - 1.0) < 1e-12
+    with pytest.raises(TypeError):
+        exact_inference(m, g)
 
 
 def test_oracle_refuses_large_models():

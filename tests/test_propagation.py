@@ -55,7 +55,7 @@ def test_chain_reaches_exact_marginals():
     pots = ClusterPotentials.of(m, g)
     q, msgs, sweeps, converged = run_gbp(pots, _true_counts(g))
     assert converged
-    exact = exact_inference(m, regions=g)
+    exact = exact_inference(m, regions=[r.vars for r in g.regions])
     for rid in g.by_id:
         assert np.max(np.abs(q.tables[rid] - exact.marginals[rid])) < 1e-7
     assert constraint_residual(q) < 1e-8
@@ -69,7 +69,7 @@ def test_mixed_cardinalities_chain():
     pots = ClusterPotentials.of(m, g)
     q, _, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
-    exact = exact_inference(m, regions=g)
+    exact = exact_inference(m, regions=[r.vars for r in g.regions])
     for rid in g.by_id:
         assert np.max(np.abs(q.tables[rid] - exact.marginals[rid])) < 1e-7
 
@@ -200,7 +200,7 @@ def test_exponent_must_stay_positive():
 
 
 def test_a_count_left_out_is_the_graphs_count():
-    # run_gbp reads a subset missing from c_eff as free_energy,
+    # run_gbp reads a subset missing from its count map as free_energy,
     # inner_potentials and minimize do: at the graph's own count.
     m = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
     g = build_bethe(m.scopes, m.num_vars)
@@ -347,7 +347,7 @@ def test_zero_potentials_fix_uniform_beliefs():
     assert abs(f - (-4 * math.log(4.0) + 4 * math.log(2.0))) < 1e-10
 
 
-def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
+def _reference_gbp(model, graph, subset_counts, settings=None, warm=None):
     """The sweep one subset region at a time, in the layout's colour order.
 
     The oracle for ``run_gbp``'s level-by-level sweep: the same floors,
@@ -360,7 +360,7 @@ def _reference_gbp(model, graph, c_eff, settings=None, warm=None):
     """
     settings = settings or InnerSettings()
     cards, pots, cont = model.cards, outer_log_potentials(model, graph), graph.containing_outers
-    count = {b: float(c_eff.get(b, graph.by_id[b].overcount)) for b in graph.subset_ids}
+    count = {b: float(subset_counts.get(b, graph.by_id[b].overcount)) for b in graph.subset_ids}
     act = tuple(b for level in graph.layout(cards).levels for b in level)
     denom = {b: len(cont[b]) + count[b] for b in act}
     damping = 0.0 if all(count[b] >= 0 for b in act) else 0.5
@@ -690,7 +690,7 @@ def test_sweep_is_a_map_on_the_solver_state(spec, graph, variant, damped):
     m = generate(spec)
     g = graph(m)
     bound = make_bound_spec(g, variant)
-    pots = inner_potentials(ClusterPotentials.of(m, g), bound, uniform_beliefs(g, m.cards))
+    pots = inner_potentials(ClusterPotentials.of(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
     layout, n_outer = pots.layout, len(g.outer_ids)
     q, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, InnerSettings(max_sweeps=5))
     assert sweeps == 5

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from kikuchi import (
     Beliefs,
-    BoundSpec,
     ClusterPotentials,
     ConvexityError,
     InnerSettings,
@@ -293,7 +292,6 @@ def test_layout_reductions_match_the_dict_references(kind, size, seed, variant):
     # them as the anchor.
     uniform = uniform_beliefs(g, m.cards)
     assert uniform.layout is g.layout(m.cards)
-    spec = BoundSpec(variant, kept)
     pots = ClusterPotentials.of(m, g)
     for q_lay, anchor_lay in ((q, anchor), (uniform, q), (q, uniform)):
         for args in ((), (kept, anchor_lay)):
@@ -301,7 +299,7 @@ def test_layout_reductions_match_the_dict_references(kind, size, seed, variant):
             assert abs(free_energy(pots, q_lay, *args) - want) <= 1e-12
         assert abs(constraint_residual(q_lay) - _dict_residual(g, q_lay)) <= 1e-12
         np.testing.assert_allclose(
-            inner_potentials(pots, spec, anchor_lay).logs, _dict_fold(g, m, kept, anchor_lay), rtol=0, atol=1e-12
+            inner_potentials(pots, kept, anchor_lay).logs, _dict_fold(g, m, kept, anchor_lay), rtol=0, atol=1e-12
         )
         want = max(float(np.max(np.abs(q_lay.tables[r] - anchor_lay.tables[r]))) for r in q_lay.tables)
         assert abs(q_lay.delta(anchor_lay) - want) <= 1e-12

@@ -1,6 +1,7 @@
 """Region graph construction, counting numbers, and poset structure."""
 from __future__ import annotations
 
+import json
 import warnings
 from fractions import Fraction
 
@@ -17,8 +18,11 @@ from kikuchi import (
     build_cvm,
     generate,
     is_singly_connected,
+    make_bound_spec,
+    minimize,
     per_variable_counting_sums,
     recipe_graph,
+    write_trace,
 )
 from kikuchi.regions import Layout
 
@@ -128,15 +132,41 @@ def test_duplicate_variable_sets_rejected():
         RegionGraph(regions)
 
 
-def test_strict_mode_requires_containing_outer():
+def test_a_negative_variable_is_refused():
+    with pytest.raises(GraphError, match="region 0: negative variable -2"):
+        Region(0, (-2, 1), 1, "outer")
+    with pytest.raises(GraphError, match="unknown variable"):
+        build_bethe([(-1, 0), (0, 1)], 2)
+
+
+def test_public_surface_has_one_form_at_each_door(tmp_path):
+    # One trace writer; the builders take the variable count; any poset
+    # builds, and only its layout needs each subset inside a cluster.
+    import kikuchi
+
+    for name in ("trace_metadata", "write_trace_csv", "write_trace_json"):
+        assert not hasattr(kikuchi, name), name
+    with pytest.raises(TypeError):
+        build_bethe([(0, 1), (1, 2)])
     regions = [
         Region(0, (0, 1), Fraction(1), "outer"),
         Region(1, (2,), Fraction(-1), "subset"),
     ]
-    with pytest.raises(GraphError):
-        RegionGraph(regions)
-    g = RegionGraph(regions, strict=False)
+    g = RegionGraph(regions)
     assert g.containing_outers[1] == ()
+    with pytest.raises(GraphError, match="subset region 1 is not strictly inside any outer cluster"):
+        g.layout((2, 2, 2))
+    # The trace's JSON carries the extra keys, never its stop reason.
+    m = generate(ModelSpec("grid_boltzmann", rows=2, cols=2, seed=0))
+    g = build_bethe(m.scopes, m.num_vars)
+    spec = make_bound_spec(g, "conv1")
+    trace = minimize(m, g, spec)
+    write_trace(trace, spec, tmp_path / "trace", m.meta, seed=7, kl_to_oracle=None)
+    text = (tmp_path / "trace.json").read_text()
+    meta = json.loads(text)
+    assert (meta["seed"], meta["kl_to_oracle"], meta["variant"]) == (7, None, "conv1")
+    assert "stop_reason" not in text
+    assert len((tmp_path / "trace.csv").read_text().splitlines()) == len(trace.outer) + 1
 
 
 def test_singly_connected():
