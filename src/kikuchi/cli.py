@@ -7,6 +7,10 @@ Subcommands:
   run        minimize one bound variant, writing a trace
   compare    run several variants over a seed list and summarize
 
+``generate``, ``run`` and ``compare`` read the same model flags into one
+``ExperimentConfig`` (the only defaults) and build the model through
+``config_model``; ``run`` and ``compare`` solve and write through one body.
+
 Exit codes: 0 success, 1 non-convex verdict from ``check``, 2 usage error,
 3 runtime failure.  All outputs are deterministic given the same inputs.
 """
@@ -65,11 +69,11 @@ class ExperimentConfig:
 
     family: str = "file"
     model: str | None = None
-    rows: int = 0
-    cols: int = 0
-    nodes: int = 0
-    diseases: int = 0
-    findings: int = 0
+    rows: int = 4
+    cols: int = 4
+    nodes: int = 6
+    diseases: int = 8
+    findings: int = 5
     w: float = 1.0
     observe: str | None = None
     recipe: str = "bethe"
@@ -154,7 +158,7 @@ def save_config(cfg: ExperimentConfig, path) -> None:
 
 
 def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
-    if cfg.family not in FAMILIES and cfg.family not in FAMILIES.values():
+    if cfg.family not in FAMILIES:
         raise UsageError(f"unknown model family {cfg.family!r}")
     if cfg.recipe not in RECIPES:
         raise UsageError(f"unknown recipe {cfg.recipe!r}; pick from {RECIPES}")
@@ -175,32 +179,21 @@ def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
     return cfg
 
 
-def _generate_model(src, family: str, seed: int):
-    """Generate the synthetic model shaped by ``src``, a config or parsed flags."""
+def config_model(cfg: ExperimentConfig, seed: int):
+    """The model ``cfg`` names: its file, or its synthetic family generated at ``seed``."""
+    family = FAMILIES[cfg.family]
+    if family == "file":
+        if not cfg.model:
+            raise UsageError("family 'file' needs a model path")
+        return load(cfg.model)
     spec = ModelSpec(
-        family,
-        rows=src.rows,
-        cols=src.cols,
-        nodes=src.nodes,
-        diseases=src.diseases,
-        findings=src.findings,
-        weight_scale=src.w,
-        seed=seed,
-        observe=src.observe,
+        family, rows=cfg.rows, cols=cfg.cols, nodes=cfg.nodes, diseases=cfg.diseases,
+        findings=cfg.findings, weight_scale=cfg.w, seed=seed, observe=cfg.observe,
     )
     try:
         return generate(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-
-
-def config_model(cfg: ExperimentConfig, seed: int):
-    family = FAMILIES.get(cfg.family, cfg.family)
-    if family == "file":
-        if not cfg.model:
-            raise UsageError("family 'file' needs a model path")
-        return load(cfg.model)
-    return _generate_model(cfg, family, seed)
 
 
 def outer_settings(cfg: ExperimentConfig) -> OuterSettings:
@@ -212,17 +205,18 @@ def outer_settings(cfg: ExperimentConfig) -> OuterSettings:
     )
 
 
-def single_variable_marginals(graph, beliefs, cards):
-    """Per-variable marginals read off the beliefs.
+def single_variable_marginals(beliefs):
+    """Per-variable marginals read off the beliefs, on the graph and cards of their layout.
 
     A variable's marginal is its own single-variable region's table when the
     graph has one, else the lowest-id outer cluster holding it
     (``outer_containing``), summed onto it.  A variable that no region holds
     (no factor touches it) is uniform, which is its exact marginal.
     """
+    graph = beliefs.layout.graph
     singleton = {r.vars[0]: r.id for r in graph.regions if len(r.vars) == 1}
     out = {}
-    for v, card in enumerate(cards):
+    for v, card in enumerate(beliefs.layout.cards):
         if v in singleton:
             t = beliefs.tables[singleton[v]]
         elif (a := graph.outer_containing((v,))) is None:
@@ -244,28 +238,50 @@ def oracle_marginals(model):
     return exact.marginals
 
 
-def kl_to_oracle(exact, graph, beliefs):
+def kl_to_oracle(exact, beliefs):
     """Mean per-variable KL from ``oracle_marginals``; None when those are None."""
     if exact is None:
         return None
     n = len(exact)
-    approx = single_variable_marginals(graph, beliefs, [exact[v].size for v in range(n)])
-    return kl_marginals(exact, approx, range(n)) / n
+    return kl_marginals(exact, single_variable_marginals(beliefs), range(n)) / n
 
 
 def _kl_text(kl) -> str:
     return "unavailable" if kl is None else f"{kl:.17g}"
 
 
-def _write_trace(stem, model, graph, spec, trace, seed, exact):
-    """Write ``stem``.csv and ``stem``.json; returns the trace's KL to ``exact``."""
-    kl = kl_to_oracle(exact, graph, trace.final_beliefs)
-    write_trace(trace, spec, stem, model.meta, seed=seed, kl_to_oracle=kl)
-    return kl
+def _solve_and_write(cfg: ExperimentConfig, seeds, name: str):
+    """Write ``config.txt`` into ``cfg.outdir``, then per seed solve every variant
+    and write each trace with its KL to the oracle.
+
+    ``name`` names each trace's files, formatted with ``seed`` and
+    ``variant``.  Yields each seed with a (trace, kl) pair per variant, in
+    the order of ``cfg.variants``; the oracle runs once per seed.
+    """
+    outdir = Path(cfg.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    save_config(cfg, outdir / "config.txt")
+    settings = outer_settings(cfg)
+    for seed in seeds:
+        model = config_model(cfg, seed)
+        graph = recipe_graph(model, cfg.recipe)
+        specs = [make_bound_spec(graph, v) for v in cfg.variants]
+        traces = [minimize(model, graph, s, settings) for s in specs]
+        exact = oracle_marginals(model)
+        solved = []
+        for spec, trace in zip(specs, traces):
+            kl = kl_to_oracle(exact, trace.final_beliefs)
+            stem = outdir / name.format(seed=seed, variant=spec.variant)
+            write_trace(trace, spec, stem, model.meta, seed=seed, kl_to_oracle=kl)
+            solved.append((trace, kl))
+        yield seed, solved
 
 
 def cmd_generate(args) -> int:
-    model = _generate_model(args, FAMILIES[args.family], args.seed)
+    cfg = _resolve_config(args)
+    if cfg.family == "file":
+        raise UsageError("generate needs --family grid, full or qmr")
+    model = config_model(cfg, cfg.seeds[0])
     save(model, args.out)
     print(f"wrote {args.out}: {model.num_vars} variables, {len(model.scopes)} factors")
     return 0
@@ -317,19 +333,10 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def cmd_run(args) -> int:
     cfg = _resolve_config(args)
-    variant = getattr(args, "variant", cfg.variants[0])
-    seed = cfg.seeds[0]
-    model = config_model(cfg, seed)
-    graph = recipe_graph(model, cfg.recipe)
-    spec = make_bound_spec(graph, variant)
-    trace = minimize(model, graph, spec, outer_settings(cfg))
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_config(replace(cfg, variants=(variant,)), outdir / "config.txt")
-    exact = oracle_marginals(model)
-    kl = _write_trace(outdir / f"trace_{variant}", model, graph, spec, trace, seed, exact)
+    cfg = replace(cfg, variants=(getattr(args, "variant", cfg.variants[0]),))
+    [(_, [(trace, kl)])] = _solve_and_write(cfg, cfg.seeds[:1], "trace_{variant}")
     print(
-        f"variant {variant} outer_iterations {trace.outer_iterations} "
+        f"variant {trace.variant} outer_iterations {trace.outer_iterations} "
         f"total_inner_sweeps {trace.total_inner_sweeps} "
         f"final_f_kik {trace.final_f:.17g} kl_to_oracle {_kl_text(kl)} "
         f"converged {'yes' if trace.converged else 'no'}"
@@ -339,40 +346,25 @@ def cmd_run(args) -> int:
 
 def cmd_compare(args) -> int:
     cfg = _resolve_config(args)
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, outdir / "config.txt")
-
-    summary = ["# compare summary"]
-    summary.append(
-        "# columns: seed variant outer_iterations total_inner_sweeps "
-        "final_f_kik kl_to_oracle"
-    )
+    summary = [
+        "# compare summary",
+        "# columns: seed variant outer_iterations total_inner_sweeps final_f_kik kl_to_oracle",
+    ]
     plot = ["# plotdata v1: x = outer iterations / just-convex iterations, y = f_kik"]
     reach: dict[str, list[float]] = {v: [] for v in cfg.variants}
-    settings = outer_settings(cfg)
 
-    for seed in cfg.seeds:
-        model = config_model(cfg, seed)
-        graph = recipe_graph(model, cfg.recipe)
-        specs = [make_bound_spec(graph, v) for v in cfg.variants]
-        traces = [minimize(model, graph, s, settings) for s in specs]
-        consensus = min(tr.final_f for tr in traces)
-        exact = oracle_marginals(model)
+    for seed, solved in _solve_and_write(cfg, cfg.seeds, "trace_seed{seed}_{variant}"):
+        consensus = min(tr.final_f for tr, _ in solved)
         scale = 1.0
         if "conv3" in cfg.variants:
-            scale = max(1.0, float(traces[cfg.variants.index("conv3")].outer_iterations))
-        for spec, tr in zip(specs, traces):
-            stem = outdir / f"trace_seed{seed}_{spec.variant}"
-            kl = _write_trace(stem, model, graph, spec, tr, seed, exact)
+            scale = max(1.0, float(solved[cfg.variants.index("conv3")][0].outer_iterations))
+        for tr, kl in solved:
             summary.append(
-                f"row {seed} {spec.variant} {tr.outer_iterations} "
+                f"row {seed} {tr.variant} {tr.outer_iterations} "
                 f"{tr.total_inner_sweeps} {tr.final_f:.17g} {_kl_text(kl)}"
             )
-            reach[spec.variant].append(
-                iterations_to_reach(tr, consensus, cfg.consensus_window)
-            )
-            plot.append(f"series {spec.variant} seed {seed}")
+            reach[tr.variant].append(iterations_to_reach(tr, consensus, cfg.consensus_window))
+            plot.append(f"series {tr.variant} seed {seed}")
             for rec in tr.outer:
                 plot.append(f"{rec.outer_index / scale:.17g} {rec.f_kik:.17g}")
             plot.append("end")
@@ -385,6 +377,7 @@ def cmd_compare(args) -> int:
         median_lines.append(f"median_iters_to_consensus {v} {text}")
     summary.extend(median_lines)
 
+    outdir = Path(cfg.outdir)
     (outdir / "summary.txt").write_text("\n".join(summary) + "\n")
     (outdir / "plotdata.txt").write_text("\n".join(plot) + "\n")
     for line in median_lines:
@@ -434,19 +427,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a synthetic model file")
-    g.add_argument("--family", required=True, choices=sorted(set(FAMILIES) - {"file"}))
-    g.add_argument("--rows", type=int, default=4)
-    g.add_argument("--cols", type=int, default=4)
-    g.add_argument(
-        "--n", dest="nodes", metavar="N", type=int, default=6,
-        help="node count (full family)",
+    g = sub.add_parser(
+        "generate", help="write a synthetic model file", argument_default=argparse.SUPPRESS
     )
-    g.add_argument("--diseases", type=int, default=8)
-    g.add_argument("--findings", type=int, default=5)
-    g.add_argument("--w", type=float, default=1.0, help="weight scale")
-    g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--observe", default=None, help="0/1 string, one per finding")
+    _add_model_flags(g)
     g.add_argument("-o", "--out", required=True)
     g.set_defaults(func=cmd_generate)
 

@@ -105,13 +105,17 @@ def _merged(scopes, tables):
     return out_scopes, out_tables
 
 
-def _pairwise_boltzmann(n, edges, degrees, w, seed, meta):
+def _pairwise_boltzmann(n, edges, w, seed, meta):
+    w_max = np.finfo(float).max / 2  # rng.uniform(-w, w) needs a finite span 2w
+    if not 0 <= w <= w_max:
+        raise ValueError(f"weight scale must be nonnegative and at most {w_max:.6g}, got {w!r}")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-w, w, size=n)
     weights = rng.uniform(-w, w, size=len(edges))
     # One (edge, x_i, x_j) broadcast, in the per-edge formula's operation order.
-    i, j = np.array(edges, dtype=np.intp).reshape(-1, 2, 1, 1).transpose(1, 0, 2, 3)
-    deg = np.asarray(degrees)
+    pairs = np.array(edges, dtype=np.intp).reshape(-1, 2)
+    deg = np.bincount(pairs.ravel(), minlength=n)
+    i, j = pairs.T.reshape(2, -1, 1, 1)
     xi = np.arange(2).reshape(1, 2, 1)
     xj = np.arange(2).reshape(1, 1, 2)
     tables = (
@@ -126,8 +130,6 @@ def _generate_grid(spec: ModelSpec) -> FactorModel:
     rows, cols = spec.rows, spec.cols
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    if spec.weight_scale < 0:
-        raise ValueError("weight scale must be nonnegative")
     n = rows * cols
     edges = []
     for v in range(n):
@@ -136,10 +138,6 @@ def _generate_grid(spec: ModelSpec) -> FactorModel:
             edges.append((v, v + 1))
         if r + 1 < rows:
             edges.append((v, v + cols))
-    deg = [0] * n
-    for i, j in edges:
-        deg[i] += 1
-        deg[j] += 1
     meta = {
         "family": "grid_boltzmann",
         "rows": str(rows),
@@ -147,24 +145,21 @@ def _generate_grid(spec: ModelSpec) -> FactorModel:
         "w": repr(float(spec.weight_scale)),
         "seed": str(spec.seed),
     }
-    return _pairwise_boltzmann(n, edges, deg, spec.weight_scale, spec.seed, meta)
+    return _pairwise_boltzmann(n, edges, spec.weight_scale, spec.seed, meta)
 
 
 def _generate_full(spec: ModelSpec) -> FactorModel:
     n = spec.nodes
     if n < 2:
         raise ValueError("fully connected model needs at least two nodes")
-    if spec.weight_scale < 0:
-        raise ValueError("weight scale must be nonnegative")
     edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    deg = [n - 1] * n
     meta = {
         "family": "full_boltzmann",
         "nodes": str(n),
         "w": repr(float(spec.weight_scale)),
         "seed": str(spec.seed),
     }
-    return _pairwise_boltzmann(n, edges, deg, spec.weight_scale, spec.seed, meta)
+    return _pairwise_boltzmann(n, edges, spec.weight_scale, spec.seed, meta)
 
 
 QMR_LEAK = 0.01
@@ -196,38 +191,29 @@ def _generate_qmr(spec: ModelSpec) -> FactorModel:
         parent_sets.append(parents)
         inhibits.append(rng.uniform(*QMR_INHIBIT, size=k))
 
+    # Each covered disease's log prior is split evenly over its findings.
+    log_priors = np.log(np.stack([1.0 - priors, priors], axis=1))
+    covered = np.bincount(np.concatenate(parent_sets), minlength=d)
+    shares = log_priors / np.maximum(covered, 1)[:, None]
+
     scopes, tables = [], []
-    for i, parents in enumerate(parent_sets):
+    for parents, inhibit, seen in zip(parent_sets, inhibits, observe):
         k = len(parents)
-        shape = (2,) * k
-        p_off = np.ones(shape)
+        p_off = np.ones((2,) * k)
         for axis in range(k):
             idx = [slice(None)] * k
             idx[axis] = 1
-            p_off[tuple(idx)] *= inhibits[i][axis]
+            p_off[tuple(idx)] *= inhibit[axis]
         p_off *= 1.0 - QMR_LEAK
-        prob = p_off if observe[i] == "0" else 1.0 - p_off
         with np.errstate(divide="ignore"):
-            scopes.append(parents)
-            tables.append(np.log(prob))
-
-    covered = {}
-    for parents in parent_sets:
-        for v in parents:
-            covered[v] = covered.get(v, 0) + 1
-    for j in range(d):
-        log_prior = np.log(np.array([1.0 - priors[j], priors[j]]))
-        if covered.get(j):
-            share = log_prior / covered[j]
-            for idx, parents in enumerate(parent_sets):
-                if j in parents:
-                    axis = parents.index(j)
-                    view = [1] * len(parents)
-                    view[axis] = 2
-                    tables[idx] = tables[idx] + share.reshape(view)
-        else:
-            scopes.append((j,))
-            tables.append(log_prior)
+            table = np.log(p_off if seen == "0" else 1.0 - p_off)
+        for axis, v in enumerate(parents):
+            table = table + shares[v].reshape([2 if a == axis else 1 for a in range(k)])
+        scopes.append(parents)
+        tables.append(table)
+    for j in np.flatnonzero(covered == 0).tolist():
+        scopes.append((j,))
+        tables.append(log_priors[j])
 
     scopes, tables = _merged(scopes, tables)
     meta = {

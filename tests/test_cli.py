@@ -45,11 +45,11 @@ DEFAULT_CONFIG_TEXT = """\
 # experiment config v1
 family = file
 model = none
-rows = 0
-cols = 0
-nodes = 0
-diseases = 0
-findings = 0
+rows = 4
+cols = 4
+nodes = 6
+diseases = 8
+findings = 5
 w = 1.0
 observe = none
 recipe = bethe
@@ -77,9 +77,9 @@ family = grid
 model = none
 rows = 6
 cols = 6
-nodes = 0
-diseases = 0
-findings = 0
+nodes = 6
+diseases = 8
+findings = 5
 w = 2.0
 observe = none
 recipe = bethe
@@ -108,7 +108,7 @@ def test_parse_config_reports_line_numbers():
     with pytest.raises(UsageError, match="line 3"):
         parse_config("# experiment config v1\nfamily = grid\nwhat = 1\n")
     with pytest.raises(UsageError, match="rows"):
-        parse_config(good.replace("rows = 0", "rows = many"))
+        parse_config(good.replace("rows = 4", "rows = many"))
     with pytest.raises(UsageError, match="max_outer"):
         parse_config(good.replace("max_outer = 10000", "max_outer = many"))
     with pytest.raises(UsageError, match="line 3: expected 'key = value'"):
@@ -243,7 +243,7 @@ def test_run_reads_corner_marginals_off_their_plaquette(tmp_path, capsys):
         assert not any(set(corners) & set(g.region_vars(b)) for b in g.subset_ids)
         settings = cli.outer_settings(load_config(outdir / "config.txt"))
         trace = kikuchi.minimize(m, g, kikuchi.make_bound_spec(g, "conv3"), settings)
-        marginals = cli.single_variable_marginals(g, trace.final_beliefs, m.cards)
+        marginals = cli.single_variable_marginals(trace.final_beliefs)
         for v, (a, axis) in corners.items():
             width = len(g.region_vars(a))
             assert g.region_vars(a)[axis] == v
@@ -252,7 +252,7 @@ def test_run_reads_corner_marginals_off_their_plaquette(tmp_path, capsys):
         meta = json.loads((outdir / "trace_conv3.json").read_text())
         assert math.isfinite(meta["kl_to_oracle"])
         assert meta["kl_to_oracle"] == cli.kl_to_oracle(
-            cli.oracle_marginals(m), g, trace.final_beliefs
+            cli.oracle_marginals(m), trace.final_beliefs
         )
 
 
@@ -450,6 +450,46 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     ]:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+
+
+def test_generate_run_and_compare_share_one_model_path(tmp_path, capsys):
+    # run with no shape flags builds the model that generate writes at the
+    # same defaults
+    assert main(["run", "--family", "qmr", "--variant", "conv1",
+                 "--outdir", str(tmp_path / "r")]) == 0
+    assert main(["generate", "--family", "qmr", "-o", str(tmp_path / "a.model")]) == 0
+    meta = json.loads((tmp_path / "r" / "trace_conv1.json").read_text())
+    assert meta["model"] == load(tmp_path / "a.model").meta
+    capsys.readouterr()
+    # generate writes synthetic models only
+    for flags in ([], ["--family", "file"]):
+        assert main(["generate", *flags, "-o", str(tmp_path / "x.model")]) == 2
+        assert "--family" in capsys.readouterr().err
+        assert not (tmp_path / "x.model").exists()
+    # a config names a family by its flag spelling only
+    text = config_to_text(ExperimentConfig(family="grid", outdir=str(tmp_path / "g")))
+    config = tmp_path / "long.txt"
+    config.write_text(text.replace("family = grid", "family = grid_boltzmann"))
+    assert main(["run", "--config", str(config)]) == 2
+    assert "unknown model family 'grid_boltzmann'" in capsys.readouterr().err
+
+
+def test_a_weight_scale_that_cannot_be_drawn_is_refused(tmp_path, capsys):
+    # NaN, infinite and overflowing scales are usage errors naming the weight
+    # scale, from flags and from a config file alike.
+    config = tmp_path / "w.txt"
+    config.write_text(config_to_text(ExperimentConfig(family="grid", outdir=str(tmp_path / "c")))
+                      .replace("w = 1.0", "w = nan"))
+    for argv in [
+        ["generate", "--family", "grid", "--rows", "2", "--cols", "2", "--w", "nan",
+         "-o", str(tmp_path / "m.model")],
+        ["generate", "--family", "full", "--w", "1e308", "-o", str(tmp_path / "m.model")],
+        ["run", "--family", "full", "--n", "4", "--w", "inf", "--outdir", str(tmp_path / "r")],
+        ["run", "--config", str(config)],
+    ]:
+        assert main(argv) == 2
+        assert "weight scale" in capsys.readouterr().err
+    assert main(["generate", "--family", "full", "--w", "1e300", "-o", str(tmp_path / "m.model")]) == 0
 
 
 def test_compare_refuses_a_repeated_variant_or_seed(tmp_path, capsys):

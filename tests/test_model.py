@@ -1,6 +1,8 @@
 """Model generation, file format, and potential placement."""
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,39 @@ def test_generate_validation():
         generate(ModelSpec("nope"))
     with pytest.raises(ValueError):
         generate(ModelSpec("file"))
+
+
+@pytest.mark.parametrize("w", [float("nan"), float("inf"), 1e308, 9e307, -1.0])
+def test_weight_scale_must_be_nonnegative_and_drawable(w):
+    # rng.uniform(-w, w) overflows once 2w is not finite, so such a scale is
+    # refused as a bad value rather than raising OverflowError; 1e300 builds.
+    for family in ("grid_boltzmann", "full_boltzmann"):
+        with pytest.raises(ValueError, match="weight scale"):
+            generate(ModelSpec(family, rows=2, cols=2, nodes=3, weight_scale=w))
+        m = generate(ModelSpec(family, rows=2, cols=2, nodes=3, weight_scale=1e300))
+        assert all(np.isfinite(t).all() for t in m.tables)
+
+
+@pytest.mark.parametrize("spec, digest", [
+    # disease 3 feeds three findings and splits its prior; disease 1 feeds none
+    (ModelSpec("qmr_like", diseases=8, findings=5),
+     "6fbc356b38a897c412e031ae1fe4b2864601647bfd7ba410077fdff47bdd6d6a"),
+    # an observation pattern; nine diseases keep their priors as single factors
+    (ModelSpec("qmr_like", diseases=12, findings=3, observe="010", seed=2),
+     "b0f086e179bccca0356dfef1135f4ccbe54acbcbe8dfa802fac89c73347cb631"),
+    # every finding has parents (0, 1, 2), so the five tables merge into one
+    (ModelSpec("qmr_like", diseases=3, findings=5, seed=1),
+     "b3a89ff8761417124e70172a7ced16990cd6506c256f9beb46c6eba7c50bffc7"),
+    (ModelSpec("grid_boltzmann", rows=1, cols=6, weight_scale=1.5, seed=2),
+     "fa883c6dc165cae183950e1e39ef94e22442487f789bc24c6bc7b74f7b111af3"),
+    (ModelSpec("full_boltzmann", nodes=7, weight_scale=2.0, seed=3),
+     "2fe162a42c415783e4c35b6e5e6b3e0abfdd1066a598a5bb2d57f6b555455df5"),
+])
+def test_generated_model_bytes_are_pinned(tmp_path, spec, digest):
+    # Every table entry is written at %.17g, so a change in any floating-point
+    # operation of a generator changes the digest.
+    save(generate(spec), tmp_path / "m.model")
+    assert hashlib.sha256((tmp_path / "m.model").read_bytes()).hexdigest() == digest
 
 
 def test_qmr_structure():
