@@ -230,7 +230,7 @@ def single_variable_marginals(beliefs):
 
 def oracle_marginals(model):
     """Exact single-variable marginals keyed by variable, off the oracle's
-    junction tree; None when it raises ``OracleLimitError``."""
+    junction tree; None only for a model over its clique limit."""
     try:
         exact = exact_inference(model, regions=[(v,) for v in range(model.num_vars)])
     except OracleLimitError:

@@ -101,7 +101,8 @@ def free_energy(pots: ClusterPotentials, q, subset_counts=None, anchor=None) -> 
 def kl_marginals(p, q, over) -> float:
     """Sum of KL(p[k] || q[k]) over the keys ``over`` of two mappings of tables.
 
-    +inf if some q[k] is zero where p[k] is positive.
+    Never negative, as a region's sum below zero is rounding and counts as
+    0.0; +inf if some q[k] is zero where p[k] is positive.
     """
     total = 0.0
     for rid in over:
@@ -112,7 +113,7 @@ def kl_marginals(p, q, over) -> float:
             warnings.warn(f"region {rid}: q assigns zero mass where p is positive")
             return math.inf
         mask = tp > 0
-        total += float(
+        total += max(float(
             (tp[mask] * (np.log(tp[mask]) - np.log(tq[mask]))).sum()
-        )
+        ), 0.0)
     return total

@@ -1,4 +1,4 @@
-"""Exact inference by calibrating one junction tree.
+"""Exact inference by calibrating one junction tree in the log domain.
 
 The moral graph of the factor scopes, with every requested region (a
 variable tuple) joined into a clique as well, is triangulated by a min-fill
@@ -7,9 +7,9 @@ clique (the variable and its neighbours when it is eliminated) is a node of a
 junction forest, parented at the clique of its earliest-eliminated separator
 variable; a clique with an empty separator is a root.  A factor, and a
 region, lies inside the clique of its first-eliminated variable.  One upward
-and one downward pass of Shafer–Shenoy messages calibrate the forest, and
-each region's marginal is read off its clique.  The reach is bounded by the
-largest clique table, not by the number of joint states.
+and one downward pass of Shafer–Shenoy messages calibrate the forest, all in
+the log domain, and each region's marginal is read off its clique.  The reach
+is bounded by the largest clique table, not by the number of joint states.
 """
 from __future__ import annotations
 
@@ -80,17 +80,14 @@ def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     ``regions`` is an iterable of variable tuples, and the marginals are
     keyed by position, so ``[r.vars for r in graph.regions]`` keys a built
     graph's by region id; each table's axes follow ascending variable order,
-    and an empty region gets ``1.0``.  Each
-    clique's log potential, the sum of the factors assigned to it, is shifted
-    by its maximum and exponentiated.  The upward pass runs in elimination
-    order and the downward pass in reverse, each message the product of the
-    clique potential and the clique's other incoming messages, summed onto
-    the separator and normalized.  ``log_z`` is the sum of the shifts and of
-    the logs of the upward normalizers (a root's is the forest component's
-    total).  Raises ``OracleLimitError`` before allocating any table when the
-    largest clique table exceeds ``CLIQUE_LIMIT`` entries, and when a
-    message sums to zero: hard zeros that leave no state with nonzero
-    probability.
+    and an empty region gets ``1.0``.  A clique's log potential sums the
+    factors assigned to it.  The upward pass runs in elimination order and
+    the downward pass in reverse, each log message the clique's log potential
+    plus its other incoming log messages, log-sum-exp'd onto the separator
+    and normalized.  ``log_z`` sums the upward log normalizers (a root's is
+    its forest component's total).  The one refusal: ``OracleLimitError``,
+    before any table is allocated, when the largest clique table exceeds
+    ``CLIQUE_LIMIT`` entries.
     """
     cards = model.cards
     items = [(k, sorted({int(v) for v in vs})) for k, vs in enumerate(regions)]
@@ -110,48 +107,42 @@ def exact_inference(model: FactorModel, regions=()) -> ExactResult:
         if p is not None:
             children[p].append(i)
 
-    # Clique log potentials, shifted by their maxima and exponentiated in place.
-    log_z = 0.0
+    def onto(i, vars_):  # the shape of a table over vars_ on clique i's axes
+        return tuple(cards[u] if u in vars_ else 1 for u in cliques[i])
+
     pots = [np.zeros(tuple(cards[u] for u in c)) for c in cliques]
     for scope, table in zip(model.scopes, model.tables):
         c = min(pos[u] for u in scope)
-        pots[c] += table.reshape(tuple(cards[u] if u in scope else 1 for u in cliques[c]))
-    for t in pots:
-        m = float(t.max())
-        log_z += m
-        t -= m
-        np.exp(t, out=t)
+        pots[c] += table.reshape(onto(c, scope))
 
-    up, down = [None] * len(cliques), [None] * len(cliques)
-
-    def labels(i, vars_):
-        return [cliques[i].index(u) for u in vars_]
+    up, down, norms = ([None] * len(cliques) for _ in range(3))
 
     def product(i, skip, out):
-        """Sum onto ``out`` of clique ``i``'s potential times its incoming
-        messages, all but the one from clique ``skip``."""
-        ops = [pots[i], list(range(len(cliques[i])))]
+        """Log-sum-exp onto ``out`` of clique ``i``'s log potential plus every log
+        message into it but ``skip``'s, normalized, and its log normalizer."""
+        t = pots[i].copy()
         if parent[i] is not None and parent[i] != skip:
-            ops += [down[i], labels(i, seps[i])]
+            t += down[i].reshape(onto(i, seps[i]))
         for c in children[i]:
             if c != skip:
-                ops += [up[c], labels(i, seps[c])]
-        t = np.einsum(*ops, labels(i, out))
-        total = float(t.sum())
-        if not total > 0.0:
-            raise OracleLimitError(
-                "every joint state has probability zero: the clique products underflow"
-            )
-        return t / total, total
+                t += up[c].reshape(onto(i, seps[c]))
+        axes = tuple(a for a, u in enumerate(cliques[i]) if u not in out)
+        top = t.max(axis=axes, keepdims=True)
+        t -= top
+        np.exp(t, out=t)
+        s = np.log(t.sum(axis=axes))
+        s += top.reshape(s.shape)
+        norm = float(np.logaddexp.reduce(s, axis=None))
+        s -= norm
+        return s, norm
 
     for i in range(len(cliques)):
-        up[i], total = product(i, parent[i], seps[i])
-        log_z += math.log(total)
+        up[i], norms[i] = product(i, parent[i], seps[i])
     for i in reversed(range(len(cliques))):
         if parent[i] is not None:
             down[i] = product(parent[i], i, seps[i])[0]
 
     tabs = {}
     for key, vs in items:
-        tabs[key] = product(min(pos[u] for u in vs), None, vs)[0] if vs else np.ones(())
-    return ExactResult(log_z, tabs)
+        tabs[key] = np.exp(product(min(pos[u] for u in vs), None, vs)[0]) if vs else np.ones(())
+    return ExactResult(math.fsum(norms), tabs)

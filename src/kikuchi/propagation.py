@@ -135,7 +135,9 @@ def run_gbp(pots: ClusterPotentials, subset_counts, settings=None, warm=None):
     count; a subset it leaves out keeps the graph's count, and a key that is
     no subset region raises ``ValueError``.  ``converged`` is true only when
     the largest change of a sweep fell below ``settings.tol`` and every
-    returned log table is finite.  The returned beliefs and messages carry
+    returned log table is finite; on counts not convex over the constraints,
+    which ``minimize`` never passes, it means only that the beliefs settled,
+    as the messages may diverge.  The returned beliefs and messages carry
     ``pots.layout`` and hold flat log arrays of this call alone.  ``warm``
     is the messages of an earlier call, carrying the same layout object,
     under any counts; anything else raises ``ConfigurationError``.

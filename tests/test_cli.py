@@ -339,6 +339,18 @@ def test_refused_oracle_reads_unavailable(tmp_path, capsys, monkeypatch):
     assert len(rows) == 4 and all(row[-1] == "unavailable" for row in rows)
 
 
+@pytest.mark.parametrize("w", ["700", "5000"])
+def test_strong_coupling_kl_is_a_number_and_not_negative(tmp_path, capsys, w):
+    # A fully connected 4-variable model at a strong weight scale: the oracle
+    # answers, and its KL to the solver's marginals is finite and >= 0.
+    outdir = tmp_path / "out"
+    assert main(["run", "--family", "full", "--n", "4", "--w", w, "--variant", "conv1",
+                 "--outdir", str(outdir)]) == 0
+    assert "kl_to_oracle unavailable" not in capsys.readouterr().out
+    kl = json.loads((outdir / "trace_conv1.json").read_text())["kl_to_oracle"]
+    assert isinstance(kl, float) and math.isfinite(kl) and kl >= 0.0
+
+
 def test_compare_is_reproducible(tmp_path):
     args = ["compare", "--family", "grid", "--rows", "3", "--cols", "3",
             "--seeds", "0", "--variants", "conv1,cccp"]

@@ -262,6 +262,14 @@ def test_kl_marginals():
     assert kl_marginals(degenerate, p, [0]) == pytest.approx(math.log(2.0))
 
 
+def test_kl_marginals_is_never_negative():
+    # The tables stand for [1 - 1e-30, 1e-30] and [1 - 2e-30, 2e-30], whose
+    # KL is about 3.1e-31; both first entries round to 1.0, their term is
+    # lost and the sum reads -6.9e-31.  A region's sum below zero counts as 0.0.
+    p, q = {0: np.array([1.0, 1e-30])}, {0: np.array([1.0, 2e-30])}
+    assert kl_marginals(p, q, [0]) == 0.0
+
+
 
 def test_public_surface_has_one_way_in_for_beliefs():
     # Every exported name resolves, and beliefs are made only by

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -14,9 +14,11 @@ from hypothesis import strategies as st
 from kikuchi import (
     CLAMP_LOG,
     FactorModel,
+    ModelSpec,
     OracleLimitError,
     build_bethe,
     exact_inference,
+    generate,
 )
 from conftest import chain_model
 
@@ -165,7 +167,7 @@ def _assert_matches_reference(model, regions):
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-12
 
 
-def test_more_variables_than_einsum_labels():
+def test_sixty_variables_in_thirty_components():
     # 60 variables in 30 disjoint pairs: each pair is its own component,
     # and a region joining two pairs makes their cliques one.
     rng = np.random.default_rng(7)
@@ -208,10 +210,61 @@ def test_hard_zeros():
     _assert_matches_reference(m, [(v,) for v in range(4)] + [(2, 0), (3, 1)])
 
 
-def test_zero_mass_is_out_of_reach():
+def test_zero_mass_model_gets_its_stored_marginals():
     # Variable 0 must equal 1 and 2, which must differ: every joint state
-    # hits a hard zero, and the model has no distribution to report.
+    # hits a hard zero, stored as CLAMP_LOG, and the oracle reports the
+    # model as stored, as enumeration does.
     eq = np.where(np.eye(2, dtype=bool), 0.0, -np.inf)
     m = FactorModel([2] * 3, [(0, 1), (0, 2), (1, 2)], [eq, eq, eq[::-1]])
-    with pytest.raises(OracleLimitError, match="probability zero"):
-        exact_inference(m)
+    _assert_matches_reference(m, [(0,), (1,), (2,), (0, 1), (0, 1, 2)])
+
+
+def _strong_random_model(seed, scale):
+    """Five variables of two or three states under up to six random factors
+    of one to three variables, their log tables drawn at ``scale``."""
+    rng = np.random.default_rng(seed)
+    cards = [int(c) for c in rng.integers(2, 4, size=5)]
+    scopes = sorted({
+        tuple(sorted(int(v) for v in rng.choice(5, size=rng.integers(1, 4), replace=False)))
+        for _ in range(6)
+    })
+    tables = [rng.normal(scale=scale, size=tuple(cards[v] for v in s)) for s in scopes]
+    return FactorModel(cards, scopes, tables)
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: generate(ModelSpec("full_boltzmann", nodes=4, weight_scale=5000.0,
+                                            seed=0)), id="full_n4_w5000"),
+    pytest.param(lambda: _strong_random_model(0, 1e3), id="random0_1e3"),
+    pytest.param(lambda: _strong_random_model(2, 1e4), id="random2_1e4"),
+    pytest.param(lambda: _strong_random_model(6, 1e3), id="random6_1e3"),
+])
+def test_strong_couplings_match_enumeration(make):
+    # Log potentials in the thousands put almost every state's weight far
+    # below the largest one's; the marginals and log Z stay exact.
+    m = make()
+    n = m.num_vars
+    regions = [(v,) for v in range(n)] + list(combinations(range(n), 2)) + [tuple(range(n))]
+    res = exact_inference(m, regions=regions)
+    log_z, tabs = _reference(m, regions)
+    assert abs(res.log_z - log_z) <= 1e-12 * abs(log_z)
+    for k, want in enumerate(tabs):
+        got = np.asarray(res.marginals[k])
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_memory_stays_within_a_few_clique_tables():
+    # A fully pairwise model over 16 binary variables: one clique holds all
+    # 2**16 entries.  The calibration's peak stays within six such tables.
+    n = 16
+    rng = np.random.default_rng(0)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    m = FactorModel([2] * n, edges, [rng.normal(size=(2, 2)) for _ in edges])
+    tracemalloc.start()
+    try:
+        exact_inference(m, regions=[(v,) for v in range(n)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 8 * 2**n
