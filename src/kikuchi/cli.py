@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import statistics
 import sys
 from dataclasses import dataclass, fields, replace
@@ -467,6 +468,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes a value such as ``-1e-8`` for a flag; every long flag but
+    # ``--help`` takes one value, so ``--flag -1e-8`` is read as ``--flag=-1e-8``.
+    for i in reversed(range(1, len(argv))):
+        if re.match(r"-([\d.]|inf|nan)", argv[i], re.I) and re.fullmatch(r"--(?!h)[^=]+", argv[i - 1]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -8,8 +8,9 @@ not converge within its sweep budget gives no such minimum: its beliefs are
 not taken, and the run stops at the anchor, unconverged.  Inexact inner solves
 can produce sub-noise rises; those steps are rejected, keeping the recorded
 trace non-increasing, and the run stops at the anchor, converged only if the
-anchor's constraint residual is within ``RESIDUAL_TOL``.  A rise that breaks the
-bound itself indicates a bug and raises rather than being papered over.
+anchor's constraint residual is within ``RESIDUAL_TOL``.  Every rise, under every
+variant, is checked against the bound built at the anchor, evaluated at the new
+beliefs: a rise above it is a bug and raises ``DescentError``.
 
 Before it returns, ``minimize`` checks the promises of its trace: every
 ``f_kik`` is finite, none rises by more than ``DESCENT_SLACK``, ``converged``
@@ -23,12 +24,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .bounds import (
-    BoundSpec,
-    ConvexityError,
-    check_convex_over_constraints,
-    inner_potentials,
-)
+from .bounds import BoundSpec, ConvexityError, check_convex_over_constraints, inner_potentials
 from .energy import Beliefs, free_energy, uniform_beliefs
 from .model import ClusterPotentials, FactorModel
 from .propagation import InnerSettings, constraint_residual, run_gbp
@@ -109,10 +105,6 @@ def minimize(
     # When nothing is linearized the bound is the objective itself and one
     # converged inner solve finishes the job.
     exact_bound = bool((gap == 0).all())
-    # With no positive mass linearized the bound dominates the objective
-    # pointwise, table by table; otherwise dominance also needs the beliefs
-    # to be consistent, which inexact inner solves only deliver approximately.
-    pointwise = bool((gap <= 1e-12).all())
     q = uniform_beliefs(graph, model.cards)
     f_prev = free_energy(base, q)
     records = [OuterRecord(0, f_prev, 0, constraint_residual(q), 0.0)]
@@ -138,16 +130,16 @@ def minimize(
         f_new = free_energy(base, q_new)
         if f_new > f_prev + DESCENT_SLACK:
             # The bound evaluated at the anchor equals f_prev, so an exact
-            # inner minimum can never raise the objective.  If the bound
-            # still dominates at q_new the rise is inner-solve noise: keep
-            # the anchor and stop.  A dominance violation is a bug.
-            if pointwise:
-                f_surrogate = free_energy(base, q_new, spec.inner_overcounts, q)
-                if f_new > f_surrogate + DESCENT_SLACK:
-                    raise DescentError(
-                        f"free energy {f_new!r} exceeds its upper bound "
-                        f"{f_surrogate!r} at outer iteration {outer_index}"
-                    )
+            # inner minimum can never raise the objective.  Under every
+            # variant, a rise where the bound still dominates at q_new is
+            # inner-solve noise: keep the anchor and stop.  A dominance
+            # violation is a bug.
+            f_surrogate = free_energy(base, q_new, spec.inner_overcounts, q)
+            if f_new > f_surrogate + DESCENT_SLACK:
+                raise DescentError(
+                    f"free energy {f_new!r} exceeds its upper bound "
+                    f"{f_surrogate!r} at outer iteration {outer_index}"
+                )
             records.append(
                 OuterRecord(outer_index, f_prev, sweeps, records[-1].constraint_residual, 0.0)
             )

@@ -113,8 +113,9 @@ def _sweep(layout: Layout, shares, damping, logacc, log_up, log_down, log_sub) -
             q += mix[sub]
         nd = q[msg_sub]
         nd -= u
-        # A constant shift of a message cancels in the beliefs; a maximum of
-        # zero keeps the cluster tables bounded.
+        # A constant shift of a message cancels in the beliefs.  A maximum of zero
+        # bounds each message's constant, which would otherwise grow geometrically
+        # wherever an update's exponent times (1 - damping) exceeds one.
         nd -= np.maximum.reduceat(nd, msg_starts)[msg_pair]
         # ``down`` is the level's slice of ``log_down``: it holds the old
         # minus the new messages until the new ones are written.

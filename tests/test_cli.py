@@ -537,6 +537,20 @@ def test_settings_that_cannot_run_are_refused(tmp_path, capsys, key, value):
     assert cli._validate_config(zero) == zero
 
 
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("run", "--outer-tol", "-1e-8", "outer_tol must be finite and nonnegative, got -1e-08"),
+    ("generate", "--w", "-1e3", "weight scale must be nonnegative"),
+], ids=["outer-tol", "w"])
+def test_a_negative_value_in_exponent_form_reaches_validation(tmp_path, capsys, command, flag, value, message):
+    # argparse would take ``-1e-8`` for a flag and refuse ``--outer-tol`` for
+    # want of a value; given after its flag, the value reaches the check that
+    # names the real reason, as ``--outer-tol=-1e-8`` does.
+    out = ["-o", str(tmp_path / "m.model")] if command == "generate" else ["--outdir", str(tmp_path / "o")]
+    assert main([command, "--family", "full", flag, value] + out) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "m.model").exists()
+
+
 def test_runtime_errors_exit_3(tmp_path, capsys):
     assert main(["check", str(tmp_path / "missing.model")]) == 3
     err = capsys.readouterr().err

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from kikuchi import (
+    BoundSpec,
     ClusterPotentials,
     ConvexityError,
     InnerSettings,
@@ -17,6 +18,7 @@ from kikuchi import (
     OuterSettings,
     build_bethe,
     build_cvm,
+    check_conv2_bound,
     exact_inference,
     free_energy,
     generate,
@@ -211,6 +213,42 @@ def test_stop_reason_names_a_failed_inner_solve(tmp_path):
     assert json.loads((tmp_path / "trace.json").read_text())["inner_failures"] == 1
 
 
+_LINEARIZED_CASES = [
+    (ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0), lambda: _plaquettes(3, 3), 40),
+    (ModelSpec("full_boltzmann", nodes=4, seed=0), lambda: _all_triplets(4), 31),
+    (ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0), lambda: _plaquettes(5, 5), 44),
+    (ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0), lambda: _all_triplets(5), 33),
+]
+_LINEARIZED_IDS = ["plaquettes-3x3", "triplets-n4", "plaquettes-5x5", "triplets-n5-w3"]
+
+
+@pytest.mark.parametrize("spec, graph", [case[:2] for case in _LINEARIZED_CASES[:2]], ids=_LINEARIZED_IDS[:2])
+def test_a_rise_above_a_broken_bound_raises(spec, graph):
+    # conv3's kept counts with every positive subset's set to 0 linearize
+    # positive mass with no negative mass paired against it, so the fold is
+    # no longer an upper bound.  The first rise lies above that bound at the
+    # new beliefs, and the rise check, which runs for every variant, raises
+    # instead of returning the anchor as a converged rejected rise.
+    m, g = generate(spec), graph()
+    counts = g.subset_overcounts()
+    kept = make_bound_spec(g, "conv3").inner_overcounts
+    broken = BoundSpec("conv3", {b: 0.0 if counts[b] > 0 else c for b, c in kept.items()})
+    with pytest.raises(DescentError, match="exceeds its upper bound"):
+        minimize(m, g, broken)
+
+
+@pytest.mark.parametrize("spec, graph, outer", _LINEARIZED_CASES, ids=_LINEARIZED_IDS)
+def test_a_certified_conv2_bound_stays_silent(spec, graph, outer):
+    # Every subset kept at 0 is conv2's bound, which linearizes positive mass
+    # too.  Where ``check_conv2_bound`` certifies it, the rise check never
+    # fires and the run converges as before.
+    m, g = generate(spec), graph()
+    assert check_conv2_bound(g) is not None
+    trace = minimize(m, g, BoundSpec("conv2", dict.fromkeys(g.subset_ids, 0.0)))
+    assert trace.converged and trace.stop_reason == "converged"
+    assert trace.outer_iterations == outer
+
+
 def _broken(trace, defect):
     """``trace`` with one of its promises broken."""
     recs = list(trace.outer)
@@ -342,4 +380,4 @@ def test_schedules_are_pinned(spec, graph, variant, want):
     trace = minimize(m, g, make_bound_spec(g, variant))
     outer, sweeps, final_f = want
     assert (trace.outer_iterations, trace.total_inner_sweeps) == (outer, sweeps)
-    assert abs(trace.final_f - final_f) <= 1e-10
+    assert abs(trace.final_f - final_f) <= 1e-12

@@ -715,3 +715,28 @@ def test_sweep_is_a_map_on_the_solver_state(spec, graph, variant, damped):
     np.testing.assert_allclose(logacc, layout.into_clusters(pots.logs, log_down), rtol=0, atol=1e-9)
     totals = np.add.reduceat(np.exp(log_sub), layout.subset_segments[0])
     np.testing.assert_allclose(totals, 1.0, rtol=0, atol=1e-12)
+
+
+def test_the_message_shift_bounds_the_messages():
+    # Bethe regions of a full n=8 model under conv3 keep a count of -6 on a
+    # variable in 7 clusters, so an update's exponent times (1 - damping)
+    # reaches 3.5.  Each message's constant would then grow geometrically
+    # from sweep to sweep (to about 1e56 after 200 sweeps, NaN later); the
+    # shift of each message to a maximum of zero holds it near 1.3.
+    m = generate(ModelSpec("full_boltzmann", nodes=8, weight_scale=1.0, seed=0))
+    g = build_bethe(m.scopes, m.num_vars)
+    bound = make_bound_spec(g, "conv3")
+    pots = inner_potentials(ClusterPotentials.of(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
+    layout, n_outer = pots.layout, len(g.outer_ids)
+    q, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, InnerSettings(max_sweeps=5))
+    assert sweeps == 5
+    # run_gbp's damping (one half, as a count is negative) and shares.
+    kept, n = layout.kept_counts(bound.inner_overcounts)[n_outer:], layout.outer_counts[n_outer:]
+    assert (kept.min(), (0.5 * n / (n + kept)).max()) == (-6.0, 3.5)
+    den = (n + kept)[layout.subset_segments[1]]
+    shares = [0.5 / den[step[-1]] for step in layout.sweep_steps]
+    log_up, log_down = (x.copy() for x in msgs.logs)
+    state = [layout.into_clusters(pots.logs, log_down), log_up, log_down, q.logs[layout.outer_size:].copy()]
+    for _ in range(200):
+        _sweep(layout, shares, 0.5, *state)
+    assert np.isfinite(state[2]).all() and np.abs(state[2]).max() <= 10
