@@ -44,7 +44,6 @@ from .model import (
 from .oracle import ExactResult, OracleLimitError, exact_inference
 from .propagation import (
     ConfigurationError,
-    InnerSettings,
     MessageSet,
     constraint_residual,
     run_gbp,
@@ -76,7 +75,6 @@ __all__ = [
     "ExactResult",
     "FactorModel",
     "GraphError",
-    "InnerSettings",
     "MessageSet",
     "ModelFormatError",
     "ModelSpec",

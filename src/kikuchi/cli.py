@@ -42,7 +42,7 @@ from .doubleloop import (
 from .energy import kl_marginals
 from .model import ModelFormatError, ModelSpec, generate, load, save
 from .oracle import OracleLimitError, exact_inference
-from .propagation import ConfigurationError, InnerSettings
+from .propagation import ConfigurationError
 from .regions import (
     RECIPES,
     GraphError,
@@ -84,8 +84,8 @@ class ExperimentConfig:
     outer_tol: float = OuterSettings.outer_tol
     marginal_tol: float = OuterSettings.marginal_tol
     max_outer: int = OuterSettings.max_outer
-    inner_tol: float = InnerSettings.tol
-    inner_max_sweeps: int = InnerSettings.max_sweeps
+    inner_tol: float = OuterSettings.inner_tol
+    inner_max_sweeps: int = OuterSettings.inner_max_sweeps
     consensus_window: float = 1e-4
 
 
@@ -108,6 +108,8 @@ _TYPE_CODECS = {
     ),
 }
 _FIELD_CODECS = {f.name: _TYPE_CODECS[f.type] for f in fields(ExperimentConfig)}
+# Each solver knob names an ``OuterSettings`` and ``ExperimentConfig`` field and a flag.
+_SOLVER_KEYS = tuple(f.name for f in fields(OuterSettings))
 
 # Keys that config files written by earlier versions hold, each with the one
 # value that still describes how the solver runs: the kept counts decide how
@@ -174,7 +176,7 @@ def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         dups = [x for x in getattr(cfg, key) if getattr(cfg, key).count(x) > 1]
         if dups:
             raise UsageError(f"{key} lists {dups[0]!r} twice")
-    for key in ("outer_tol", "marginal_tol", "inner_tol", "consensus_window", "max_outer", "inner_max_sweeps"):
+    for key in (*_SOLVER_KEYS, "consensus_window"):
         if not 0 <= getattr(cfg, key) < math.inf:
             raise UsageError(f"{key} must be finite and nonnegative, got {getattr(cfg, key)!r}")
     return cfg
@@ -198,12 +200,7 @@ def config_model(cfg: ExperimentConfig, seed: int):
 
 
 def outer_settings(cfg: ExperimentConfig) -> OuterSettings:
-    return OuterSettings(
-        outer_tol=cfg.outer_tol,
-        marginal_tol=cfg.marginal_tol,
-        max_outer=cfg.max_outer,
-        inner=InnerSettings(tol=cfg.inner_tol, max_sweeps=cfg.inner_max_sweeps),
-    )
+    return OuterSettings(**{k: getattr(cfg, k) for k in _SOLVER_KEYS})
 
 
 def single_variable_marginals(beliefs):
@@ -252,21 +249,23 @@ def _kl_text(kl) -> str:
 
 
 def _solve_and_write(cfg: ExperimentConfig, seeds, name: str):
-    """Write ``config.txt`` into ``cfg.outdir``, then per seed solve every variant
-    and write each trace with its KL to the oracle.
+    """Per seed solve every variant and write each trace with its KL to the
+    oracle into ``cfg.outdir``, with ``config.txt`` once the first seed's
+    model, graph and bound specs are built (a refused config writes nothing).
 
     ``name`` names each trace's files, formatted with ``seed`` and
     ``variant``.  Yields each seed with a (trace, kl) pair per variant, in
     the order of ``cfg.variants``; the oracle runs once per seed.
     """
     outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    save_config(cfg, outdir / "config.txt")
     settings = outer_settings(cfg)
     for seed in seeds:
         model = config_model(cfg, seed)
         graph = recipe_graph(model, cfg.recipe)
         specs = [make_bound_spec(graph, v) for v in cfg.variants]
+        if seed == seeds[0]:
+            outdir.mkdir(parents=True, exist_ok=True)
+            save_config(cfg, outdir / "config.txt")
         traces = [minimize(model, graph, s, settings) for s in specs]
         exact = oracle_marginals(model)
         solved = []
@@ -405,11 +404,8 @@ def _add_solver_flags(p):
     p.add_argument("--recipe", choices=RECIPES)
     p.add_argument("--outdir")
     p.add_argument("--config", help="experiment config file")
-    p.add_argument("--outer-tol", dest="outer_tol", type=float)
-    p.add_argument("--marginal-tol", dest="marginal_tol", type=float)
-    p.add_argument("--max-outer", dest="max_outer", type=int)
-    p.add_argument("--inner-tol", dest="inner_tol", type=float)
-    p.add_argument("--inner-max-sweeps", dest="inner_max_sweeps", type=int)
+    for key in _SOLVER_KEYS:
+        p.add_argument("--" + key.replace("_", "-"), dest=key, type=_FIELD_CODECS[key][1])
 
 
 def _seed_list(text):

@@ -22,12 +22,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .bounds import BoundSpec, ConvexityError, check_convex_over_constraints, inner_potentials
 from .energy import Beliefs, free_energy, uniform_beliefs
 from .model import ClusterPotentials, FactorModel
-from .propagation import InnerSettings, constraint_residual, run_gbp
+from .propagation import constraint_residual, run_gbp
 from .regions import RegionGraph
 
 DESCENT_SLACK = 1e-9
@@ -53,7 +53,8 @@ class OuterSettings:
     outer_tol: float = 1e-8
     marginal_tol: float = 1e-6
     max_outer: int = 10000
-    inner: InnerSettings = field(default_factory=InnerSettings)
+    inner_tol: float = 1e-8
+    inner_max_sweeps: int = 2000
 
 
 @dataclass
@@ -88,7 +89,8 @@ def minimize(
     spec: BoundSpec,
     settings: OuterSettings | None = None,
 ) -> RunTrace:
-    """Descend the region free energy from uniform beliefs under ``spec``."""
+    """Descend the region free energy from uniform beliefs under ``spec``; each inner
+    solve is ``run_gbp`` at ``settings.inner_tol`` and ``settings.inner_max_sweeps``."""
     settings = settings or OuterSettings()
     if spec.variant == "none":
         if check_convex_over_constraints(graph, graph.counts) is None:
@@ -115,7 +117,8 @@ def minimize(
     for outer_index in range(1, settings.max_outer + 1):
         inner = inner_potentials(base, spec.inner_overcounts, q)
         q_new, messages, sweeps, inner_ok = run_gbp(
-            inner, spec.inner_overcounts, settings.inner, warm=messages
+            inner, spec.inner_overcounts, tol=settings.inner_tol,
+            max_sweeps=settings.inner_max_sweeps, warm=messages,
         )
         if not inner_ok:
             # No inner minimum, so no descent guarantee: keep the anchor.
@@ -204,18 +207,11 @@ def write_trace(trace: RunTrace, spec: BoundSpec, stem, model_meta=None, **extra
         )
     with open(f"{stem}.csv", "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    s = trace.settings
     meta = {
         "variant": trace.variant,
         "inner_overcounts": {str(k): v for k, v in sorted(spec.inner_overcounts.items())},
         "model": dict(model_meta or {}),
-        "settings": {
-            "outer_tol": s.outer_tol,
-            "marginal_tol": s.marginal_tol,
-            "max_outer": s.max_outer,
-            "inner_tol": s.inner.tol,
-            "inner_max_sweeps": s.inner.max_sweeps,
-        },
+        "settings": asdict(trace.settings),
         "outer_iterations": trace.outer_iterations,
         "total_inner_sweeps": trace.total_inner_sweeps,
         "final_f_kik": trace.final_f,

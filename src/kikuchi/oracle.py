@@ -81,11 +81,13 @@ def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     keyed by position, so ``[r.vars for r in graph.regions]`` keys a built
     graph's by region id; each table's axes follow ascending variable order,
     and an empty region gets ``1.0``.  A clique's log potential sums the
-    factors assigned to it.  The upward pass runs in elimination order and
-    the downward pass in reverse, each log message the clique's log potential
-    plus its other incoming log messages, log-sum-exp'd onto the separator
-    and normalized.  ``log_z`` sums the upward log normalizers (a root's is
-    its forest component's total).  The one refusal: ``OracleLimitError``,
+    factors assigned to it, less its maximum: the entries that carry the
+    mass then lie near zero, where rounding is finest.  The upward pass runs
+    in elimination order and the downward pass in reverse, each log message
+    the clique's log potential plus its other incoming log messages,
+    log-sum-exp'd onto the separator and normalized.  ``log_z`` sums those
+    maxima and the upward log normalizers (a root's is its forest
+    component's total).  The one refusal: ``OracleLimitError``,
     before any table is allocated, when the largest clique table exceeds
     ``CLIQUE_LIMIT`` entries.
     """
@@ -114,6 +116,9 @@ def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     for scope, table in zip(model.scopes, model.tables):
         c = min(pos[u] for u in scope)
         pots[c] += table.reshape(onto(c, scope))
+    shifts = [float(t.max()) for t in pots]
+    for t, top in zip(pots, shifts):
+        t -= top
 
     up, down, norms = ([None] * len(cliques) for _ in range(3))
 
@@ -145,4 +150,4 @@ def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     tabs = {}
     for key, vs in items:
         tabs[key] = np.exp(product(min(pos[u] for u in vs), None, vs)[0]) if vs else np.ones(())
-    return ExactResult(math.fsum(norms), tabs)
+    return ExactResult(math.fsum(norms + shifts), tabs)

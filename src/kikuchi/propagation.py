@@ -35,7 +35,7 @@ is NaN stops the run unconverged.  Every subset of a built graph lies in
 two or more clusters; a hand-built graph may hold one inside a single
 cluster, which is swept like any other.
 
-``run_gbp(pots, subset_counts, settings=None, warm=None)`` reads the graph
+``run_gbp(pots, subset_counts, *, tol, max_sweeps, warm)`` reads the graph
 and the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
 ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
 ``minimize`` does; ``free_energy`` and ``inner_potentials`` read the same
@@ -57,7 +57,6 @@ object, under any counts.  Any other ``warm`` raises
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,14 +85,6 @@ class MessageSet:
     def __init__(self, layout: Layout, log_up, log_down):
         self.layout = layout
         self.logs = (log_up, log_down)
-
-
-@dataclass
-class InnerSettings:
-    """Stopping rule of the inner sweep: change tolerance and sweep budget."""
-
-    tol: float = 1e-8
-    max_sweeps: int = 2000
 
 
 def _sweep(layout: Layout, shares, damping, logacc, log_up, log_down, log_sub) -> None:
@@ -127,7 +118,7 @@ def _sweep(layout: Layout, shares, damping, logacc, log_up, log_down, log_sub) -
     log_sub -= np.logaddexp.reduceat(log_sub, sub_starts)[sub_seg]
 
 
-def run_gbp(pots: ClusterPotentials, subset_counts, settings=None, warm=None):
+def run_gbp(pots: ClusterPotentials, subset_counts, *, tol=1e-8, max_sweeps=2000, warm=None):
     """Sweep to a fixed point; returns (beliefs, messages, sweeps, converged).
 
     ``pots`` are cluster potentials on a graph's layout, as
@@ -135,15 +126,14 @@ def run_gbp(pots: ClusterPotentials, subset_counts, settings=None, warm=None):
     layout compiles.  ``subset_counts`` maps a subset id to its effective
     count; a subset it leaves out keeps the graph's count, and a key that is
     no subset region raises ``ValueError``.  ``converged`` is true only when
-    the largest change of a sweep fell below ``settings.tol`` and every
-    returned log table is finite; on counts not convex over the constraints,
-    which ``minimize`` never passes, it means only that the beliefs settled,
-    as the messages may diverge.  The returned beliefs and messages carry
-    ``pots.layout`` and hold flat log arrays of this call alone.  ``warm``
-    is the messages of an earlier call, carrying the same layout object,
-    under any counts; anything else raises ``ConfigurationError``.
+    the largest change of a sweep, within ``max_sweeps``, fell below ``tol``
+    and every returned log table is finite; on counts not convex over the
+    constraints, which ``minimize`` never passes, it means only that the
+    beliefs settled, as the messages may diverge.  The returned beliefs and
+    messages carry ``pots.layout`` and hold flat log arrays of this call
+    alone.  ``warm`` is the messages of an earlier call, carrying the same
+    layout object, under any counts; anything else raises ``ConfigurationError``.
     """
-    settings = settings or InnerSettings()
     layout = pots.layout
     n_outer = len(layout.graph.outer_ids)
     kept = layout.kept_counts(subset_counts)[n_outer:]
@@ -182,7 +172,7 @@ def run_gbp(pots: ClusterPotentials, subset_counts, settings=None, warm=None):
     shares = [(1.0 - damping) / den[step[-1]] for step in layout.sweep_steps]
 
     sweeps, converged = 0, False
-    for sweeps in range(1, settings.max_sweeps + 1):
+    for sweeps in range(1, max_sweeps + 1):
         _sweep(layout, shares, damping, logacc, log_up, log_down, log_sub)
         prev, q_sub = q_sub, np.exp(log_sub)
         prev -= q_sub
@@ -192,7 +182,7 @@ def run_gbp(pots: ClusterPotentials, subset_counts, settings=None, warm=None):
         if sweeps % 64 == 0:
             # Incremental cluster updates accumulate round-off; rebuild.
             logacc = layout.into_clusters(pots.logs, log_down)
-        if delta < settings.tol:
+        if delta < tol:
             converged = True
             break
 

@@ -2,19 +2,20 @@
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kikuchi
-from kikuchi import cli, load
+from kikuchi import OuterSettings, cli, load, run_gbp
 from kikuchi.cli import (
     ExperimentConfig,
     UsageError,
@@ -94,6 +95,31 @@ inner_max_sweeps = 2000
 consensus_window = 0.0001
 """
     assert config_to_text(cfg) == want
+
+
+def test_every_solver_knob_has_one_name_from_flag_to_trace(tmp_path):
+    # Each OuterSettings field is an ExperimentConfig field with the same
+    # default, a run and compare flag, a config line and a trace settings key.
+    names = [f.name for f in fields(OuterSettings)]
+    default = OuterSettings()
+    doubled = {k: 2 * getattr(default, k) for k in names}
+    for k in names:
+        assert getattr(ExperimentConfig(), k) == getattr(default, k)
+        cfg = ExperimentConfig(**{k: doubled[k]})
+        assert parse_config(config_to_text(cfg)) == cfg
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in doubled.items()]
+    for command, trace in [("run", "trace_conv1.json"), ("compare", "trace_seed0_conv1.json")]:
+        outdir = tmp_path / command
+        variant = ["--variant", "conv1"] if command == "run" else ["--variants", "conv1"]
+        assert main([command, "--family", "grid", "--rows", "2", "--cols", "2", *variant,
+                     *flags, "--outdir", str(outdir)]) == 0
+        meta = json.loads((outdir / trace).read_text())
+        assert meta["settings"] == doubled
+        assert {k: getattr(load_config(outdir / "config.txt"), k) for k in names} == doubled
+    # The inner two are also run_gbp's own defaults.
+    params = inspect.signature(run_gbp).parameters
+    assert (params["tol"].default, params["max_sweeps"].default) == (
+        default.inner_tol, default.inner_max_sweeps)
 
 
 def test_config_file_round_trip(tmp_path):
@@ -422,12 +448,16 @@ def test_usage_errors_exit_2(tmp_path, capsys):
                  "--variants", ",", "--outdir", str(tmp_path / "c")]) == 2
     assert "variant list is empty" in capsys.readouterr().err
     assert main(["frobnicate"]) == 2  # argparse rejection is a usage error
-    # a recipe that does not fit the model
+    # a recipe that does not fit the model; a refused run leaves no output
     qmr = tmp_path / "q.model"
     main(["generate", "--family", "qmr", "-o", str(qmr)])
     capsys.readouterr()
     assert main(["check", str(qmr), "--recipe", "grid-plaquettes"]) == 2
     assert "rows/cols metadata" in capsys.readouterr().err
+    outdir = tmp_path / "qp"
+    assert main(["run", "--family", "qmr", "--recipe", "grid-plaquettes", "--outdir", str(outdir)]) == 2
+    assert "rows/cols metadata" in capsys.readouterr().err
+    assert not outdir.exists()
     pair = tmp_path / "pair.model"
     main(["generate", "--family", "grid", "--rows", "1", "--cols", "2", "-o", str(pair)])
     capsys.readouterr()
@@ -487,8 +517,9 @@ def test_generate_run_and_compare_share_one_model_path(tmp_path, capsys):
 
 
 def test_a_weight_scale_that_cannot_be_drawn_is_refused(tmp_path, capsys):
-    # NaN, infinite and overflowing scales are usage errors naming the weight
-    # scale, from flags and from a config file alike.
+    # NaN, infinite, negative and overflowing scales are usage errors naming
+    # the weight scale, from flags and from a config file alike; a refused
+    # run leaves no output directory.
     config = tmp_path / "w.txt"
     config.write_text(config_to_text(ExperimentConfig(family="grid", outdir=str(tmp_path / "c")))
                       .replace("w = 1.0", "w = nan"))
@@ -497,10 +528,12 @@ def test_a_weight_scale_that_cannot_be_drawn_is_refused(tmp_path, capsys):
          "-o", str(tmp_path / "m.model")],
         ["generate", "--family", "full", "--w", "1e308", "-o", str(tmp_path / "m.model")],
         ["run", "--family", "full", "--n", "4", "--w", "inf", "--outdir", str(tmp_path / "r")],
+        ["run", "--family", "full", "--w", "-1e3", "--outdir", str(tmp_path / "r")],
         ["run", "--config", str(config)],
     ]:
         assert main(argv) == 2
         assert "weight scale" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists() and not (tmp_path / "c").exists()
     assert main(["generate", "--family", "full", "--w", "1e300", "-o", str(tmp_path / "m.model")]) == 0
 
 

@@ -13,7 +13,6 @@ from kikuchi import (
     BoundSpec,
     ClusterPotentials,
     ConvexityError,
-    InnerSettings,
     ModelSpec,
     OuterSettings,
     build_bethe,
@@ -167,7 +166,7 @@ def test_stop_reason_names_a_rejected_rise(tmp_path):
     m = generate(ModelSpec("grid_boltzmann", rows=4, cols=4, seed=0))
     g = _plaquettes(4, 4)
     spec = make_bound_spec(g, "conv1")
-    trace = minimize(m, g, spec, OuterSettings(outer_tol=0.0, max_outer=500, inner=InnerSettings(tol=1e-6)))
+    trace = minimize(m, g, spec, OuterSettings(outer_tol=0.0, max_outer=500, inner_tol=1e-6))
     last, prev = trace.outer[-1], trace.outer[-2]
     assert trace.stop_reason == "rejected_rise"
     assert trace.converged and last.inner_converged
@@ -187,7 +186,7 @@ def test_rejected_rise_at_a_loose_anchor_is_unconverged(case):
     else:
         m = _grid_model(3, 3, seed=4)
         g, variant = build_bethe(m.scopes, m.num_vars), "conv1"
-    trace = minimize(m, g, make_bound_spec(g, variant), OuterSettings(inner=InnerSettings(tol=1e-4)))
+    trace = minimize(m, g, make_bound_spec(g, variant), OuterSettings(inner_tol=1e-4))
     last, prev = trace.outer[-1], trace.outer[-2]
     assert trace.stop_reason == "rejected_rise" and not trace.converged
     assert last.constraint_residual == prev.constraint_residual > RESIDUAL_TOL
@@ -202,7 +201,7 @@ def test_stop_reason_names_a_failed_inner_solve(tmp_path):
     m = generate(ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0))
     g = _plaquettes(5, 5)
     spec = make_bound_spec(g, "conv3")
-    trace = minimize(m, g, spec, OuterSettings(inner=InnerSettings(max_sweeps=3)))
+    trace = minimize(m, g, spec, OuterSettings(inner_max_sweeps=3))
     start, last = trace.outer
     assert trace.stop_reason == "inner_failed" and not trace.converged
     assert (last.outer_index, last.inner_sweeps, last.inner_converged) == (1, 3, False)
@@ -308,8 +307,7 @@ def test_metadata_is_json_serializable(tmp_path):
     m = k4_model(seed=8)
     g = build_bethe(m.scopes, m.num_vars)
     spec = make_bound_spec(g, "conv2")
-    trace = minimize(m, g, spec,
-                     OuterSettings(inner=InnerSettings(max_sweeps=500)))
+    trace = minimize(m, g, spec, OuterSettings(inner_max_sweeps=500))
     write_trace(trace, spec, tmp_path / "trace", model_meta=m.meta)
     back = json.loads((tmp_path / "trace.json").read_text())
     assert back["variant"] == "conv2"

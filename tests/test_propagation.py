@@ -15,7 +15,6 @@ from kikuchi import (
     ClusterPotentials,
     ConfigurationError,
     ConvexityError,
-    InnerSettings,
     MessageSet,
     ModelSpec,
     build_bethe,
@@ -297,7 +296,7 @@ def test_foreign_warm_messages_are_rejected():
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    _, msgs, _, _ = run_gbp(pots, c, InnerSettings(max_sweeps=3))
+    _, msgs, _, _ = run_gbp(pots, c, max_sweeps=3)
     foreign = [
         (ClusterPotentials.of(m, build_bethe(m.scopes, m.num_vars)), c, msgs),  # an equal graph, another object
         (ClusterPotentials.of(chain_model(5, seed=6, cards=[3, 2, 2, 2, 2]), g), c, msgs),
@@ -314,12 +313,11 @@ def test_warm_start_carries_across_count_sets():
     m = cycle_model(6, seed=3)
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
-    tight = InnerSettings(tol=1e-12)
     c1, cc = (make_bound_spec(g, v).inner_overcounts for v in ("conv1", "cccp"))
     assert set(c1.values()) == {0.0} and set(cc.values()) == {1.0}
-    cold, _, _, cold_ok = run_gbp(pots, cc, tight)
-    _, msgs, _, _ = run_gbp(pots, c1, tight)
-    warm, _, _, warm_ok = run_gbp(pots, cc, tight, warm=msgs)
+    cold, _, _, cold_ok = run_gbp(pots, cc, tol=1e-12)
+    _, msgs, _, _ = run_gbp(pots, c1, tol=1e-12)
+    warm, _, _, warm_ok = run_gbp(pots, cc, tol=1e-12, warm=msgs)
     assert cold_ok and warm_ok
     assert warm.delta(cold) < 1e-8
 
@@ -328,8 +326,7 @@ def test_truncated_run_reports_not_converged():
     m = cycle_model(6, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
-    q, _, sweeps, converged = run_gbp(pots, _true_counts(g),
-                                      InnerSettings(max_sweeps=1))
+    q, _, sweeps, converged = run_gbp(pots, _true_counts(g), max_sweeps=1)
     assert sweeps == 1
     assert not converged
 
@@ -347,7 +344,7 @@ def test_zero_potentials_fix_uniform_beliefs():
     assert abs(f - (-4 * math.log(4.0) + 4 * math.log(2.0))) < 1e-10
 
 
-def _reference_gbp(model, graph, subset_counts, settings=None, warm=None):
+def _reference_gbp(model, graph, subset_counts, *, tol=1e-8, max_sweeps=2000, warm=None):
     """The sweep one subset region at a time, in the layout's colour order.
 
     The oracle for ``run_gbp``'s level-by-level sweep: the same floors,
@@ -358,7 +355,6 @@ def _reference_gbp(model, graph, subset_counts, settings=None, warm=None):
     pair of message tables, as ``message_tables`` gives them, and the
     messages come back as such a pair, the beliefs as tables.
     """
-    settings = settings or InnerSettings()
     cards, pots, cont = model.cards, outer_log_potentials(model, graph), graph.containing_outers
     count = {b: float(subset_counts.get(b, graph.by_id[b].overcount)) for b in graph.subset_ids}
     act = tuple(b for level in graph.layout(cards).levels for b in level)
@@ -397,7 +393,7 @@ def _reference_gbp(model, graph, subset_counts, settings=None, warm=None):
     q_out = {a: softmax(logacc[a]) for a in graph.outer_ids}
     q_sub = {b: softmax(sum(np.log(up[(a, b)]) for a in cont[b]) / denom[b]) for b in act}
     sweeps, converged = 0, False
-    while sweeps < settings.max_sweeps and not converged:
+    while sweeps < max_sweeps and not converged:
         sweeps += 1
         prev = dict(q_sub)
         for b in act:
@@ -420,7 +416,7 @@ def _reference_gbp(model, graph, subset_counts, settings=None, warm=None):
         if sweeps % 64 == 0:
             logacc = {a: rebuild(a) for a in graph.outer_ids}
             q_out = {a: softmax(logacc[a]) for a in graph.outer_ids}
-        converged = delta < settings.tol
+        converged = delta < tol
 
     tabs = {a: softmax(rebuild(a)) for a in graph.outer_ids}
     tabs.update(q_sub)
@@ -484,14 +480,13 @@ def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
             c = make_bound_spec(g, counts).inner_overcounts
         except ConvexityError:
             assume(False)
-    short = InnerSettings(max_sweeps=7)
-    full = InnerSettings(max_sweeps=300)
-    want = _reference_gbp(m, g, c, short)
-    cold = run_gbp(pots, c, short)
+    want = _reference_gbp(m, g, c, max_sweeps=7)
+    cold = run_gbp(pots, c, max_sweeps=7)
     _assert_same_run(cold, want)
     # Warm starts: the level sweep from its own messages (on their layout)
     # and the reference from its own.
-    _assert_same_run(run_gbp(pots, c, full, warm=cold[1]), _reference_gbp(m, g, c, full, warm=want[1]))
+    _assert_same_run(run_gbp(pots, c, max_sweeps=300, warm=cold[1]),
+                     _reference_gbp(m, g, c, max_sweeps=300, warm=want[1]))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -542,7 +537,7 @@ def test_levels_group_regions_with_disjoint_clusters():
     cases += [(*_problem(kind, 3, 1), "conv1") for kind in ("triplets", "qmr", "bethe-grid")]
     for m, g, variant in cases:
         _, msgs, _, _ = run_gbp(ClusterPotentials.of(m, g), make_bound_spec(g, variant).inner_overcounts,
-                                InnerSettings(max_sweeps=1))
+                                max_sweeps=1)
         layout = msgs.layout
         levels = layout.levels
         assert_greedy_colouring(g, levels)
@@ -600,7 +595,7 @@ def test_warm_start_keeps_the_layout_and_returns_fresh_tables():
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    q1, msgs1, _, _ = run_gbp(pots, c, InnerSettings(max_sweeps=3))
+    q1, msgs1, _, _ = run_gbp(pots, c, max_sweeps=3)
     q2, msgs2, _, _ = run_gbp(pots, c, warm=msgs1)
     assert msgs2.layout is msgs1.layout is pots.layout
     for a, b in zip(msgs1.logs + (q1.logs, q1.probs), msgs2.logs + (q2.logs, q2.probs)):
@@ -615,7 +610,7 @@ def test_stopping_test_passes_over_nan_regions():
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    _, msgs, _, _ = run_gbp(pots, c, InnerSettings(max_sweeps=3))
+    _, msgs, _, _ = run_gbp(pots, c, max_sweeps=3)
     log_down = msgs.logs[1].copy()
     lo, hi, _ = next(iter(msgs.layout.edge_views.values()))
     log_down[lo:hi] = np.nan
@@ -641,12 +636,12 @@ def test_zero_sweeps_return_the_warm_messages_normalized():
     g = build_bethe(m.scopes, m.num_vars)
     pots = ClusterPotentials.of(m, g)
     c = _true_counts(g)
-    layout = run_gbp(pots, c, InnerSettings(max_sweeps=3))[1].layout
+    layout = run_gbp(pots, c, max_sweeps=3)[1].layout
     msg_starts, msg_pair = layout.message_segments
     rng = np.random.default_rng(2)
     want = random_messages(layout, rng)
     shifted = [x + rng.normal(0.0, 50.0, len(msg_starts))[msg_pair] for x in want.logs]
-    _, msgs, sweeps, converged = run_gbp(pots, c, InnerSettings(max_sweeps=0), warm=MessageSet(layout, *shifted))
+    _, msgs, sweeps, converged = run_gbp(pots, c, max_sweeps=0, warm=MessageSet(layout, *shifted))
     assert (sweeps, converged) == (0, False)
     for mine, ref in zip(msgs.logs, want.logs):
         np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-12)
@@ -692,7 +687,7 @@ def test_sweep_is_a_map_on_the_solver_state(spec, graph, variant, damped):
     bound = make_bound_spec(g, variant)
     pots = inner_potentials(ClusterPotentials.of(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
     layout, n_outer = pots.layout, len(g.outer_ids)
-    q, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, InnerSettings(max_sweeps=5))
+    q, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
     assert sweeps == 5
     # The driver's exponents and damping, for these counts.
     kept = layout.kept_counts(bound.inner_overcounts)[n_outer:]
@@ -728,7 +723,7 @@ def test_the_message_shift_bounds_the_messages():
     bound = make_bound_spec(g, "conv3")
     pots = inner_potentials(ClusterPotentials.of(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
     layout, n_outer = pots.layout, len(g.outer_ids)
-    q, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, InnerSettings(max_sweeps=5))
+    q, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
     assert sweeps == 5
     # run_gbp's damping (one half, as a count is negative) and shares.
     kept, n = layout.kept_counts(bound.inner_overcounts)[n_outer:], layout.outer_counts[n_outer:]

@@ -16,7 +16,6 @@ from kikuchi import (
     Beliefs,
     ClusterPotentials,
     ConvexityError,
-    InnerSettings,
     ModelSpec,
     OuterSettings,
     build_bethe,
@@ -25,6 +24,7 @@ from kikuchi import (
     free_energy,
     generate,
     inner_potentials,
+    is_singly_connected,
     make_bound_spec,
     minimize,
     outer_log_potentials,
@@ -186,17 +186,20 @@ def _assert_promises(trace):
     max_sweeps=st.sampled_from((3, 2000)),
 )
 @example(kind="bethe-grid", size=1, seed=3, variant="conv1", max_sweeps=2000)
+@example(kind="plaquettes", size=0, seed=0, variant="conv1", max_sweeps=3)
 def test_grid_and_full_traces_keep_their_promises(kind, size, seed, variant, max_sweeps):
     m, g = _graph_problem(kind, size, seed)
     try:
         spec = make_bound_spec(g, variant)
     except ConvexityError:
         assume(False)
-    trace = minimize(m, g, spec, OuterSettings(inner=InnerSettings(max_sweeps=max_sweeps)))
+    trace = minimize(m, g, spec, OuterSettings(inner_max_sweeps=max_sweeps))
     _assert_promises(trace)
-    if max_sweeps == 3:
-        # Three sweeps reach no fixed point on these loopy graphs: the first
-        # solve fails and the run keeps the uniform start, unconverged.
+    if max_sweeps == 3 and not is_singly_connected(g):
+        # Three sweeps reach no fixed point on a loopy graph: the first solve
+        # fails and the run keeps the uniform start, unconverged.  (Two
+        # plaquettes of a 2x3 grid share one edge, a singly connected graph
+        # on which undamped sweeps may settle within three.)
         assert trace.stop_reason == "inner_failed" and not trace.converged
         assert trace.outer_iterations == 1 and not trace.outer[1].inner_converged
         assert trace.final_f == trace.outer[0].f_kik
