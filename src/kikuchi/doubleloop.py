@@ -102,8 +102,10 @@ def minimize(
     # The model is laid out on the graph once; every step below then works
     # on flat arrays of the graph's layout.
     base = ClusterPotentials.of(model, graph)
-    # The linearized count of each region, as ``inner_potentials`` folds it.
-    gap = base.layout.overcounts - base.layout.kept_counts(spec.inner_overcounts)
+    # The spec's counts in layout order, converted once for every reader
+    # below, and the linearized count of each region, as the fold reads it.
+    kept = base.layout.kept_counts(spec.inner_overcounts)
+    gap = base.layout.overcounts - kept
     # When nothing is linearized the bound is the objective itself and one
     # converged inner solve finishes the job.
     exact_bound = bool((gap == 0).all())
@@ -115,9 +117,9 @@ def minimize(
     stop_reason = "max_outer"
 
     for outer_index in range(1, settings.max_outer + 1):
-        inner = inner_potentials(base, spec.inner_overcounts, q)
+        inner = inner_potentials(base, kept, q)
         q_new, messages, sweeps, inner_ok = run_gbp(
-            inner, spec.inner_overcounts, tol=settings.inner_tol,
+            inner, kept, tol=settings.inner_tol,
             max_sweeps=settings.inner_max_sweeps, warm=messages,
         )
         if not inner_ok:
@@ -137,7 +139,7 @@ def minimize(
             # variant, a rise where the bound still dominates at q_new is
             # inner-solve noise: keep the anchor and stop.  A dominance
             # violation is a bug.
-            f_surrogate = free_energy(base, q_new, spec.inner_overcounts, q)
+            f_surrogate = free_energy(base, q_new, kept, q)
             if f_new > f_surrogate + DESCENT_SLACK:
                 raise DescentError(
                     f"free energy {f_new!r} exceeds its upper bound "

@@ -28,13 +28,18 @@ class Beliefs:
 
     ``logs`` holds every region's log table in one flat array on ``layout``
     and ``probs`` their exponentials, both read-only; ``tables`` is a
-    read-only mapping of views of ``probs``, made on first use.
+    read-only mapping of views of ``probs``, made on first use.  ``logs`` is
+    a copy of the array given, so no write through that array or a view of
+    it reaches a belief set; as neither array can change, ``flat`` scans
+    them for non-finite entries once.
     """
 
     def __init__(self, layout: Layout, logs: np.ndarray):
+        logs = np.array(logs)
         self.layout, self.logs, self.probs = layout, logs, np.exp(logs)
         logs.flags.writeable = self.probs.flags.writeable = False
         self._tables = None
+        self._first_bad = None
 
     @property
     def tables(self):
@@ -59,9 +64,11 @@ class Beliefs:
         -inf, and its entropy term ``0 * -inf`` has no value).
         """
         self._check_layout(layout)
-        bad = ~(np.isfinite(self.probs) & np.isfinite(self.logs))
-        if bad.any():
-            rid = layout.ids[layout.seg[bad.argmax()]]
+        if self._first_bad is None:
+            bad = ~(np.isfinite(self.probs) & np.isfinite(self.logs))
+            self._first_bad = int(bad.argmax()) if bad.any() else -1
+        if self._first_bad >= 0:
+            rid = layout.ids[layout.seg[self._first_bad]]
             raise ValueError(f"region {rid}: belief table has non-finite entries")
         return self.probs, self.logs
 
@@ -77,7 +84,8 @@ def free_energy(pots: ClusterPotentials, q, subset_counts=None, anchor=None) -> 
 
     Subset region ``b`` keeps ``subset_counts.get(b, c_b)`` of its exact
     entropy, where ``c_b`` is the graph's count (all of it by default); a
-    key that is no subset region raises ``ValueError``.  With
+    key that is no subset region raises ``ValueError``.  ``subset_counts``
+    may also be the array ``Layout.kept_counts`` makes of such a map.  With
     an ``anchor``, the remaining ``c_b - kept`` is charged as cross-entropy
     against the anchor: the double loop's upper bound, which touches the plain
     value at q == anchor.  ``q`` and ``anchor`` must lie on ``pots.layout``;

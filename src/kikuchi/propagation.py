@@ -25,7 +25,12 @@ zero at once, so a constant per region cancels; and the damped mix below
 reads the block as the previous sweep left it.  ``run_gbp`` is the driver:
 it checks the exponents, starts cold or warm, stops on the largest change
 of the block's beliefs, rebuilds the cluster tables from the downward
-messages every 64 sweeps and normalizes what it returns.
+messages every 64 sweeps and normalizes what it returns.  It binds each
+level's views of the state once per call (``_bind``): its slices of the
+messages, of the block and of the damping buffer, and its share.  So every
+writer of the swept state, the 64-sweep rebuild as much as any later mixing
+of iterates, writes into those arrays in place (``logacc[...] = ...``) and
+never rebinds them.
 
 With Bethe counting numbers (1 - n per variable) the exponent is one and the
 sweep reduces to ordinary loopy belief propagation.  When any kept count is
@@ -39,14 +44,17 @@ cluster, which is swept like any other.
 and the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
 ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
 ``minimize`` does; ``free_energy`` and ``inner_potentials`` read the same
-count map.  The layout compiles the sweep, once per graph and cards.  It
-colours the subsets greedily, one level per colour (``regions._levels``).
+count map, or the layout-order array ``Layout.kept_counts`` makes of it,
+which ``minimize`` makes once per run.  The layout compiles the sweep, once
+per graph and cards.  It colours the subsets greedily, one level per colour
+(``regions._levels``).
 The subsets of one level touch disjoint clusters and messages, so their
 updates commute, and one batched update per level, levels in order,
 replays the sequential sweep that visits the subsets colour by colour,
-update for update; only the order of floating-point sums differs.  The layout holds the subsets in that order and the messages
-follow it, so each level reads and writes one slice of each
-(``Layout.sweep_steps``); the layout's one scatter into the clusters
+update for update; only the order of floating-point sums differs.  The
+layout holds the subsets in that order and the messages follow it, so each
+level reads and writes one slice of each (``Layout.sweep_steps``), bound
+once per call; the layout's one scatter into the clusters
 rebuilds the cluster tables.  The returned ``Beliefs`` and ``MessageSet``
 hold flat log arrays and carry their layout: the beliefs on it, the
 messages in sweep order, located by its ``edge_views``.  A warm start
@@ -87,28 +95,47 @@ class MessageSet:
         self.logs = (log_up, log_down)
 
 
-def _sweep(layout: Layout, shares, damping, logacc, log_up, log_down, log_sub) -> None:
-    """Apply one sweep, level by level, to the state ``logacc, log_up, log_down, log_sub`` in place.
+def _bind(layout: Layout, shares, log_up, log_down, log_sub, mix) -> list[tuple]:
+    """Each step of ``layout.sweep_steps`` with its views of the solver state, bound once.
 
-    ``shares`` holds each step's weight on its summed upward log messages.
+    A level is: its cluster entries, the message entry of each and the start
+    of each group; its views of ``log_up`` and ``log_down``; the start of each
+    message, the message of each entry and the block entry of each; its views
+    of the subset block ``log_sub`` and of the damping buffer ``mix`` (None
+    when undamped); and its share.  The views hold only while every writer
+    of these arrays writes into them in place.
     """
-    mix = damping * log_sub if damping else None
-    for step, share in zip(layout.sweep_steps, shares):
-        clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub, sub = step
+    return [
+        (clu, group, group_starts, log_up[msg], log_down[msg], msg_starts, msg_pair, msg_sub,
+         log_sub[sub], None if mix is None else mix[sub], share)
+        for (clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub, sub), share
+        in zip(layout.sweep_steps, shares)
+    ]
+
+
+def _sweep(layout: Layout, levels, damping, logacc, log_sub, mix) -> None:
+    """Apply one sweep, level by level, in place: to ``logacc`` and to the arrays ``levels`` views.
+
+    ``levels`` is ``_bind`` of ``log_sub``, ``mix`` and the message arrays;
+    each level's share weighs its summed upward log messages.  ``mix`` is
+    ``damping`` times the block as the sweep starts.
+    """
+    if mix is not None:
+        np.multiply(log_sub, damping, out=mix)
+    for clu, group, group_starts, up, down, msg_starts, msg_pair, msg_sub, q, m, share in levels:
         la = logacc[clu]
-        down = log_down[msg]
-        u = np.logaddexp.reduceat(la, group_starts, out=log_up[msg])
+        u = np.logaddexp.reduceat(la, group_starts, out=up)
         u -= down
-        q = np.multiply(np.bincount(msg_sub, weights=u), share, out=log_sub[sub])
-        if damping:
-            q += mix[sub]
+        np.multiply(np.bincount(msg_sub, weights=u), share, out=q)
+        if m is not None:
+            q += m
         nd = q[msg_sub]
         nd -= u
         # A constant shift of a message cancels in the beliefs.  A maximum of zero
         # bounds each message's constant, which would otherwise grow geometrically
         # wherever an update's exponent times (1 - damping) exceeds one.
         nd -= np.maximum.reduceat(nd, msg_starts)[msg_pair]
-        # ``down`` is the level's slice of ``log_down``: it holds the old
+        # ``down`` is the level's view of ``log_down``: it holds the old
         # minus the new messages until the new ones are written.
         down -= nd
         la -= down[group]
@@ -125,7 +152,8 @@ def run_gbp(pots: ClusterPotentials, subset_counts, *, tol=1e-8, max_sweeps=2000
     ``inner_potentials`` returns them; the sweep runs on the steps that
     layout compiles.  ``subset_counts`` maps a subset id to its effective
     count; a subset it leaves out keeps the graph's count, and a key that is
-    no subset region raises ``ValueError``.  ``converged`` is true only when
+    no subset region raises ``ValueError``.  It may also be the array
+    ``Layout.kept_counts`` makes of such a map.  ``converged`` is true only when
     the largest change of a sweep, within ``max_sweeps``, fell below ``tol``
     and every returned log table is finite; on counts not convex over the
     constraints, which ``minimize`` never passes, it means only that the
@@ -170,18 +198,21 @@ def run_gbp(pots: ClusterPotentials, subset_counts, *, tol=1e-8, max_sweeps=2000
     # Each step's weight on its summed upward log messages: the update
     # exponent times the undamped share.
     shares = [(1.0 - damping) / den[step[-1]] for step in layout.sweep_steps]
+    mix = np.empty_like(log_sub) if damping else None
+    levels = _bind(layout, shares, log_up, log_down, log_sub, mix)
 
     sweeps, converged = 0, False
     for sweeps in range(1, max_sweeps + 1):
-        _sweep(layout, shares, damping, logacc, log_up, log_down, log_sub)
+        _sweep(layout, levels, damping, logacc, log_sub, mix)
         prev, q_sub = q_sub, np.exp(log_sub)
         prev -= q_sub
         delta = float(np.maximum.reduce(np.abs(prev, out=prev), initial=0.0))
         if math.isnan(delta):
             break
         if sweeps % 64 == 0:
-            # Incremental cluster updates accumulate round-off; rebuild.
-            logacc = layout.into_clusters(pots.logs, log_down)
+            # Incremental cluster updates accumulate round-off; rebuild, in
+            # place like every write to the swept state.
+            logacc[...] = layout.into_clusters(pots.logs, log_down)
         if delta < tol:
             converged = True
             break

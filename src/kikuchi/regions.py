@@ -209,20 +209,35 @@ class Layout:
     def kept_counts(self, subset_counts=None) -> np.ndarray:
         """``overcounts`` with ``subset_counts[b]`` for each subset ``b`` it holds.
 
+        ``subset_counts`` is a map from subset id to count, or an array this
+        method returned, which comes back as it is: a run converts its
+        spec's map once and passes the array to every reader of the counts.
         Raises ``ValueError`` naming the first key that is not a subset
-        region, or else a region whose count is not finite.
+        region, or else a region whose count is not finite; an array raises
+        too when its length is not that of ``ids`` or a cluster's entry is
+        not the cluster's count.
         """
         if subset_counts is None:
             return self.overcounts
-        keep = self.overcounts.copy()
-        for b, c in subset_counts.items():
-            i = self._number.get(b, -1)
-            if i < len(self.graph.outer_ids):
-                raise ValueError(f"count given for region {b!r}, which is not a subset region")
-            keep[i] = c
-        bad = np.flatnonzero(~np.isfinite(keep))
-        if len(bad):
-            raise ValueError(f"region {self.ids[bad[0]]}: count {keep[bad[0]]} is not finite")
+        n_outer = len(self.graph.outer_ids)
+        if isinstance(subset_counts, np.ndarray):
+            keep = subset_counts
+            if keep.shape != self.overcounts.shape:
+                raise ValueError(f"{keep.shape} kept counts given for {len(self.ids)} regions")
+            moved = keep[:n_outer] != self.overcounts[:n_outer]
+            if moved.any():
+                raise ValueError(f"count given for region {self.ids[moved.argmax()]}, which is not a subset region")
+        else:
+            keep = self.overcounts.copy()
+            for b, c in subset_counts.items():
+                i = self._number.get(b, -1)
+                if i < n_outer:
+                    raise ValueError(f"count given for region {b!r}, which is not a subset region")
+                keep[i] = c
+        finite = np.isfinite(keep)
+        if not finite.all():
+            i = finite.argmin()
+            raise ValueError(f"region {self.ids[i]}: count {keep[i]} is not finite")
         return keep
 
     def tables(self, flat: np.ndarray) -> dict[int, np.ndarray]:

@@ -364,15 +364,19 @@ def test_cccp_on_strong_triplets_stays_finite():
      "conv1", (36, 159, 13.976206697905278)),
     (ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0), lambda m: _all_triplets(5), "cccp",
      (61, 770, -7.098872928640136)),
+    (ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0), lambda m: _all_triplets(5), "conv1",
+     (47, 474, -7.098873025358694)),
 ], ids=["plaquettes-5x5", "plaquettes-5x5-seed1", "triplets-n5-w3", "qmr-20x10-bethe", "qmr-20x10-bethe-conv1",
-        "triplets-n5-w3-cccp"])
+        "triplets-n5-w3-cccp", "triplets-n5-w3-conv1"])
 def test_schedules_are_pinned(spec, graph, variant, want):
-    # Outer and inner counts and the final value of four conv3 solves, one
-    # conv1 solve and one cccp solve, under the coloured sweep order
+    # Outer and inner counts and the final value of four conv3 solves, two
+    # conv1 solves and one cccp solve, under the coloured sweep order
     # (``Layout.levels``).  The QMR graph's 8 subsets each lie in two or more
     # clusters, and every one is swept: damped under conv3, undamped under
     # conv1, whose outer stop reads the marginal change.  The strong-triplet
-    # cccp solve is undamped too, with inner messages far below 1e-300.
+    # cccp solve is undamped too, with inner messages far below 1e-300.  With
+    # the strong-triplet conv1 solve, every case of the benchmark's
+    # triplets_strong workload is pinned.
     m = generate(spec)
     g = graph(m)
     trace = minimize(m, g, make_bound_spec(g, variant))

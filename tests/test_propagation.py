@@ -30,7 +30,7 @@ from kikuchi import (
     run_gbp,
     uniform_beliefs,
 )
-from kikuchi.propagation import _log_normalize, _sweep
+from kikuchi.propagation import _bind, _log_normalize, _sweep
 from conftest import (
     assert_greedy_colouring,
     chain_model,
@@ -700,9 +700,16 @@ def test_sweep_is_a_map_on_the_solver_state(spec, graph, variant, damped):
     state = [layout.into_clusters(pots.logs, log_down), log_up, log_down, q.logs[layout.outer_size:].copy()]
     start = [x.copy() for x in state]
     twin = [x.copy() for x in state]
+
+    def bind(st):
+        # The level views of one state, bound once, with its own damping buffer.
+        mix = np.empty_like(st[3]) if damping else None
+        return _bind(layout, shares, *st[1:], mix), mix
+
+    (levels, mix), (twin_levels, twin_mix) = bind(state), bind(twin)
     for _ in range(64):
-        _sweep(layout, shares, damping, *state)
-        _sweep(layout, shares, damping, *twin)
+        _sweep(layout, levels, damping, state[0], state[3], mix)
+        _sweep(layout, twin_levels, damping, twin[0], twin[3], twin_mix)
     for now, then, other in zip(state, start, twin):
         assert not np.array_equal(now, then)
         np.testing.assert_array_equal(now, other)
@@ -732,6 +739,8 @@ def test_the_message_shift_bounds_the_messages():
     shares = [0.5 / den[step[-1]] for step in layout.sweep_steps]
     log_up, log_down = (x.copy() for x in msgs.logs)
     state = [layout.into_clusters(pots.logs, log_down), log_up, log_down, q.logs[layout.outer_size:].copy()]
+    mix = np.empty_like(state[3])
+    levels = _bind(layout, shares, log_up, log_down, state[3], mix)
     for _ in range(200):
-        _sweep(layout, shares, 0.5, *state)
+        _sweep(layout, levels, 0.5, state[0], state[3], mix)
     assert np.isfinite(state[2]).all() and np.abs(state[2]).max() <= 10
