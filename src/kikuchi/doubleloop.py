@@ -122,18 +122,9 @@ def minimize(
             inner, kept, tol=settings.inner_tol,
             max_sweeps=settings.inner_max_sweeps, warm=messages,
         )
-        if not inner_ok:
-            # No inner minimum, so no descent guarantee: keep the anchor.
-            records.append(
-                OuterRecord(
-                    outer_index, f_prev, sweeps, records[-1].constraint_residual, 0.0,
-                    inner_converged=False,
-                )
-            )
-            stop_reason = "inner_failed"
-            break
-        f_new = free_energy(base, q_new)
-        if f_new > f_prev + DESCENT_SLACK:
+        f_new = free_energy(base, q_new) if inner_ok else None
+        rise = inner_ok and f_new > f_prev + DESCENT_SLACK
+        if rise:
             # The bound evaluated at the anchor equals f_prev, so an exact
             # inner minimum can never raise the objective.  Under every
             # variant, a rise where the bound still dominates at q_new is
@@ -145,12 +136,16 @@ def minimize(
                     f"free energy {f_new!r} exceeds its upper bound "
                     f"{f_surrogate!r} at outer iteration {outer_index}"
                 )
+        if rise or not inner_ok:
+            # The step is not taken: keep the anchor and stop.  A failed inner
+            # solve has no inner minimum, so no descent guarantee.
+            residual = records[-1].constraint_residual
             records.append(
-                OuterRecord(outer_index, f_prev, sweeps, records[-1].constraint_residual, 0.0)
+                OuterRecord(outer_index, f_prev, sweeps, residual, 0.0, inner_converged=inner_ok)
             )
             # A loose inner solve can leave the anchor itself inconsistent.
-            converged = records[-1].constraint_residual <= RESIDUAL_TOL
-            stop_reason = "rejected_rise"
+            converged = inner_ok and residual <= RESIDUAL_TOL
+            stop_reason = "rejected_rise" if inner_ok else "inner_failed"
             break
         delta = q_new.delta(q)
         records.append(

@@ -31,11 +31,14 @@ class Beliefs:
     read-only mapping of views of ``probs``, made on first use.  ``logs`` is
     a copy of the array given, so no write through that array or a view of
     it reaches a belief set; as neither array can change, ``flat`` scans
-    them for non-finite entries once.
+    them for non-finite entries once.  Raises ``ValueError`` unless ``logs``
+    holds one entry per entry of ``layout``.
     """
 
     def __init__(self, layout: Layout, logs: np.ndarray):
         logs = np.array(logs)
+        if logs.shape != (layout.size,):
+            raise ValueError(f"belief logs of shape {logs.shape}; the layout holds {layout.size} entries")
         self.layout, self.logs, self.probs = layout, logs, np.exp(logs)
         logs.flags.writeable = self.probs.flags.writeable = False
         self._tables = None

@@ -1,11 +1,12 @@
-"""Shared model builders, belief and message draws, and message views for the test suite."""
+"""Shared model builders, belief and message draws, message views and a reference
+free energy for the test suite."""
 from __future__ import annotations
 
 from itertools import combinations, count
 
 import numpy as np
 
-from kikuchi import Beliefs, FactorModel, MessageSet
+from kikuchi import Beliefs, FactorModel, MessageSet, outer_log_potentials
 
 
 def pairwise_model(n, edges, rng, scale=1.0, cards=None):
@@ -148,3 +149,22 @@ def assert_greedy_colouring(graph, levels):
     for b in graph.subset_ids:
         held = {colour[b2] for b2 in graph.subset_ids if b2 < b and cont[b] & cont[b2]}
         assert colour[b] == next(c for c in count() if c not in held), b
+
+
+def _xlogy(t, a):
+    return float((t * np.log(np.maximum(a, 1e-300))).sum())
+
+
+def dict_free_energy(g, m, q, kept=None, anchor=None):
+    """The counted energy/entropy sum, table by table, with floored logs."""
+    pots = outer_log_potentials(m, g)
+    counts = g.subset_overcounts()
+    kept = counts if kept is None else kept
+    total = sum(-float((q.tables[a] * pots[a]).sum()) + _xlogy(q.tables[a], q.tables[a])
+                for a in g.outer_ids)
+    for b in g.subset_ids:
+        t, ct = q.tables[b], kept.get(b, counts[b])
+        total += ct * _xlogy(t, t)
+        if anchor is not None:
+            total += (counts[b] - ct) * _xlogy(t, anchor.tables[b])
+    return total

@@ -23,30 +23,18 @@ from kikuchi import (
     kl_marginals,
     make_bound_spec,
     minimize,
-    outer_log_potentials,
     run_gbp,
     uniform_beliefs,
 )
-from conftest import beliefs_from_tables, cycle_model, pairwise_model, random_consistent_beliefs
+from conftest import (
+    beliefs_from_tables,
+    cycle_model,
+    dict_free_energy,
+    pairwise_model,
+    random_consistent_beliefs,
+)
 
 PLAQUETTES_3X3 = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
-
-
-def _reference_free_energy(graph, model, q):
-    """Independent accumulation of the counted energy/entropy sum."""
-    pots = outer_log_potentials(model, graph)
-    total = 0.0
-    for r in graph.regions:
-        t = q.tables[r.id]
-        c = float(r.overcount)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.where(t > 0, np.log(np.where(t > 0, t, 1.0)), 0.0)
-        entropy = -(t * logs).sum()
-        if r.kind == "outer":
-            total += -(t * pots[r.id]).sum() - entropy
-        elif c != 0.0:
-            total += -c * entropy
-    return total
 
 
 def test_free_energy_matches_reference():
@@ -56,7 +44,7 @@ def test_free_energy_matches_reference():
     pots = ClusterPotentials.of(m, g)
     for _ in range(10):
         q = random_consistent_beliefs(g, m.cards, rng)
-        assert abs(free_energy(pots, q) - _reference_free_energy(g, m, q)) < 1e-10
+        assert abs(free_energy(pots, q) - dict_free_energy(g, m, q)) < 1e-10
 
 
 def test_uniform_free_energy_closed_form():
@@ -146,6 +134,21 @@ def test_beliefs_on_another_layout_are_refused():
             q.delta(foreign)
         # The residual reads the graph off the beliefs' own layout.
         assert constraint_residual(foreign) < 1e-12
+
+
+def test_logs_of_the_wrong_length_are_refused():
+    # Logs with entries to spare or missing once gave a free energy on the
+    # wrong tables (3x3 Bethe grid, uniform beliefs: -4.0816 with 3 extra
+    # entries and -6.8542 with the last one dropped, for -6.1610); a belief
+    # set holds exactly one log entry per entry of its layout.
+    m = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
+    g = build_bethe(m.scopes, m.num_vars)
+    layout, logs = g.layout(m.cards), uniform_beliefs(g, m.cards).logs
+    n = layout.size
+    for bad in (np.concatenate((logs, logs[:3])), logs[:-1], logs[None, :], np.zeros(0)):
+        with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}") + f".*holds {n} entries"):
+            Beliefs(layout, bad)
+    assert abs(free_energy(ClusterPotentials.of(m, g), Beliefs(layout, logs)) - -6.1610) < 1e-4
 
 
 def test_zero_entries_contribute_zero_entropy():

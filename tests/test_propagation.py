@@ -30,7 +30,7 @@ from kikuchi import (
     run_gbp,
     uniform_beliefs,
 )
-from kikuchi.propagation import _bind, _log_normalize, _sweep
+from kikuchi.propagation import _Solve, _log_normalize
 from conftest import (
     assert_greedy_colouring,
     chain_model,
@@ -305,6 +305,21 @@ def test_foreign_warm_messages_are_rejected():
     for other, counts, warm in foreign:
         with pytest.raises(ConfigurationError, match="warm messages"):
             run_gbp(other, counts, warm=warm)
+
+
+def test_warm_messages_of_the_wrong_length_are_rejected():
+    # Messages on the right layout object whose arrays have entries to spare
+    # or missing are refused before any sweep, not left to fail in numpy.
+    m = chain_model(5, seed=6)
+    g = build_bethe(m.scopes, m.num_vars)
+    pots = ClusterPotentials.of(m, g)
+    c = _true_counts(g)
+    _, msgs, _, _ = run_gbp(pots, c, max_sweeps=3)
+    up, down = msgs.logs
+    n = len(up)
+    for warm in ((np.append(up, up[:2]), np.append(down, down[:2])), (up[:-2], down[:-2]), (up, down[:-2])):
+        with pytest.raises(ConfigurationError, match=f"warm message arrays .* {n} message entries"):
+            run_gbp(pots, c, warm=MessageSet(msgs.layout, *warm))
 
 
 def test_warm_start_carries_across_count_sets():
@@ -676,46 +691,35 @@ def test_log_normalize_matches_the_max_shifted_reference():
      "conv1", False),
 ], ids=["plaquettes-5x5-conv3", "qmr-20x10-bethe-conv1"])
 def test_sweep_is_a_map_on_the_solver_state(spec, graph, variant, damped):
-    # ``_sweep`` maps the state (cluster log tables, up and down log
-    # messages, subset log-belief block) to the next one in place.  From the
-    # state of a short run, 64 sweeps with no rebuild keep the carried
-    # cluster tables equal to the scatter of the downward messages, which the
-    # driver's rebuild and any mixing of iterates rely on; leave every subset
-    # table normalized; and act on two copies of one state alike, bit for bit.
+    # ``_Solve.sweep`` maps the state (cluster log tables, up and down log
+    # messages, subset log-belief block) to the next one in place.  From a
+    # warm start on the messages of a short run, 64 sweeps with no rebuild
+    # keep the carried cluster tables equal to the scatter of the downward
+    # messages, which the driver's rebuild and any mixing of iterates rely
+    # on; leave every subset table normalized; and act on two states started
+    # alike, bit for bit.
     m = generate(spec)
     g = graph(m)
     bound = make_bound_spec(g, variant)
     pots = inner_potentials(ClusterPotentials.of(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
-    layout, n_outer = pots.layout, len(g.outer_ids)
-    q, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
+    layout = pots.layout
+    _, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
     assert sweeps == 5
-    # The driver's exponents and damping, for these counts.
-    kept = layout.kept_counts(bound.inner_overcounts)[n_outer:]
-    damping = 0.0 if (kept >= 0).all() else 0.5
-    assert bool(damping) == damped
-    den = (layout.outer_counts[n_outer:] + kept)[layout.subset_segments[1]]
-    shares = [(1.0 - damping) / den[step[-1]] for step in layout.sweep_steps]
+    solve, twin = (_Solve(pots, bound.inner_overcounts, msgs) for _ in range(2))
+    assert bool(solve.damping) == damped
 
-    log_up, log_down = (x.copy() for x in msgs.logs)
-    state = [layout.into_clusters(pots.logs, log_down), log_up, log_down, q.logs[layout.outer_size:].copy()]
-    start = [x.copy() for x in state]
-    twin = [x.copy() for x in state]
+    def state(s):
+        return [s.logacc, s.log_up, s.log_down, s.log_sub]
 
-    def bind(st):
-        # The level views of one state, bound once, with its own damping buffer.
-        mix = np.empty_like(st[3]) if damping else None
-        return _bind(layout, shares, *st[1:], mix), mix
-
-    (levels, mix), (twin_levels, twin_mix) = bind(state), bind(twin)
+    start = [x.copy() for x in state(solve)]
     for _ in range(64):
-        _sweep(layout, levels, damping, state[0], state[3], mix)
-        _sweep(layout, twin_levels, damping, twin[0], twin[3], twin_mix)
-    for now, then, other in zip(state, start, twin):
+        solve.sweep()
+        twin.sweep()
+    for now, then, other in zip(state(solve), start, state(twin)):
         assert not np.array_equal(now, then)
         np.testing.assert_array_equal(now, other)
-    logacc, _, log_down, log_sub = state
-    np.testing.assert_allclose(logacc, layout.into_clusters(pots.logs, log_down), rtol=0, atol=1e-9)
-    totals = np.add.reduceat(np.exp(log_sub), layout.subset_segments[0])
+    np.testing.assert_allclose(solve.logacc, layout.into_clusters(pots.logs, solve.log_down), rtol=0, atol=1e-9)
+    totals = np.add.reduceat(np.exp(solve.log_sub), layout.subset_segments[0])
     np.testing.assert_allclose(totals, 1.0, rtol=0, atol=1e-12)
 
 
@@ -730,17 +734,11 @@ def test_the_message_shift_bounds_the_messages():
     bound = make_bound_spec(g, "conv3")
     pots = inner_potentials(ClusterPotentials.of(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
     layout, n_outer = pots.layout, len(g.outer_ids)
-    q, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
+    _, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
     assert sweeps == 5
-    # run_gbp's damping (one half, as a count is negative) and shares.
+    solve = _Solve(pots, bound.inner_overcounts, msgs)
     kept, n = layout.kept_counts(bound.inner_overcounts)[n_outer:], layout.outer_counts[n_outer:]
-    assert (kept.min(), (0.5 * n / (n + kept)).max()) == (-6.0, 3.5)
-    den = (n + kept)[layout.subset_segments[1]]
-    shares = [0.5 / den[step[-1]] for step in layout.sweep_steps]
-    log_up, log_down = (x.copy() for x in msgs.logs)
-    state = [layout.into_clusters(pots.logs, log_down), log_up, log_down, q.logs[layout.outer_size:].copy()]
-    mix = np.empty_like(state[3])
-    levels = _bind(layout, shares, log_up, log_down, state[3], mix)
+    assert (kept.min(), (n / (n + kept)).max(), solve.damping) == (-6.0, 7.0, 0.5)
     for _ in range(200):
-        _sweep(layout, levels, 0.5, state[0], state[3], mix)
-    assert np.isfinite(state[2]).all() and np.abs(state[2]).max() <= 10
+        solve.sweep()
+    assert np.isfinite(solve.log_down).all() and np.abs(solve.log_down).max() <= 10

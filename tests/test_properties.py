@@ -30,7 +30,7 @@ from kikuchi import (
     outer_log_potentials,
     uniform_beliefs,
 )
-from conftest import assert_greedy_colouring
+from conftest import assert_greedy_colouring, dict_free_energy
 
 
 def _brute_poset(g):
@@ -225,27 +225,8 @@ def _graph_problem(kind, size, seed):
     return m, build_bethe(m.scopes, m.num_vars)
 
 
-def _xlogy(t, a):
-    return float((t * np.log(np.maximum(a, 1e-300))).sum())
-
-
 def _outside(g, p, c):
     return tuple(i for i, v in enumerate(g.region_vars(p)) if v not in g.region_vars(c))
-
-
-def _dict_free_energy(g, m, q, kept=None, anchor=None):
-    """The counted energy/entropy sum, table by table, with floored logs."""
-    pots = outer_log_potentials(m, g)
-    counts = g.subset_overcounts()
-    kept = counts if kept is None else kept
-    total = sum(-float((q.tables[a] * pots[a]).sum()) + _xlogy(q.tables[a], q.tables[a])
-                for a in g.outer_ids)
-    for b in g.subset_ids:
-        t, ct = q.tables[b], kept.get(b, counts[b])
-        total += ct * _xlogy(t, t)
-        if anchor is not None:
-            total += (counts[b] - ct) * _xlogy(t, anchor.tables[b])
-    return total
 
 
 def _dict_fold(g, m, kept, anchor):
@@ -298,7 +279,7 @@ def test_layout_reductions_match_the_dict_references(kind, size, seed, variant):
     pots = ClusterPotentials.of(m, g)
     for q_lay, anchor_lay in ((q, anchor), (uniform, q), (q, uniform)):
         for args in ((), (kept, anchor_lay)):
-            want = _dict_free_energy(g, m, q_lay, *args)
+            want = dict_free_energy(g, m, q_lay, *args)
             assert abs(free_energy(pots, q_lay, *args) - want) <= 1e-12
         assert abs(constraint_residual(q_lay) - _dict_residual(g, q_lay)) <= 1e-12
         np.testing.assert_allclose(
