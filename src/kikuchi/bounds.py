@@ -32,8 +32,8 @@ term and which are linearized around the anchor:
 
 ``inner_potentials(base, subset_counts, anchor)`` folds the terms that a
 count map, such as a spec's ``inner_overcounts``, linearizes into ``base``,
-the ``ClusterPotentials`` that ``ClusterPotentials.of(model, graph)`` lays
-out once per run; the graph and the cards come off its layout, and the fold
+the ``ClusterPotentials`` that ``model.outer_log_potentials`` lays out once
+per run; the graph and the cards come off its layout, and the fold
 is the layout's one scatter into the clusters (``Layout.into_clusters``),
 the same one the inner sweep rebuilds its cluster tables with.
 """

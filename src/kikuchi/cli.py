@@ -176,9 +176,12 @@ def _validate_config(cfg: ExperimentConfig) -> ExperimentConfig:
         dups = [x for x in getattr(cfg, key) if getattr(cfg, key).count(x) > 1]
         if dups:
             raise UsageError(f"{key} lists {dups[0]!r} twice")
-    for key in (*_SOLVER_KEYS, "consensus_window"):
-        if not 0 <= getattr(cfg, key) < math.inf:
-            raise UsageError(f"{key} must be finite and nonnegative, got {getattr(cfg, key)!r}")
+    try:
+        outer_settings(cfg)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    if not 0 <= cfg.consensus_window < math.inf:
+        raise UsageError(f"consensus_window must be finite and nonnegative, got {cfg.consensus_window!r}")
     return cfg
 
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 from .bounds import BoundSpec, ConvexityError, check_convex_over_constraints, inner_potentials
 from .energy import Beliefs, free_energy, uniform_beliefs
-from .model import ClusterPotentials, FactorModel
+from .model import FactorModel, outer_log_potentials
 from .propagation import constraint_residual, run_gbp
 from .regions import RegionGraph
 
@@ -50,11 +50,18 @@ class OuterRecord:
 
 @dataclass
 class OuterSettings:
+    """The solver's five knobs; ``ValueError`` unless each is finite and nonnegative."""
+
     outer_tol: float = 1e-8
     marginal_tol: float = 1e-6
     max_outer: int = 10000
     inner_tol: float = 1e-8
     inner_max_sweeps: int = 2000
+
+    def __post_init__(self):
+        for key, value in asdict(self).items():
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{key} must be finite and nonnegative, got {value!r}")
 
 
 @dataclass
@@ -99,9 +106,8 @@ def minimize(
                 "convex over the constraint set; pick a bound variant instead"
             )
 
-    # The model is laid out on the graph once; every step below then works
-    # on flat arrays of the graph's layout.
-    base = ClusterPotentials.of(model, graph)
+    # The model, laid out once; every step below works on flat arrays of its layout.
+    base = outer_log_potentials(model, graph)
     # The spec's counts in layout order, converted once for every reader
     # below, and the linearized count of each region, as the fold reads it.
     kept = base.layout.kept_counts(spec.inner_overcounts)

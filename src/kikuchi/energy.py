@@ -8,8 +8,8 @@ entropy(q) <= -sum(q * log(anchor)), with equality at q == anchor.
 Beliefs live on a graph's flat ``Layout`` as one array of log tables, and
 both functionals are one segment reduction over it:
 ``free_energy(pots, q, subset_counts=None, anchor=None)`` reads the graph
-and the cards off ``pots.layout``, where ``pots`` is ``ClusterPotentials``;
-a ``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``.
+and the cards off ``pots.layout``, where ``pots`` is ``ClusterPotentials``
+(a model enters through ``model.outer_log_potentials``).
 """
 from __future__ import annotations
 

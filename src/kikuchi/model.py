@@ -93,16 +93,10 @@ class FactorModel:
 
 def _merged(scopes, tables):
     """Collapse duplicate scopes by adding their tables, preserving order."""
-    out_scopes, out_tables = [], []
-    index = {}
+    merged = {}
     for scope, table in zip(scopes, tables):
-        if scope in index:
-            out_tables[index[scope]] = out_tables[index[scope]] + table
-        else:
-            index[scope] = len(out_scopes)
-            out_scopes.append(scope)
-            out_tables.append(np.asarray(table, dtype=float))
-    return out_scopes, out_tables
+        merged[scope] = merged[scope] + table if scope in merged else np.asarray(table, dtype=float)
+    return list(merged), list(merged.values())
 
 
 def _pairwise_boltzmann(n, edges, w, seed, meta):
@@ -361,46 +355,33 @@ def load(path) -> FactorModel:
     return FactorModel(cards, scopes, tables, meta)
 
 
-def outer_log_potentials(model: FactorModel, graph: RegionGraph) -> dict[int, np.ndarray]:
-    """Sum every factor into one outer region that contains its scope.
-
-    Assignment is deterministic: the lowest-id containing outer wins.  A factor
-    contained in no outer cluster is an error; the region graph cannot carry it.
-    """
-    tabs = {
-        a: np.zeros(tuple(model.cards[v] for v in graph.region_vars(a)))
-        for a in graph.outer_ids
-    }
-    for scope, table in zip(model.scopes, model.tables):
-        target = graph.outer_containing(scope)
-        if target is None:
-            raise GraphError(f"factor {scope} fits in no outer cluster")
-        shape = tuple(model.cards[v] if v in scope else 1 for v in graph.region_vars(target))
-        tabs[target] += table.reshape(shape)
-    return tabs
-
-
 class ClusterPotentials:
-    """Outer-cluster log potentials as one flat array on a graph's ``Layout``.
-
-    The only form in which the inner loop reads a model: ``of`` lays a
-    ``FactorModel`` out once (through ``outer_log_potentials``), and
-    ``bounds.inner_potentials`` returns one per outer step.  ``layout``
-    carries the graph and the cards; ``meta`` carries the model's metadata.
-    """
+    """Outer-cluster log potentials, one flat array ``logs`` on ``layout`` (which
+    carries the graph and the cards), with a model's ``meta``: the only form
+    of a model the layers read.  ``outer_log_potentials`` makes the first."""
 
     def __init__(self, layout: Layout, logs: np.ndarray, meta=None):
         self.layout = layout
         self.logs = logs
         self.meta = dict(meta or {})
 
-    @classmethod
-    def of(cls, model: FactorModel, graph: RegionGraph) -> "ClusterPotentials":
-        """``model``'s factors summed into ``graph``'s outer clusters, flat on its layout."""
-        layout = graph.layout(model.cards)
-        tabs = outer_log_potentials(model, graph)
-        logs = np.zeros(layout.outer_size)
-        for a in graph.outer_ids:
-            lo, hi, _ = layout.views[a]
-            logs[lo:hi] = tabs[a].ravel()
-        return cls(layout, logs, model.meta)
+
+def outer_log_potentials(model: FactorModel, graph: RegionGraph) -> ClusterPotentials:
+    """``model``'s factors summed into ``graph``'s outer clusters, flat on
+    ``graph.layout(model.cards)``: the one way a model reaches the layers.
+
+    Each factor, in model order, is added into the lowest-id outer cluster
+    that holds its scope.  A factor contained in no outer cluster is a
+    ``GraphError``; the region graph cannot carry it.
+    """
+    layout = graph.layout(model.cards)
+    logs = np.zeros(layout.outer_size)
+    for scope, table in zip(model.scopes, model.tables):
+        target = graph.outer_containing(scope)
+        if target is None:
+            raise GraphError(f"factor {scope} fits in no outer cluster")
+        lo, hi, shape = layout.views[target]
+        onto = tuple(model.cards[v] if v in scope else 1 for v in graph.region_vars(target))
+        cluster = logs[lo:hi].reshape(shape)  # a view, so the sum lands in logs
+        cluster += table.reshape(onto)
+    return ClusterPotentials(layout, logs, model.meta)

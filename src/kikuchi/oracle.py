@@ -87,12 +87,15 @@ def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     the clique's log potential plus its other incoming log messages,
     log-sum-exp'd onto the separator and normalized.  ``log_z`` sums those
     maxima and the upward log normalizers (a root's is its forest
-    component's total).  The one refusal: ``OracleLimitError``,
-    before any table is allocated, when the largest clique table exceeds
-    ``CLIQUE_LIMIT`` entries.
+    component's total).  Before any table is allocated, it refuses a region
+    holding a variable outside the model (``ValueError``) and a clique table
+    over ``CLIQUE_LIMIT`` entries (``OracleLimitError``).
     """
     cards = model.cards
     items = [(k, sorted({int(v) for v in vs})) for k, vs in enumerate(regions)]
+    outside = [(k, v) for k, vs in items for v in vs if not 0 <= v < len(cards)]
+    if outside:
+        raise ValueError("region {}: variable {} is outside the model's {} variables".format(*outside[0], len(cards)))
 
     elim = _min_fill_cliques(len(cards), [*model.scopes, *(vs for _, vs in items)])
     pos = {v: i for i, (v, _) in enumerate(elim)}

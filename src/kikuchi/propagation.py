@@ -20,12 +20,12 @@ overflows nor underflows a group to -inf, so a message far below 1e-300
 stays exact and finite.
 
 ``run_gbp(pots, subset_counts, *, tol, max_sweeps, warm)`` reads the graph
-and the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials``, so a
-``FactorModel`` enters through ``ClusterPotentials.of(model, graph)``, as
-``minimize`` does; ``free_energy`` and ``inner_potentials`` read the same
-count map, or the layout-order array ``Layout.kept_counts`` makes of it,
-which ``minimize`` makes once per run.  The layout compiles the sweep, once
-per graph and cards: it colours the subsets greedily, one level per colour.
+and the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials`` (a
+model enters through ``model.outer_log_potentials``); ``free_energy`` and
+``inner_potentials`` read the same count map, or the layout-order array
+``Layout.kept_counts`` makes of it, which ``minimize`` makes once per run.
+The layout compiles the sweep, once per graph and cards: it colours the
+subsets greedily, one level per colour.
 The subsets of one level touch disjoint clusters and messages, so their
 updates commute, and one batched update per level, levels in order,
 replays the sequential sweep that visits the subsets colour by colour,

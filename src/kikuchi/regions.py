@@ -13,7 +13,8 @@ numerical boundary (``counts``).
 
 The builders take the model's variable count and refuse a cluster naming a
 variable outside it.  ``RegionGraph`` takes any poset of regions; only its
-``Layout`` needs each subset region inside an outer cluster.
+``Layout`` needs each subset region inside an outer cluster, and a card of
+at least 1 for each variable.
 
 Containment is derived once per graph from one variable -> regions index:
 a builder indexes the clusters (which finds the absorbed ones), then extends
@@ -184,6 +185,11 @@ class Layout:
         for b in graph.subset_ids:
             if not graph.containing_outers[b]:
                 raise GraphError(f"subset region {b} is not strictly inside any outer cluster")
+        for a in graph.outer_ids:  # every subset lies inside one of these
+            for v in graph.region_vars(a):
+                if v >= len(cards) or cards[v] < 1:
+                    has = f"card {cards[v]}, below 1" if v < len(cards) else f"no card; {len(cards)} cards given"
+                    raise GraphError(f"region {a}: variable {v} has {has}")
         self.graph = graph
         self.cards = cards
         self.levels = _levels(graph)

@@ -1,5 +1,5 @@
-"""Shared model builders, belief and message draws, message views and a reference
-free energy for the test suite."""
+"""Shared model builders, belief and message draws, message and cluster-table
+views and a reference free energy for the test suite."""
 from __future__ import annotations
 
 from itertools import combinations, count
@@ -151,13 +151,21 @@ def assert_greedy_colouring(graph, levels):
         assert colour[b] == next(c for c in count() if c not in held), b
 
 
+def cluster_tables(model, graph):
+    """``outer_log_potentials(model, graph)`` as one log table per outer
+    cluster, keyed by id: views of its flat ``logs``."""
+    pots = outer_log_potentials(model, graph)
+    return {a: pots.logs[lo:hi].reshape(shape)
+            for a in graph.outer_ids for lo, hi, shape in [pots.layout.views[a]]}
+
+
 def _xlogy(t, a):
     return float((t * np.log(np.maximum(a, 1e-300))).sum())
 
 
 def dict_free_energy(g, m, q, kept=None, anchor=None):
     """The counted energy/entropy sum, table by table, with floored logs."""
-    pots = outer_log_potentials(m, g)
+    pots = cluster_tables(m, g)
     counts = g.subset_overcounts()
     kept = counts if kept is None else kept
     total = sum(-float((q.tables[a] * pots[a]).sum()) + _xlogy(q.tables[a], q.tables[a])

@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from kikuchi import (
-    ClusterPotentials,
     ModelSpec,
     Region,
     RegionGraph,
@@ -26,6 +25,7 @@ from kikuchi import (
     kl_marginals,
     make_bound_spec,
     minimize,
+    outer_log_potentials,
     run_gbp,
     save,
 )
@@ -89,7 +89,7 @@ def test_criterion_2_bounds_touch_and_dominate():
         for name, m in _corpus(0):
             g = build_bethe(m.scopes, m.num_vars)
             specs = {v: make_bound_spec(g, v) for v in BOUND_VARIANTS}
-            pots = ClusterPotentials.of(m, g)
+            pots = outer_log_potentials(m, g)
             for _ in range(100):
                 q = random_consistent_beliefs(g, m.cards, rng)
                 anchor = random_consistent_beliefs(g, m.cards, rng)
@@ -276,7 +276,7 @@ def test_criterion_7_initialization_robustness():
             counts = {b: float(g.by_id[b].overcount) for b in g.subset_ids}
             all_counts = {**{a: 1.0 for a in g.outer_ids}, **counts}
             assert check_convex_over_constraints(g, all_counts) is not None
-            pots = ClusterPotentials.of(m, g)
+            pots = outer_log_potentials(m, g)
             ref, msgs, _, ok = run_gbp(pots, counts)
             assert ok
             for _ in range(5):

@@ -12,7 +12,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kikuchi import (
-    ClusterPotentials,
     ConvexityError,
     Region,
     RegionGraph,
@@ -24,6 +23,7 @@ from kikuchi import (
     free_energy,
     inner_potentials,
     make_bound_spec,
+    outer_log_potentials,
     uniform_beliefs,
 )
 from kikuchi import bounds
@@ -235,7 +235,7 @@ def test_inner_counts_match_bound_functional():
     m = pairwise_model(9, edges, rng, 1.0)
     for g in (build_bethe(m.scopes, m.num_vars), build_cvm(PLAQUETTES_3X3, 9)):
         anchor = random_consistent_beliefs(g, m.cards, rng)
-        base = ClusterPotentials.of(m, g)
+        base = outer_log_potentials(m, g)
         for variant in ("conv1", "conv2", "conv3", "cccp"):
             spec = make_bound_spec(g, variant)
             inner = inner_potentials(base, spec.inner_overcounts, anchor)
@@ -251,7 +251,7 @@ def test_inner_potentials_metadata_and_scopes():
     g = build_bethe(m.scopes, m.num_vars)
     spec = make_bound_spec(g, "cccp")
     anchor = uniform_beliefs(g, m.cards)
-    inner = inner_potentials(ClusterPotentials.of(m, g), spec.inner_overcounts, anchor)
+    inner = inner_potentials(outer_log_potentials(m, g), spec.inner_overcounts, anchor)
     # The layout carries the outer scopes: the graph's, for the model's cards.
     assert inner.layout is g.layout(m.cards)
     # The metadata is the model's, passed through.

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -11,7 +12,6 @@ import pytest
 
 from kikuchi import (
     BoundSpec,
-    ClusterPotentials,
     ConvexityError,
     ModelSpec,
     OuterSettings,
@@ -24,9 +24,11 @@ from kikuchi import (
     iterations_to_reach,
     make_bound_spec,
     minimize,
+    outer_log_potentials,
     uniform_beliefs,
     write_trace,
 )
+from kikuchi.cli import main
 from kikuchi.doubleloop import DESCENT_SLACK, RESIDUAL_TOL, DescentError, _check_promises
 from conftest import (
     chain_model,
@@ -128,7 +130,7 @@ def test_trace_rows_and_uniform_start():
     trace = minimize(m, g, make_bound_spec(g, "conv1"))
     assert trace.outer[0].outer_index == 0
     assert trace.outer[0].inner_sweeps == 0
-    f0 = free_energy(ClusterPotentials.of(m, g), uniform_beliefs(g, m.cards))
+    f0 = free_energy(outer_log_potentials(m, g), uniform_beliefs(g, m.cards))
     assert trace.outer[0].f_kik == pytest.approx(f0, abs=1e-12)
     idx = [r.outer_index for r in trace.outer]
     assert idx == list(range(len(idx)))
@@ -351,35 +353,46 @@ def test_cccp_on_strong_triplets_stays_finite():
     assert abs(trace.final_f - conv1.final_f) <= 1e-6
 
 
-@pytest.mark.parametrize("spec, graph, variant, want", [
-    (ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0), lambda m: _plaquettes(5, 5), "conv3",
-     (18, 1258, -19.245601222392928)),
-    (ModelSpec("grid_boltzmann", rows=5, cols=5, seed=1), lambda m: _plaquettes(5, 5), "conv3",
-     (17, 1457, -20.842573818384796)),
-    (ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0), lambda m: _all_triplets(5), "conv3",
-     (16, 2272, -7.098873083320672)),
-    (ModelSpec("qmr_like", diseases=20, findings=10, seed=0), lambda m: build_bethe(m.scopes, m.num_vars),
-     "conv3", (17, 267, 13.976206694567631)),
-    (ModelSpec("qmr_like", diseases=20, findings=10, seed=0), lambda m: build_bethe(m.scopes, m.num_vars),
-     "conv1", (36, 159, 13.976206697905278)),
-    (ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0), lambda m: _all_triplets(5), "cccp",
-     (61, 770, -7.098872928640136)),
-    (ModelSpec("full_boltzmann", nodes=5, weight_scale=3.0, seed=0), lambda m: _all_triplets(5), "conv1",
-     (47, 474, -7.098873025358694)),
+GRID5 = "--family grid --rows 5 --cols 5 --recipe grid-plaquettes"
+TRIPLETS = "--family full --n 5 --w 3 --recipe all-triplets"
+QMR = "--family qmr --diseases 20 --findings 10 --recipe bethe"
+
+
+@pytest.mark.parametrize("flags, variant, want", [
+    (f"{GRID5} --seed 0", "conv3", (18, 1258, -19.245601222392928)),
+    (f"{GRID5} --seed 1", "conv3", (17, 1457, -20.842573818384796)),
+    (f"{TRIPLETS} --seed 0", "conv3", (16, 2272, -7.098873083320672)),
+    (f"{QMR} --seed 0", "conv3", (17, 267, 13.976206694567631)),
+    (f"{QMR} --seed 0", "conv1", (36, 159, 13.976206697905278)),
+    (f"{TRIPLETS} --seed 0", "cccp", (61, 770, -7.098872928640136)),
+    (f"{TRIPLETS} --seed 0", "conv1", (47, 474, -7.098873025358694)),
 ], ids=["plaquettes-5x5", "plaquettes-5x5-seed1", "triplets-n5-w3", "qmr-20x10-bethe", "qmr-20x10-bethe-conv1",
         "triplets-n5-w3-cccp", "triplets-n5-w3-conv1"])
-def test_schedules_are_pinned(spec, graph, variant, want):
+def test_schedules_are_pinned(tmp_path, flags, variant, want):
     # Outer and inner counts and the final value of four conv3 solves, two
-    # conv1 solves and one cccp solve, under the coloured sweep order
-    # (``Layout.levels``).  The QMR graph's 8 subsets each lie in two or more
-    # clusters, and every one is swept: damped under conv3, undamped under
-    # conv1, whose outer stop reads the marginal change.  The strong-triplet
-    # cccp solve is undamped too, with inner messages far below 1e-300.  With
-    # the strong-triplet conv1 solve, every case of the benchmark's
-    # triplets_strong workload is pinned.
-    m = generate(spec)
-    g = graph(m)
-    trace = minimize(m, g, make_bound_spec(g, variant))
+    # conv1 solves and one cccp solve, each run from the command line and
+    # read off the trace JSON it writes, under the coloured sweep order
+    # (``Layout.levels``): the benchmark's two plaquette_conv3 cases, every
+    # case of its triplets_strong workload and its seed-0 qmr_compare model.
+    # The QMR graph's 8 subsets each lie in two or more clusters, and every
+    # one is swept: damped under conv3, undamped under conv1, whose outer
+    # stop reads the marginal change.  The strong-triplet cccp solve is
+    # undamped too, with inner messages far below 1e-300.  A change that
+    # moves a pin has to state the new values and why they moved.
+    assert main(["run", *flags.split(), "--variant", variant, "--outdir", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / f"trace_{variant}.json").read_text())
     outer, sweeps, final_f = want
-    assert (trace.outer_iterations, trace.total_inner_sweeps) == (outer, sweeps)
-    assert abs(trace.final_f - final_f) <= 1e-12
+    assert (meta["outer_iterations"], meta["total_inner_sweeps"]) == (outer, sweeps)
+    assert abs(meta["final_f_kik"] - final_f) <= 1e-12
+
+
+@pytest.mark.parametrize("key, value", [
+    ("outer_tol", math.nan), ("outer_tol", -1e-8), ("marginal_tol", math.inf), ("max_outer", -1),
+    ("inner_tol", -1.0), ("inner_tol", math.nan), ("inner_max_sweeps", -3),
+])
+def test_settings_refuse_a_knob_that_cannot_run(key, value):
+    # The check the command line reports as a usage error: a NaN, infinite
+    # or negative knob would run every outer step or fail every inner solve.
+    with pytest.raises(ValueError, match=f"^{key} must be finite and nonnegative, got {re.escape(repr(value))}$"):
+        OuterSettings(**{key: value})
+    OuterSettings(**{key: 0})  # zero is legal

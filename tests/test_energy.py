@@ -11,7 +11,6 @@ import pytest
 from kikuchi import (
     Beliefs,
     BoundSpec,
-    ClusterPotentials,
     ModelSpec,
     VARIANTS,
     build_bethe,
@@ -23,6 +22,7 @@ from kikuchi import (
     kl_marginals,
     make_bound_spec,
     minimize,
+    outer_log_potentials,
     run_gbp,
     uniform_beliefs,
 )
@@ -41,7 +41,7 @@ def test_free_energy_matches_reference():
     rng = np.random.default_rng(2)
     m = cycle_model(5, seed=4)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     for _ in range(10):
         q = random_consistent_beliefs(g, m.cards, rng)
         assert abs(free_energy(pots, q) - dict_free_energy(g, m, q)) < 1e-10
@@ -53,7 +53,7 @@ def test_uniform_free_energy_closed_form():
     g = build_bethe(m.scopes, m.num_vars)
     q = uniform_beliefs(g, m.cards)
     want = -3 * math.log(4.0) + 3 * math.log(2.0)
-    assert abs(free_energy(ClusterPotentials.of(m, g), q) - want) < 1e-12
+    assert abs(free_energy(outer_log_potentials(m, g), q) - want) < 1e-12
 
 
 def test_belief_validation():
@@ -65,7 +65,7 @@ def test_belief_validation():
     layout = g.layout(m.cards)
     q = uniform_beliefs(g, m.cards)
     spec = make_bound_spec(g, "conv1")
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     for bad in (np.nan, np.inf, -np.inf):
         for rid in (g.outer_ids[1], g.subset_ids[1]):
             logs = q.logs.copy()
@@ -112,14 +112,14 @@ def test_the_finiteness_verdict_is_kept_per_belief_set():
     source[:] = np.nan
     probs, logs = viewed.flat(layout)
     assert np.isfinite(probs).all() and np.isfinite(logs).all()
-    assert free_energy(ClusterPotentials.of(m, g), viewed) == free_energy(ClusterPotentials.of(m, g), q)
+    assert free_energy(outer_log_potentials(m, g), viewed) == free_energy(outer_log_potentials(m, g), q)
 
 
 def test_beliefs_on_another_layout_are_refused():
     m = cycle_model(4, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
     spec = make_bound_spec(g, "conv1")
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     q = uniform_beliefs(g, m.cards)
     other_cards = uniform_beliefs(g, [3] + list(m.cards[1:]))
     other_graph = uniform_beliefs(build_bethe(m.scopes, m.num_vars), m.cards)
@@ -148,7 +148,7 @@ def test_logs_of_the_wrong_length_are_refused():
     for bad in (np.concatenate((logs, logs[:3])), logs[:-1], logs[None, :], np.zeros(0)):
         with pytest.raises(ValueError, match=re.escape(f"shape {bad.shape}") + f".*holds {n} entries"):
             Beliefs(layout, bad)
-    assert abs(free_energy(ClusterPotentials.of(m, g), Beliefs(layout, logs)) - -6.1610) < 1e-4
+    assert abs(free_energy(outer_log_potentials(m, g), Beliefs(layout, logs)) - -6.1610) < 1e-4
 
 
 def test_zero_entries_contribute_zero_entropy():
@@ -165,7 +165,7 @@ def test_zero_entries_contribute_zero_entropy():
     q = Beliefs(layout, logs)
     assert (q.probs == 0.0).sum() == 5
     assert constraint_residual(q) == 0.0
-    f = free_energy(ClusterPotentials.of(m, g), q)
+    f = free_energy(outer_log_potentials(m, g), q)
     assert math.isfinite(f)
 
 
@@ -174,7 +174,7 @@ def test_a_count_for_no_subset_region_is_refused():
     # error wherever a count map is read, not a count silently dropped.
     m = cycle_model(4, seed=1)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     q = uniform_beliefs(g, m.cards)
     for key in (999, g.outer_ids[0]):
         counts = {**g.subset_overcounts(), key: 0.0}
@@ -207,7 +207,7 @@ def test_a_non_finite_count_is_refused(bad):
     # exponent: every reader of a count map refuses it and names the region.
     m = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
     g = build_cvm(PLAQUETTES_3X3, 9)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     q = uniform_beliefs(g, m.cards)
     b = g.subset_ids[0]
     counts = {**g.subset_overcounts(), b: bad}
@@ -246,7 +246,7 @@ def test_the_kept_count_array_reads_as_its_map(case, variant):
     else:
         m = generate(ModelSpec("full_boltzmann", nodes=4, weight_scale=3.0, seed=0))
         g = build_cvm(list(combinations(range(4), 3)), 4)
-    base = ClusterPotentials.of(m, g)
+    base = outer_log_potentials(m, g)
     counts = make_bound_spec(g, variant).inner_overcounts
     kept = base.layout.kept_counts(counts)
     assert base.layout.kept_counts(kept) is kept
@@ -276,7 +276,7 @@ def test_touching_and_bounding_consistent_beliefs():
         if g is None:
             g = build_cvm(PLAQUETTES_3X3, 9)
         specs = {v: make_bound_spec(g, v) for v in VARIANTS}
-        pots = ClusterPotentials.of(m, g)
+        pots = outer_log_potentials(m, g)
         for _ in range(20):
             q = random_consistent_beliefs(g, m.cards, rng)
             anchor = random_consistent_beliefs(g, m.cards, rng)
@@ -297,7 +297,7 @@ def test_pointwise_bounding_without_consistency():
     rng = np.random.default_rng(8)
     m = cycle_model(6, seed=2)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     for v in ("conv1", "cccp"):
         spec = make_bound_spec(g, v)
         for _ in range(20):

@@ -8,6 +8,7 @@ import pytest
 
 from kikuchi import (
     CLAMP_LOG,
+    ClusterPotentials,
     FactorModel,
     GraphError,
     ModelFormatError,
@@ -16,9 +17,10 @@ from kikuchi import (
     generate,
     load,
     outer_log_potentials,
+    recipe_graph,
     save,
 )
-from conftest import same_model
+from conftest import cluster_tables, same_model
 
 
 def test_grid_generation_is_deterministic():
@@ -264,7 +266,7 @@ def test_outer_log_potentials_preserve_energy():
     tables = [rng.normal(size=tuple(cards[v] for v in s)) for s in scopes]
     m = FactorModel(cards, scopes, tables)
     g = build_bethe([(0, 1), (1, 2), (2, 3)], 4)
-    pots = outer_log_potentials(m, g)
+    pots = cluster_tables(m, g)
     for _ in range(25):
         x = tuple(int(rng.integers(0, c)) for c in cards)
         direct = sum(
@@ -274,6 +276,16 @@ def test_outer_log_potentials_preserve_energy():
             pots[a][tuple(x[v] for v in g.region_vars(a))] for a in g.outer_ids
         )
         assert abs(direct - via_outers) < 1e-12
+
+
+def test_outer_log_potentials_lie_on_the_graphs_layout():
+    m = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
+    g = recipe_graph(m, "grid-plaquettes")
+    pots = outer_log_potentials(m, g)
+    assert isinstance(pots, ClusterPotentials)
+    assert pots.layout is g.layout(m.cards)
+    assert pots.logs.shape == (pots.layout.outer_size,)
+    assert pots.meta == m.meta and pots.meta is not m.meta
 
 
 def test_factor_without_carrier_rejected():

@@ -92,6 +92,13 @@ def test_oracle_refuses_large_models():
     assert peak < 1 << 20  # the clique table alone would be 64 MiB
 
 
+@pytest.mark.parametrize("regions, position, var", [([(0, 9)], 0, 9), ([(-1,)], 0, -1), ([(1,), (2, 4)], 1, 4)])
+def test_a_region_outside_the_model_is_refused(regions, position, var):
+    m = generate(ModelSpec("grid_boltzmann", rows=2, cols=2))
+    with pytest.raises(ValueError, match=f"^region {position}: variable {var} is outside the model's 4 variables$"):
+        exact_inference(m, regions)
+
+
 def test_log_z_shift_stability():
     m = FactorModel([2], [(0,)], [np.array([700.0, 710.0])])
     res = exact_inference(m, regions=[(0,)])

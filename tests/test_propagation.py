@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from kikuchi import (
     BoundSpec,
-    ClusterPotentials,
     ConfigurationError,
     ConvexityError,
     MessageSet,
@@ -34,6 +33,7 @@ from kikuchi.propagation import _Solve, _log_normalize
 from conftest import (
     assert_greedy_colouring,
     chain_model,
+    cluster_tables,
     cycle_model,
     message_tables,
     pairwise_model,
@@ -51,7 +51,7 @@ def _true_counts(graph):
 def test_chain_reaches_exact_marginals():
     m = chain_model(6, seed=3)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     q, msgs, sweeps, converged = run_gbp(pots, _true_counts(g))
     assert converged
     exact = exact_inference(m, regions=[r.vars for r in g.regions])
@@ -65,7 +65,7 @@ def test_chain_reaches_exact_marginals():
 def test_mixed_cardinalities_chain():
     m = chain_model(4, seed=5, cards=[2, 3, 4, 2])
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     q, _, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
     exact = exact_inference(m, regions=[r.vars for r in g.regions])
@@ -81,7 +81,7 @@ def _projected_gradient_minimum(graph, model, steps=20000):
     it unchanged.
     """
     cards = model.cards
-    pots = outer_log_potentials(model, graph)
+    pots = cluster_tables(model, graph)
     ids = [r.id for r in graph.regions]
     outer = set(graph.outer_ids)
     counts = {r.id: float(r.overcount) for r in graph.regions}
@@ -167,7 +167,7 @@ def test_triangle_matches_projected_gradient():
     # certified convex case: the constrained minimum is unique
     m = cycle_model(3, seed=7)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     q, _, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
     f_gbp = free_energy(pots, q)
@@ -180,7 +180,7 @@ def test_triangle_matches_projected_gradient():
 def test_square_cycle_matches_projected_gradient():
     m = cycle_model(4, seed=9, scale=1.5)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     q, _, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
     f_pg, _ = _projected_gradient_minimum(g, m)
@@ -190,7 +190,7 @@ def test_square_cycle_matches_projected_gradient():
 def test_exponent_must_stay_positive():
     m = chain_model(3, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     bad = _true_counts(g)
     b = g.subset_ids[0]
     bad[b] = -float(len(g.containing_outers[b]))
@@ -203,7 +203,7 @@ def test_a_count_left_out_is_the_graphs_count():
     # inner_potentials and minimize do: at the graph's own count.
     m = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     (q, msgs, sweeps, ok), (q_full, msgs_full, sweeps_full, ok_full) = (
         run_gbp(pots, {}), run_gbp(pots, g.subset_overcounts())
     )
@@ -222,7 +222,7 @@ def test_chain_ends_get_no_region_and_every_subset_is_swept():
     # region, and every subset region is swept.
     m = chain_model(4, seed=2)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     assert [g.region_vars(b) for b in g.subset_ids] == [(1,), (2,)]
     q, msgs, _, converged = run_gbp(pots, _true_counts(g))
     assert converged
@@ -236,7 +236,7 @@ def test_direct_intersections_stay_active_at_zero_count():
     g = build_cvm(plaq, 6)
     m = pairwise_model(6, [(0, 1), (2, 3), (4, 5), (0, 2), (1, 3), (2, 4), (3, 5)],
                        np.random.default_rng(4), 1.0)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     spec = make_bound_spec(g, "conv1")
     shared = next(b for b in g.subset_ids if g.region_vars(b) == (2, 3))
     assert spec.inner_overcounts[shared] == 0.0
@@ -267,7 +267,7 @@ def test_zero_count_regions_outside_intersections_stay_active():
 def test_warm_start_resumes_at_fixed_point():
     m = cycle_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     c = _true_counts(g)
     q, msgs, sweeps, converged = run_gbp(pots, c)
     assert converged and sweeps > 2
@@ -280,7 +280,7 @@ def test_random_message_inits_agree():
     rng = np.random.default_rng(8)
     m = cycle_model(6, seed=10, scale=1.5)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     c = _true_counts(g)
     ref, msgs, _, _ = run_gbp(pots, c)
     for _ in range(5):
@@ -294,12 +294,12 @@ def test_foreign_warm_messages_are_rejected():
     # warm-start a run.
     m = chain_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     c = _true_counts(g)
     _, msgs, _, _ = run_gbp(pots, c, max_sweeps=3)
     foreign = [
-        (ClusterPotentials.of(m, build_bethe(m.scopes, m.num_vars)), c, msgs),  # an equal graph, another object
-        (ClusterPotentials.of(chain_model(5, seed=6, cards=[3, 2, 2, 2, 2]), g), c, msgs),
+        (outer_log_potentials(m, build_bethe(m.scopes, m.num_vars)), c, msgs),  # an equal graph, another object
+        (outer_log_potentials(chain_model(5, seed=6, cards=[3, 2, 2, 2, 2]), g), c, msgs),
         (pots, c, message_tables(msgs)),
     ]
     for other, counts, warm in foreign:
@@ -312,7 +312,7 @@ def test_warm_messages_of_the_wrong_length_are_rejected():
     # or missing are refused before any sweep, not left to fail in numpy.
     m = chain_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     c = _true_counts(g)
     _, msgs, _, _ = run_gbp(pots, c, max_sweeps=3)
     up, down = msgs.logs
@@ -327,7 +327,7 @@ def test_warm_start_carries_across_count_sets():
     # layout: conv1 counts (zero) then cccp counts (one), both undamped.
     m = cycle_model(6, seed=3)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     c1, cc = (make_bound_spec(g, v).inner_overcounts for v in ("conv1", "cccp"))
     assert set(c1.values()) == {0.0} and set(cc.values()) == {1.0}
     cold, _, _, cold_ok = run_gbp(pots, cc, tol=1e-12)
@@ -340,7 +340,7 @@ def test_warm_start_carries_across_count_sets():
 def test_truncated_run_reports_not_converged():
     m = cycle_model(6, seed=0)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     q, _, sweeps, converged = run_gbp(pots, _true_counts(g), max_sweeps=1)
     assert sweeps == 1
     assert not converged
@@ -350,7 +350,7 @@ def test_zero_potentials_fix_uniform_beliefs():
     m = pairwise_model(4, [(0, 1), (1, 2), (2, 3), (0, 3)],
                        np.random.default_rng(0), 0.0)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     q, _, sweeps, converged = run_gbp(pots, _true_counts(g))
     assert converged
     for rid, t in q.tables.items():
@@ -370,7 +370,7 @@ def _reference_gbp(model, graph, subset_counts, *, tol=1e-8, max_sweeps=2000, wa
     pair of message tables, as ``message_tables`` gives them, and the
     messages come back as such a pair, the beliefs as tables.
     """
-    cards, pots, cont = model.cards, outer_log_potentials(model, graph), graph.containing_outers
+    cards, pots, cont = model.cards, cluster_tables(model, graph), graph.containing_outers
     count = {b: float(subset_counts.get(b, graph.by_id[b].overcount)) for b in graph.subset_ids}
     act = tuple(b for level in graph.layout(cards).levels for b in level)
     denom = {b: len(cont[b]) + count[b] for b in act}
@@ -487,7 +487,7 @@ def _assert_same_run(got, want):
 @example(kind="triplets-strong", size=1, seed=0, counts="true")
 def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
     m, g = _problem(kind, size, seed)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     if counts == "true":
         c = g.subset_overcounts()
     else:
@@ -551,7 +551,7 @@ def test_levels_group_regions_with_disjoint_clusters():
     cases = [(plaq, plaq_graph, "conv3")]
     cases += [(*_problem(kind, 3, 1), "conv1") for kind in ("triplets", "qmr", "bethe-grid")]
     for m, g, variant in cases:
-        _, msgs, _, _ = run_gbp(ClusterPotentials.of(m, g), make_bound_spec(g, variant).inner_overcounts,
+        _, msgs, _, _ = run_gbp(outer_log_potentials(m, g), make_bound_spec(g, variant).inner_overcounts,
                                 max_sweeps=1)
         layout = msgs.layout
         levels = layout.levels
@@ -602,13 +602,13 @@ def test_levels_group_regions_with_disjoint_clusters():
     b = moved[0]
     bad = {**counts, b: -float(len(plaq_graph.containing_outers[b]))}
     with pytest.raises(ConfigurationError, match=f"^region {b}: "):
-        run_gbp(ClusterPotentials.of(plaq, plaq_graph), bad)
+        run_gbp(outer_log_potentials(plaq, plaq_graph), bad)
 
 
 def test_warm_start_keeps_the_layout_and_returns_fresh_tables():
     m = chain_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     c = _true_counts(g)
     q1, msgs1, _, _ = run_gbp(pots, c, max_sweeps=3)
     q2, msgs2, _, _ = run_gbp(pots, c, warm=msgs1)
@@ -623,7 +623,7 @@ def test_stopping_test_passes_over_nan_regions():
     # fixed point.
     m = cycle_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     c = _true_counts(g)
     _, msgs, _, _ = run_gbp(pots, c, max_sweeps=3)
     log_down = msgs.logs[1].copy()
@@ -649,7 +649,7 @@ def test_stopping_test_passes_over_nan_regions():
 def test_zero_sweeps_return_the_warm_messages_normalized():
     m = cycle_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     c = _true_counts(g)
     layout = run_gbp(pots, c, max_sweeps=3)[1].layout
     msg_starts, msg_pair = layout.message_segments
@@ -701,7 +701,7 @@ def test_sweep_is_a_map_on_the_solver_state(spec, graph, variant, damped):
     m = generate(spec)
     g = graph(m)
     bound = make_bound_spec(g, variant)
-    pots = inner_potentials(ClusterPotentials.of(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
+    pots = inner_potentials(outer_log_potentials(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
     layout = pots.layout
     _, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
     assert sweeps == 5
@@ -732,7 +732,7 @@ def test_the_message_shift_bounds_the_messages():
     m = generate(ModelSpec("full_boltzmann", nodes=8, weight_scale=1.0, seed=0))
     g = build_bethe(m.scopes, m.num_vars)
     bound = make_bound_spec(g, "conv3")
-    pots = inner_potentials(ClusterPotentials.of(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
+    pots = inner_potentials(outer_log_potentials(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
     layout, n_outer = pots.layout, len(g.outer_ids)
     _, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
     assert sweeps == 5

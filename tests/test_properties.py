@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 
 from kikuchi import (
     Beliefs,
-    ClusterPotentials,
     ConvexityError,
     ModelSpec,
     OuterSettings,
@@ -30,7 +29,7 @@ from kikuchi import (
     outer_log_potentials,
     uniform_beliefs,
 )
-from conftest import assert_greedy_colouring, dict_free_energy
+from conftest import assert_greedy_colouring, cluster_tables, dict_free_energy
 
 
 def _brute_poset(g):
@@ -231,7 +230,7 @@ def _outside(g, p, c):
 
 def _dict_fold(g, m, kept, anchor):
     """Outer log potentials minus each subset's anchored share, cluster by cluster."""
-    pots = outer_log_potentials(m, g)
+    pots = cluster_tables(m, g)
     counts = g.subset_overcounts()
     for b in g.subset_ids:
         share = (counts[b] - kept.get(b, counts[b])) / len(g.containing_outers[b])
@@ -276,7 +275,7 @@ def test_layout_reductions_match_the_dict_references(kind, size, seed, variant):
     # them as the anchor.
     uniform = uniform_beliefs(g, m.cards)
     assert uniform.layout is g.layout(m.cards)
-    pots = ClusterPotentials.of(m, g)
+    pots = outer_log_potentials(m, g)
     for q_lay, anchor_lay in ((q, anchor), (uniform, q), (q, uniform)):
         for args in ((), (kept, anchor_lay)):
             want = dict_free_energy(g, m, q_lay, *args)

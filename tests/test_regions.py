@@ -22,6 +22,7 @@ from kikuchi import (
     minimize,
     per_variable_counting_sums,
     recipe_graph,
+    uniform_beliefs,
     write_trace,
 )
 from kikuchi.regions import Layout
@@ -110,6 +111,26 @@ def test_cluster_validation_errors():
         build_cvm([(0, 5)], 3)
     with pytest.raises(GraphError):
         build_cvm([], 3)
+
+
+def test_a_layout_refuses_cards_that_leave_a_variable_without_one():
+    # A 2x2 grid model meets the Bethe graph of a 2x3 grid, whose last
+    # variables get no card; a card of 0 would give a region an empty table.
+    m = generate(ModelSpec("grid_boltzmann", rows=2, cols=2))
+    g4 = recipe_graph(m, "bethe")
+    g6 = recipe_graph(generate(ModelSpec("grid_boltzmann", rows=2, cols=3)), "bethe")
+    for refused in (
+        lambda: minimize(m, g6, make_bound_spec(g6, "conv1")),
+        lambda: g6.layout((2, 2)),
+        lambda: uniform_beliefs(g6, (2, 2, 2, 2)),
+    ):
+        with pytest.raises(GraphError, match=r"^region \d+: variable [2-5] has no card; [24] cards given$"):
+            refused()
+    with pytest.raises(GraphError, match=r"^region \d+: variable 0 has card 0, below 1$"):
+        uniform_beliefs(g4, (0, 0, 0, 0))
+    with pytest.raises(GraphError, match=r"^region \d+: variable 2 has card -1, below 1$"):
+        g4.layout((2, 2, -1, 2))
+    assert g4.layout((1, 1, 1, 1)).size == len(g4.regions)
 
 
 def test_region_validation():
