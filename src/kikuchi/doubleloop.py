@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, dataclass
 
 from .bounds import BoundSpec, ConvexityError, check_convex_over_constraints, inner_potentials
@@ -50,7 +51,8 @@ class OuterRecord:
 
 @dataclass
 class OuterSettings:
-    """The solver's five knobs; ``ValueError`` unless each is finite and nonnegative."""
+    """The solver's five knobs; ``ValueError`` unless each is finite and nonnegative
+    and the two budgets, ``max_outer`` and ``inner_max_sweeps``, are integers."""
 
     outer_tol: float = 1e-8
     marginal_tol: float = 1e-6
@@ -62,6 +64,8 @@ class OuterSettings:
         for key, value in asdict(self).items():
             if not 0 <= value < math.inf:
                 raise ValueError(f"{key} must be finite and nonnegative, got {value!r}")
+            if key in ("max_outer", "inner_max_sweeps") and not isinstance(value, numbers.Integral):
+                raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,11 +89,16 @@ def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     log-sum-exp'd onto the separator and normalized.  ``log_z`` sums those
     maxima and the upward log normalizers (a root's is its forest
     component's total).  Before any table is allocated, it refuses a region
-    holding a variable outside the model (``ValueError``) and a clique table
-    over ``CLIQUE_LIMIT`` entries (``OracleLimitError``).
+    holding a variable that is no integer (a ``bool`` included) or lies
+    outside the model (``ValueError``), and a clique table over
+    ``CLIQUE_LIMIT`` entries (``OracleLimitError``).
     """
     cards = model.cards
-    items = [(k, sorted({int(v) for v in vs})) for k, vs in enumerate(regions)]
+    items = [(k, tuple(vs)) for k, vs in enumerate(regions)]
+    odd = [(k, v) for k, vs in items for v in vs if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+    if odd:
+        raise ValueError("region {}: variable {!r} is not an integer".format(*odd[0]))
+    items = [(k, sorted({int(v) for v in vs})) for k, vs in items]
     outside = [(k, v) for k, vs in items for v in vs if not 0 <= v < len(cards)]
     if outside:
         raise ValueError("region {}: variable {} is outside the model's {} variables".format(*outside[0], len(cards)))

@@ -14,8 +14,9 @@ single cluster, which is swept like any other.
 
 The sweep runs in the log domain.  Cluster tables, up and down messages and
 subset beliefs are log tables; a marginal is a pairwise ``logaddexp``
-reduction over the cluster entries that share a subset entry, and division
-is subtraction.  Nothing in the sweep is floored: the reduction neither
+reduction over the cluster entries that share a subset entry, one pass over
+the rows of each level's block (``Layout.sweep_steps``), and division is
+subtraction.  Nothing in the sweep is floored: the reduction neither
 overflows nor underflows a group to -inf, so a message far below 1e-300
 stays exact and finite.
 
@@ -75,12 +76,14 @@ class _Solve:
     log-belief block ``log_sub``.  The constructor checks each subset's
     update exponent, starts on uniform messages or on copies of ``warm``'s,
     and binds each level of ``Layout.sweep_steps`` to its views of the state
-    once: its cluster entries and their groups, its slices of the messages
-    and of the block, its message bounds and block entries, its slice of the
-    damping buffer ``mix`` (None when undamped) and its share.  So every
-    writer of the state, the driver's rebuild as much as any mixing of
-    iterates, writes into these arrays in place (``solve.logacc[...] = ...``)
-    and never rebinds them.
+    once: its block of cluster entries and their columns, its slices of the
+    messages and of the subset block, its message bounds and block entries,
+    its slice of the damping buffer ``mix`` (None when undamped) and its
+    share.  ``logacc`` is a view of one array that holds, past the cluster
+    tables, the sentinel slot of the padded blocks at -inf.  So every writer
+    of the state, the driver's rebuild as much as any mixing of iterates,
+    writes into these arrays in place (``solve.logacc[...] = ...``) and never
+    rebinds them.
 
     A negative kept count c lifts the power n / (n + c) of the geometric mean
     of a region's n upward messages above one, so the update overshoots; then
@@ -124,11 +127,14 @@ class _Solve:
         log_sub = _log_normalize(acc[layout.outer_size:] / den, sub_starts, sub_seg)
         mix = np.empty_like(log_sub) if damping else None
         self.log_up, self.log_down, self.log_sub, self.mix = log_up, log_down, log_sub, mix
-        self.logacc = layout.into_clusters(pots.logs, log_down)
+        # The cluster tables and, past them, the sentinel slot of the padded blocks.
+        self._acc = np.full(layout.outer_size + 1, -np.inf)
+        self.logacc = self._acc[:-1]
+        self.logacc[...] = layout.into_clusters(pots.logs, log_down)
         self.levels = [
-            (clu, group, group_starts, log_up[msg], log_down[msg], msg_starts, msg_pair, msg_sub,
+            (block, column, log_up[msg], log_down[msg], msg_starts, msg_pair, msg_sub,
              log_sub[sub], None if mix is None else mix[sub], (1.0 - damping) / den[sub])
-            for clu, group, group_starts, msg, msg_starts, msg_pair, msg_sub, sub in layout.sweep_steps
+            for block, column, msg, msg_starts, msg_pair, msg_sub, sub in layout.sweep_steps
         ]
 
     def sweep(self) -> None:
@@ -141,12 +147,13 @@ class _Solve:
         maximum of zero at once, so a constant per region cancels; and the
         damped mix reads the block as the previous sweep left it.
         """
-        logacc, log_sub, mix = self.logacc, self.log_sub, self.mix
+        acc, log_sub, mix = self._acc, self.log_sub, self.mix
         if mix is not None:
             np.multiply(log_sub, self.damping, out=mix)
-        for clu, group, group_starts, up, down, msg_starts, msg_pair, msg_sub, q, m, share in self.levels:
-            la = logacc[clu]
-            u = np.logaddexp.reduceat(la, group_starts, out=up)
+        for block, column, up, down, msg_starts, msg_pair, msg_sub, q, m, share in self.levels:
+            la = acc[block]
+            # A two-row block's one pairwise step costs less as a plain ufunc call.
+            u = np.logaddexp(la[0], la[1], out=up) if len(la) == 2 else np.logaddexp.reduce(la, axis=0, out=up)
             u -= down
             np.multiply(np.bincount(msg_sub, weights=u), share, out=q)
             if m is not None:
@@ -160,8 +167,8 @@ class _Solve:
             # ``down`` is the level's view of ``log_down``: it holds the old
             # minus the new messages until the new ones are written.
             down -= nd
-            la -= down[group]
-            logacc[clu] = la
+            la -= down[column]
+            acc[block] = la
             down[...] = nd
         sub_starts, sub_seg = self.layout.subset_segments
         log_sub -= np.logaddexp.reduceat(log_sub, sub_starts)[sub_seg]
@@ -189,10 +196,11 @@ def run_gbp(pots: ClusterPotentials, subset_counts, *, tol=1e-8, max_sweeps=2000
     layout = pots.layout
     solve = _Solve(pots, subset_counts, warm)
     q_sub = np.exp(solve.log_sub)
+    prev = np.empty_like(q_sub)
     sweeps, converged = 0, False
     for sweeps in range(1, max_sweeps + 1):
         solve.sweep()
-        prev, q_sub = q_sub, np.exp(solve.log_sub)
+        prev, q_sub = q_sub, np.exp(solve.log_sub, out=prev)
         prev -= q_sub
         delta = float(np.maximum.reduce(np.abs(prev, out=prev), initial=0.0))
         if math.isnan(delta):

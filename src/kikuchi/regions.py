@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, starmap
@@ -163,6 +163,10 @@ class RegionGraph:
         if cards not in self._layouts:
             self._layouts[cards] = Layout(self, cards)
         return self._layouts[cards]
+
+
+# One level of the inner sweep, as ``Layout.sweep_steps`` describes it.
+SweepStep = namedtuple("SweepStep", "block column msg msg_starts msg_pair msg_sub sub")
 
 
 class Layout:
@@ -319,17 +323,24 @@ class Layout:
         return self.starts[n_outer:] - self.outer_size, self.seg[self.outer_size:] - n_outer
 
     @cached_property
-    def sweep_steps(self) -> list[tuple]:
-        """The slices of the inner sweep, one step per level of ``levels``.
+    def sweep_steps(self) -> list[SweepStep]:
+        """The slices of the inner sweep, one ``SweepStep`` per level of ``levels``.
 
-        A step is, in order: the level's cluster entries, grouped by the
-        message entry they sum into; the level-local message entry of each;
-        the start of each group; the level's message entries; the start of
-        each message and the message of each entry; the subset-block entry
-        of each message entry; the level's subset block.  Apart from the
-        cluster entries and the two slices, each counts from the level's
-        first message entry, cluster entry, message or block entry.  Within a
-        level each gathered cluster entry belongs to one message only.
+        A step's ``block`` lays out the level's cluster entries as one
+        (width, message entries) array: column j holds the entries that sum
+        into the level's message entry j, in the order ``cluster_sums`` lists
+        them, so a reduction over the rows chains each column's entries left
+        to right.  A level whose columns differ in length pads the short ones
+        with the sentinel index ``outer_size``, one cluster slot past the
+        tables that the sweep holds at -inf, so a padded entry adds nothing to
+        its column's reduction and is written back as -inf.  ``column`` gives
+        each entry of ``block`` its column.  ``msg`` and ``sub`` slice the
+        messages and the subset block; ``msg_starts`` and ``msg_pair`` are the
+        start of each message and the message of each entry; ``msg_sub`` is
+        the subset-block entry of each message entry.  Apart from the indices
+        into the clusters and the two slices, each counts from the level's
+        first message entry, message or block entry.  Within a level each
+        cluster entry belongs to one message only.
         """
         cont = self.graph.containing_outers
         clu, group, group_starts, at = self.cluster_sums
@@ -341,11 +352,14 @@ class Layout:
         m = np.append(msg_starts, len(msg_pair))[p]
         c = np.append(group_starts, len(clu))[m]
         s = np.append(sub_starts, len(sub_seg))[np.cumsum([0] + [len(lv) for lv in self.levels])]
-        return [
-            (clu[c0:c1], group[c0:c1] - m0, group_starts[m0:m1] - c0, slice(m0, m1),
-             msg_starts[p0:p1] - m0, msg_pair[m0:m1] - p0, at[m0:m1] - (self.outer_size + s0), slice(s0, s1))
-            for p0, p1, m0, m1, c0, c1, s0, s1 in zip(p, p[1:], m, m[1:], c, c[1:], s, s[1:])
-        ]
+        row, steps = np.arange(len(clu)) - group_starts[group], []
+        for p0, p1, m0, m1, c0, c1, s0, s1 in zip(p, p[1:], m, m[1:], c, c[1:], s, s[1:]):
+            block = np.full((row[c0:c1].max() + 1, m1 - m0), self.outer_size, dtype=np.intp)
+            block[row[c0:c1], group[c0:c1] - m0] = clu[c0:c1]
+            column = np.tile(np.arange(m1 - m0), (len(block), 1))
+            steps.append(SweepStep(block, column, slice(m0, m1), msg_starts[p0:p1] - m0, msg_pair[m0:m1] - p0,
+                                   at[m0:m1] - (self.outer_size + s0), slice(s0, s1)))
+        return steps
 
     @cached_property
     def _into(self):

@@ -396,3 +396,12 @@ def test_settings_refuse_a_knob_that_cannot_run(key, value):
     with pytest.raises(ValueError, match=f"^{key} must be finite and nonnegative, got {re.escape(repr(value))}$"):
         OuterSettings(**{key: value})
     OuterSettings(**{key: 0})  # zero is legal
+
+
+@pytest.mark.parametrize("key, value", [("max_outer", 2.5), ("inner_max_sweeps", 3.0)])
+def test_settings_refuse_a_budget_that_is_no_integer(key, value):
+    # A budget bounds a range of steps, so only an integer can run; the
+    # check names the knob rather than failing inside ``minimize``.
+    with pytest.raises(ValueError, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"):
+        OuterSettings(**{key: value})
+    OuterSettings(**{key: np.int64(5)})  # NumPy integers are legal

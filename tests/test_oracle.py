@@ -3,6 +3,7 @@ against per-state enumeration and closed forms."""
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 from itertools import combinations, product
 
@@ -97,6 +98,20 @@ def test_a_region_outside_the_model_is_refused(regions, position, var):
     m = generate(ModelSpec("grid_boltzmann", rows=2, cols=2))
     with pytest.raises(ValueError, match=f"^region {position}: variable {var} is outside the model's 4 variables$"):
         exact_inference(m, regions)
+
+
+@pytest.mark.parametrize("regions, position, var", [
+    ([(1.5,)], 0, 1.5), ([(0,), (True, 2)], 1, True), ([(np.int64(1),), (2, np.float64(3.0))], 1, np.float64(3.0)),
+])
+def test_a_region_variable_that_is_no_integer_is_refused(regions, position, var):
+    # Truncating 1.5 to 1 or reading True as 1 would return the marginal of
+    # another region; the refusal comes before the outside-the-model check.
+    m = generate(ModelSpec("grid_boltzmann", rows=2, cols=2))
+    with pytest.raises(ValueError, match=f"^region {position}: variable {re.escape(repr(var))} is not an integer$"):
+        exact_inference(m, regions)
+    with pytest.raises(ValueError, match="^region 0: variable 9.5 is not an integer$"):
+        exact_inference(m, [(9.5,), (9,)])
+    exact_inference(m, [(np.int64(1), 2)])  # NumPy integers are legal
 
 
 def test_log_z_shift_stability():

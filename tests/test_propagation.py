@@ -14,6 +14,7 @@ from kikuchi import (
     BoundSpec,
     ConfigurationError,
     ConvexityError,
+    FactorModel,
     MessageSet,
     ModelSpec,
     build_bethe,
@@ -444,8 +445,22 @@ def _plaquettes(rows, cols):
             for r in range(rows - 1) for c in range(cols - 1)]
 
 
+MIXED_CARDS = (3, 2, 3, 3, 2, 3)
+MIXED_SCOPES = [(0, 1, 2), (1, 2, 3), (2, 3, 4, 5), (0, 5), (0, 3, 4)]
+
+
 def _problem(kind, size, seed):
     """A (model, region graph) pair of one of the families the sweep serves."""
+    if kind == "mixed-cards":
+        # Clusters of 6 to 54 entries over subsets of 2 to 9, so every level's
+        # groups differ in width: the sweep's padded blocks.
+        rng = np.random.default_rng(seed)
+        tables = [rng.normal(size=tuple(MIXED_CARDS[v] for v in s)) for s in MIXED_SCOPES]
+        m = FactorModel(MIXED_CARDS, MIXED_SCOPES, tables)
+        g = (build_bethe if size % 2 else build_cvm)(MIXED_SCOPES, m.num_vars)
+        layout = g.layout(m.cards)
+        assert any((step.block == layout.outer_size).any() for step in layout.sweep_steps)
+        return m, g
     if kind == "bethe-cycle":
         m = cycle_model(3 + size, seed=seed, scale=1.5)
         return m, build_bethe(m.scopes, m.num_vars)
@@ -476,7 +491,9 @@ def _assert_same_run(got, want):
 
 @settings(max_examples=50, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(("bethe-cycle", "bethe-grid", "plaquettes", "triplets", "triplets-strong", "qmr")),
+    kind=st.sampled_from(
+        ("bethe-cycle", "bethe-grid", "plaquettes", "triplets", "triplets-strong", "qmr", "mixed-cards")
+    ),
     size=st.integers(0, 3),
     seed=st.integers(0, 2**16),
     counts=st.sampled_from(("true", "conv1", "conv3", "cccp")),
@@ -485,6 +502,9 @@ def _assert_same_run(got, want):
 # reach -1e29, so its probabilities fall far below the reference's 1e-300
 # floor.
 @example(kind="triplets-strong", size=1, seed=0, counts="true")
+# Mixed cards under CVM and Bethe regions: padded levels.
+@example(kind="mixed-cards", size=0, seed=0, counts="conv3")
+@example(kind="mixed-cards", size=1, seed=0, counts="conv1")
 def test_level_sweep_replays_the_per_region_sweep(kind, size, seed, counts):
     m, g = _problem(kind, size, seed)
     pots = outer_log_potentials(m, g)
@@ -561,7 +581,7 @@ def test_levels_group_regions_with_disjoint_clusters():
         # The steps' message and subset-block slices tile both arrays in
         # level order, each level's pairs and subsets in ascending id.
         steps = layout.sweep_steps
-        msg_cuts, sub_cuts = [step[3] for step in steps], [step[-1] for step in steps]
+        msg_cuts, sub_cuts = [step.msg for step in steps], [step.sub for step in steps]
         totals = len(layout.message_segments[1]), len(layout.subset_segments[1])
         for cuts, total in zip((msg_cuts, sub_cuts), totals):
             assert [0] + [cut.stop for cut in cuts] == [cut.start for cut in cuts] + [total]
@@ -685,21 +705,31 @@ def test_log_normalize_matches_the_max_shifted_reference():
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
-@pytest.mark.parametrize("spec, graph, variant, damped", [
-    (ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0), lambda m: build_cvm(_plaquettes(5, 5), 25), "conv3", True),
-    (ModelSpec("qmr_like", diseases=20, findings=10, seed=0), lambda m: build_bethe(m.scopes, m.num_vars),
-     "conv1", False),
-], ids=["plaquettes-5x5-conv3", "qmr-20x10-bethe-conv1"])
-def test_sweep_is_a_map_on_the_solver_state(spec, graph, variant, damped):
+def _plaquettes_5x5():
+    m = generate(ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0))
+    return m, build_cvm(_plaquettes(5, 5), 25)
+
+
+def _qmr_20x10():
+    m = generate(ModelSpec("qmr_like", diseases=20, findings=10, seed=0))
+    return m, build_bethe(m.scopes, m.num_vars)
+
+
+@pytest.mark.parametrize("problem, variant, damped", [
+    (_plaquettes_5x5, "conv3", True),
+    (_qmr_20x10, "conv1", False),
+    (lambda: _problem("mixed-cards", 0, 0), "conv3", True),
+], ids=["plaquettes-5x5-conv3", "qmr-20x10-bethe-conv1", "mixed-cards-cvm-conv3"])
+def test_sweep_is_a_map_on_the_solver_state(problem, variant, damped):
     # ``_Solve.sweep`` maps the state (cluster log tables, up and down log
     # messages, subset log-belief block) to the next one in place.  From a
     # warm start on the messages of a short run, 64 sweeps with no rebuild
     # keep the carried cluster tables equal to the scatter of the downward
     # messages, which the driver's rebuild and any mixing of iterates rely
     # on; leave every subset table normalized; and act on two states started
-    # alike, bit for bit.
-    m = generate(spec)
-    g = graph(m)
+    # alike, bit for bit.  The sentinel slot past the cluster tables, which
+    # the padded levels of the mixed-card graph read, stays at -inf.
+    m, g = problem()
     bound = make_bound_spec(g, variant)
     pots = inner_potentials(outer_log_potentials(m, g), bound.inner_overcounts, uniform_beliefs(g, m.cards))
     layout = pots.layout
@@ -719,6 +749,7 @@ def test_sweep_is_a_map_on_the_solver_state(spec, graph, variant, damped):
         assert not np.array_equal(now, then)
         np.testing.assert_array_equal(now, other)
     np.testing.assert_allclose(solve.logacc, layout.into_clusters(pots.logs, solve.log_down), rtol=0, atol=1e-9)
+    assert solve._acc[-1] == -np.inf
     totals = np.add.reduceat(np.exp(solve.log_sub), layout.subset_segments[0])
     np.testing.assert_allclose(totals, 1.0, rtol=0, atol=1e-12)
 

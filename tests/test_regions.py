@@ -25,7 +25,7 @@ from kikuchi import (
     uniform_beliefs,
     write_trace,
 )
-from kikuchi.regions import Layout
+from kikuchi.regions import Layout, SweepStep
 
 PLAQUETTES_3X3 = [(0, 1, 3, 4), (1, 2, 4, 5), (3, 4, 6, 7), (4, 5, 7, 8)]
 
@@ -266,7 +266,7 @@ def _assert_same(got, want):
 def test_shape_class_sums_match_the_per_pair_reference(case):
     # Layout.sums lays out each class of pairs sharing p's shape and kept
     # axes in one broadcast; every index map must equal the per-pair one,
-    # and so must the sweep steps compiled from it.
+    # and so must the sweep steps compiled from it, field by field.
     g, cards = _layout_case(case)
     layout = g.layout(cards)
     _assert_same(layout.cluster_sums, _per_pair_sums(layout, layout.edge_views))
@@ -275,4 +275,6 @@ def test_shape_class_sums_match_the_per_pair_reference(case):
     ref.cluster_sums = _per_pair_sums(ref, ref.edge_views)
     assert len(layout.sweep_steps) == len(ref.sweep_steps) == len(layout.levels)
     for got, want in zip(layout.sweep_steps, ref.sweep_steps):
-        _assert_same(got, want)
+        assert type(got) is type(want) is SweepStep
+        for field in SweepStep._fields:
+            _assert_same(getattr(got, field), getattr(want, field))
