@@ -29,7 +29,7 @@ from .bounds import BoundSpec, ConvexityError, check_convex_over_constraints, in
 from .energy import Beliefs, free_energy, uniform_beliefs
 from .model import FactorModel, outer_log_potentials
 from .propagation import constraint_residual, run_gbp
-from .regions import RegionGraph
+from .regions import RegionGraph, _is_integer
 
 DESCENT_SLACK = 1e-9
 RESIDUAL_TOL = 1e-6  # converged=True promises a final constraint residual within this
@@ -51,7 +51,7 @@ class OuterRecord:
 
 @dataclass
 class OuterSettings:
-    """The solver's five knobs; ``ValueError`` unless each is finite and nonnegative
+    """The solver's five knobs; ``ValueError`` unless each is a finite, nonnegative number
     and the two budgets, ``max_outer`` and ``inner_max_sweeps``, are integers."""
 
     outer_tol: float = 1e-8
@@ -62,9 +62,9 @@ class OuterSettings:
 
     def __post_init__(self):
         for key, value in asdict(self).items():
-            if not 0 <= value < math.inf:
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
                 raise ValueError(f"{key} must be finite and nonnegative, got {value!r}")
-            if key in ("max_outer", "inner_max_sweeps") and not isinstance(value, numbers.Integral):
+            if key in ("max_outer", "inner_max_sweeps") and not _is_integer(value):
                 raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
@@ -112,13 +112,10 @@ def minimize(
 
     # The model, laid out once; every step below works on flat arrays of its layout.
     base = outer_log_potentials(model, graph)
-    # The spec's counts in layout order, converted once for every reader
-    # below, and the linearized count of each region, as the fold reads it.
-    kept = base.layout.kept_counts(spec.inner_overcounts)
-    gap = base.layout.overcounts - kept
     # When nothing is linearized the bound is the objective itself and one
-    # converged inner solve finishes the job.
-    exact_bound = bool((gap == 0).all())
+    # converged inner solve finishes the job.  Reading the counts here also
+    # refuses a bad count map before any step.
+    exact_bound = bool((base.layout.kept_counts(spec.inner_overcounts) == base.layout.overcounts).all())
     q = uniform_beliefs(graph, model.cards)
     f_prev = free_energy(base, q)
     records = [OuterRecord(0, f_prev, 0, constraint_residual(q), 0.0)]
@@ -127,9 +124,9 @@ def minimize(
     stop_reason = "max_outer"
 
     for outer_index in range(1, settings.max_outer + 1):
-        inner = inner_potentials(base, kept, q)
+        inner = inner_potentials(base, spec.inner_overcounts, q)
         q_new, messages, sweeps, inner_ok = run_gbp(
-            inner, kept, tol=settings.inner_tol,
+            inner, spec.inner_overcounts, tol=settings.inner_tol,
             max_sweeps=settings.inner_max_sweeps, warm=messages,
         )
         f_new = free_energy(base, q_new) if inner_ok else None
@@ -140,7 +137,7 @@ def minimize(
             # variant, a rise where the bound still dominates at q_new is
             # inner-solve noise: keep the anchor and stop.  A dominance
             # violation is a bug.
-            f_surrogate = free_energy(base, q_new, kept, q)
+            f_surrogate = free_energy(base, q_new, spec.inner_overcounts, q)
             if f_new > f_surrogate + DESCENT_SLACK:
                 raise DescentError(
                     f"free energy {f_new!r} exceeds its upper bound "

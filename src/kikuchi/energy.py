@@ -87,11 +87,10 @@ def free_energy(pots: ClusterPotentials, q, subset_counts=None, anchor=None) -> 
 
     Subset region ``b`` keeps ``subset_counts.get(b, c_b)`` of its exact
     entropy, where ``c_b`` is the graph's count (all of it by default); a
-    key that is no subset region raises ``ValueError``.  ``subset_counts``
-    may also be the array ``Layout.kept_counts`` makes of such a map.  With
-    an ``anchor``, the remaining ``c_b - kept`` is charged as cross-entropy
-    against the anchor: the double loop's upper bound, which touches the plain
-    value at q == anchor.  ``q`` and ``anchor`` must lie on ``pots.layout``;
+    key that is no subset region raises ``ValueError``.  With an ``anchor``,
+    the remaining ``c_b - kept`` is charged as cross-entropy against the
+    anchor: the double loop's upper bound, which touches the plain value at
+    q == anchor.  ``q`` and ``anchor`` must lie on ``pots.layout``;
     the value is one segment reduction over it.
     """
     layout = pots.layout

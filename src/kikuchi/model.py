@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .regions import GraphError, Layout, RegionGraph
+from .regions import GraphError, Layout, RegionGraph, _is_integer
 
 CLAMP_LOG = -1e3
 
@@ -55,6 +55,9 @@ class ModelSpec:
 
 class FactorModel:
     def __init__(self, cards, scopes, tables, meta=None):
+        for i, c in enumerate(cards):
+            if not _is_integer(c):
+                raise GraphError(f"variable {i}: cardinality {c!r} is not an integer")
         self.cards = tuple(int(c) for c in cards)
         for i, c in enumerate(self.cards):
             if c < 2:
@@ -64,6 +67,9 @@ class FactorModel:
         self.meta = dict(meta or {})
         n = len(self.cards)
         for scope, table in zip(scopes, tables, strict=True):
+            odd = [v for v in scope if not _is_integer(v)]
+            if odd:
+                raise GraphError(f"factor {tuple(scope)}: variable {odd[0]!r} is not an integer")
             t = tuple(int(v) for v in scope)
             if tuple(sorted(set(t))) != t:
                 raise GraphError(f"factor scope {t} must be sorted and unique")

@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import FactorModel
+from .regions import _is_integer
 
 CLIQUE_LIMIT = 1 << 22
 
@@ -95,7 +95,7 @@ def exact_inference(model: FactorModel, regions=()) -> ExactResult:
     """
     cards = model.cards
     items = [(k, tuple(vs)) for k, vs in enumerate(regions)]
-    odd = [(k, v) for k, vs in items for v in vs if isinstance(v, bool) or not isinstance(v, numbers.Integral)]
+    odd = [(k, v) for k, vs in items for v in vs if not _is_integer(v)]
     if odd:
         raise ValueError("region {}: variable {!r} is not an integer".format(*odd[0]))
     items = [(k, sorted({int(v) for v in vs})) for k, vs in items]

@@ -4,13 +4,14 @@ Every subset region exchanges messages with every outer cluster whose
 variables contain it.  One sweep updates the subsets colour by colour
 (``Layout.levels``); for each subset the containing clusters are queried
 (cluster belief marginalized, divided by the last downward message), the
-subset belief is rebuilt from the geometric mean of the upward messages
-with exponent 1 / (number of containing clusters + effective overcounting
-number), and the downward messages and cluster beliefs are refreshed.  With
-Bethe counting numbers (1 - n per variable) the exponent is one and the
-sweep reduces to ordinary loopy belief propagation.  Every subset of a built
-graph lies in two or more clusters; a hand-built graph may hold one inside a
-single cluster, which is swept like any other.
+subset belief is rebuilt as the product of its n upward messages raised to
+1 / (n + c), where n counts its containing clusters and c is its effective
+overcounting number (so the geometric mean of the messages to the power
+n / (n + c)), and the downward messages and cluster beliefs are refreshed.
+With Bethe counting numbers (1 - n per variable) the exponent 1 / (n + c) is
+one and the sweep reduces to ordinary loopy belief propagation.  Every
+subset of a built graph lies in two or more clusters; a hand-built graph may
+hold one inside a single cluster, which is swept like any other.
 
 The sweep runs in the log domain.  Cluster tables, up and down messages and
 subset beliefs are log tables; a marginal is a pairwise ``logaddexp``
@@ -23,8 +24,7 @@ stays exact and finite.
 ``run_gbp(pots, subset_counts, *, tol, max_sweeps, warm)`` reads the graph
 and the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials`` (a
 model enters through ``model.outer_log_potentials``); ``free_energy`` and
-``inner_potentials`` read the same count map, or the layout-order array
-``Layout.kept_counts`` makes of it, which ``minimize`` makes once per run.
+``inner_potentials`` read the same count map.
 The layout compiles the sweep, once per graph and cards: it colours the
 subsets greedily, one level per colour.
 The subsets of one level touch disjoint clusters and messages, so their
@@ -181,8 +181,7 @@ def run_gbp(pots: ClusterPotentials, subset_counts, *, tol=1e-8, max_sweeps=2000
     ``inner_potentials`` returns them; the sweep runs on the steps that
     layout compiles.  ``subset_counts`` maps a subset id to its effective
     count; a subset it leaves out keeps the graph's count, and a key that is
-    no subset region raises ``ValueError``.  It may also be the array
-    ``Layout.kept_counts`` makes of such a map.  ``converged`` is true only when
+    no subset region raises ``ValueError``.  ``converged`` is true only when
     the largest change of a sweep, within ``max_sweeps``, fell below ``tol``
     and every returned log table is finite; on counts not convex over the
     constraints, which ``minimize`` never passes, it means only that the

@@ -71,6 +71,12 @@ class RecipeError(ValueError):
     """A region recipe that does not fit the model it is asked to cover."""
 
 
+def _is_integer(v) -> bool:
+    """Whether ``v`` is a Python or NumPy integer; a ``bool`` is neither, so
+    ``True`` never reads as variable 1."""
+    return type(v) is int or isinstance(v, np.integer)
+
+
 @dataclass(frozen=True)
 class Region:
     id: int
@@ -217,33 +223,20 @@ class Layout:
         return np.array([self.graph.counts[r] for r in self.ids])
 
     def kept_counts(self, subset_counts=None) -> np.ndarray:
-        """``overcounts`` with ``subset_counts[b]`` for each subset ``b`` it holds.
+        """``overcounts`` with ``subset_counts[b]`` for each subset ``b`` the map holds.
 
-        ``subset_counts`` is a map from subset id to count, or an array this
-        method returned, which comes back as it is: a run converts its
-        spec's map once and passes the array to every reader of the counts.
         Raises ``ValueError`` naming the first key that is not a subset
-        region, or else a region whose count is not finite; an array raises
-        too when its length is not that of ``ids`` or a cluster's entry is
-        not the cluster's count.
+        region, or else a region whose count is not finite.
         """
         if subset_counts is None:
             return self.overcounts
         n_outer = len(self.graph.outer_ids)
-        if isinstance(subset_counts, np.ndarray):
-            keep = subset_counts
-            if keep.shape != self.overcounts.shape:
-                raise ValueError(f"{keep.shape} kept counts given for {len(self.ids)} regions")
-            moved = keep[:n_outer] != self.overcounts[:n_outer]
-            if moved.any():
-                raise ValueError(f"count given for region {self.ids[moved.argmax()]}, which is not a subset region")
-        else:
-            keep = self.overcounts.copy()
-            for b, c in subset_counts.items():
-                i = self._number.get(b, -1)
-                if i < n_outer:
-                    raise ValueError(f"count given for region {b!r}, which is not a subset region")
-                keep[i] = c
+        keep = self.overcounts.copy()
+        for b, c in subset_counts.items():
+            i = self._number.get(b, -1)
+            if i < n_outer:
+                raise ValueError(f"count given for region {b!r}, which is not a subset region")
+            keep[i] = c
         finite = np.isfinite(keep)
         if not finite.all():
             i = finite.argmin()
@@ -404,6 +397,9 @@ def _canonical_clusters(clusters, num_vars):
     """
     cooked = []
     for cl in clusters:
+        odd = [v for v in cl if not _is_integer(v)]
+        if odd:
+            raise GraphError(f"cluster {tuple(cl)}: variable {odd[0]!r} is not an integer")
         t = tuple(sorted(set(int(v) for v in cl)))
         if not t:
             raise GraphError("empty cluster in input")

@@ -22,10 +22,12 @@ from kikuchi import (
     exact_inference,
     generate,
     free_energy,
+    is_singly_connected,
     kl_marginals,
     make_bound_spec,
     minimize,
     outer_log_potentials,
+    recipe_graph,
     run_gbp,
     save,
 )
@@ -123,16 +125,19 @@ def test_criterion_3_exact_on_singly_connected_models():
             assert kl < 1e-6
 
 
-@pytest.mark.parametrize("model", [
-    lambda: chain_model(300, seed=0),
-    lambda: random_tree_model(200, seed=0),
-], ids=["chain-300", "tree-200"])
-def test_criterion_3_exact_at_scale(model):
-    # Trees of hundreds of variables, far beyond any dense joint, under
-    # every bound variant.
+@pytest.mark.parametrize("model, recipe", [
+    (lambda: chain_model(300, seed=0), "bethe"),
+    (lambda: random_tree_model(200, seed=0), "bethe"),
+    (lambda: generate(ModelSpec("grid_boltzmann", rows=2, cols=30, seed=0)), "grid-plaquettes"),
+], ids=["chain-300", "tree-200", "plaquettes-2x30"])
+def test_criterion_3_exact_at_scale(model, recipe):
+    # Trees of hundreds of variables, far beyond any dense joint, and the
+    # CVM graph of a 2x30 plaquette strip, a junction tree of plaquettes
+    # each sharing one edge with the next, under every bound variant.
     with criterion(3, "exact results on large singly connected models"):
         m = model()
-        g = build_bethe(m.scopes, m.num_vars)
+        g = recipe_graph(m, recipe)
+        assert is_singly_connected(g)
         exact = exact_inference(m, regions=[r.vars for r in g.regions])
         for variant in BOUND_VARIANTS:
             trace = minimize(m, g, make_bound_spec(g, variant))

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import re
-from itertools import combinations
 
 import numpy as np
 import pytest
@@ -184,21 +183,6 @@ def test_a_count_for_no_subset_region_is_refused():
             run_gbp(pots, counts)
         with pytest.raises(ValueError, match=f"region {key}, "):
             inner_potentials(pots, counts, q)
-    # The array form, as ``Layout.kept_counts`` returns it, holds one count
-    # per region in layout order: one of another length, or one that moves a
-    # cluster's count, is refused by the same readers.
-    kept = pots.layout.kept_counts(g.subset_overcounts())
-    moved = kept.copy()
-    moved[0] += 1.0
-    for counts, match in ((kept[:-1], "kept counts given for"), (np.append(kept, 0.0), "kept counts given for"),
-                          (moved, f"region {pots.layout.ids[0]}, ")):
-        for call in (
-            lambda: free_energy(pots, q, counts),
-            lambda: run_gbp(pots, counts),
-            lambda: inner_potentials(pots, counts, q),
-        ):
-            with pytest.raises(ValueError, match=match):
-                call()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -221,44 +205,6 @@ def test_a_non_finite_count_is_refused(bad):
     ):
         with pytest.raises(ValueError, match=match):
             call()
-    # The same count in the array form is refused by the same readers.
-    kept = pots.layout.kept_counts(g.subset_overcounts()).copy()
-    kept[pots.layout.ids.index(b)] = bad
-    for call in (
-        lambda: free_energy(pots, q, kept),
-        lambda: free_energy(pots, q, kept, anchor=q),
-        lambda: inner_potentials(pots, kept, q),
-        lambda: run_gbp(pots, kept),
-    ):
-        with pytest.raises(ValueError, match=match):
-            call()
-
-
-@pytest.mark.parametrize("variant", ["conv1", "conv3", "cccp"])
-@pytest.mark.parametrize("case", ["plaquettes-3x3", "triplets-n4"])
-def test_the_kept_count_array_reads_as_its_map(case, variant):
-    # ``minimize`` converts its spec's count map to the layout-order array
-    # once per run and passes the array on.  The fold, the inner solve and
-    # both free energies give the same bits for either form.
-    if case == "plaquettes-3x3":
-        m = generate(ModelSpec("grid_boltzmann", rows=3, cols=3, seed=0))
-        g = build_cvm(PLAQUETTES_3X3, 9)
-    else:
-        m = generate(ModelSpec("full_boltzmann", nodes=4, weight_scale=3.0, seed=0))
-        g = build_cvm(list(combinations(range(4), 3)), 4)
-    base = outer_log_potentials(m, g)
-    counts = make_bound_spec(g, variant).inner_overcounts
-    kept = base.layout.kept_counts(counts)
-    assert base.layout.kept_counts(kept) is kept
-    anchor = random_consistent_beliefs(g, m.cards, np.random.default_rng(3))
-    pots = [inner_potentials(base, c, anchor) for c in (counts, kept)]
-    np.testing.assert_array_equal(pots[0].logs, pots[1].logs)
-    (q, msgs, sweeps, ok), (q_arr, msgs_arr, sweeps_arr, ok_arr) = (run_gbp(pots[0], c) for c in (counts, kept))
-    assert (sweeps, ok) == (sweeps_arr, ok_arr) and ok
-    for mine, ref in zip((q_arr.logs,) + msgs_arr.logs, (q.logs,) + msgs.logs):
-        np.testing.assert_array_equal(mine, ref)
-    for at in (None, anchor):
-        assert free_energy(base, q, counts, at) == free_energy(base, q, kept, at)
 
 
 def test_touching_and_bounding_consistent_beliefs():

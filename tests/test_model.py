@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,20 @@ def test_factor_model_validation():
         FactorModel([2, 1], [(0,)], [np.zeros(2)])
     with pytest.raises(GraphError):
         FactorModel([2], [(0,)], [np.array([np.nan, 0.0])])
+
+
+@pytest.mark.parametrize("cards, scope, match", [
+    ([2, 2.7], (0, 1), "variable 1: cardinality 2.7 is not an integer"),
+    ([2, True], (0, 1), "variable 1: cardinality True is not an integer"),
+    ([2, 2], (0.5, 1), "factor (0.5, 1): variable 0.5 is not an integer"),
+    ([2, 2], (0, True), "factor (0, True): variable True is not an integer"),
+], ids=["card-float", "card-bool", "scope-float", "scope-bool"])
+def test_a_model_refuses_a_card_or_variable_that_is_no_integer(cards, scope, match):
+    # Truncating 2.7 to a card of 2 or 0.5 to variable 0 would build another
+    # model than the one asked for, and True is no variable.
+    with pytest.raises(GraphError, match=f"^{re.escape(match)}$"):
+        FactorModel(cards, [scope], [np.zeros((2, 2))])
+    FactorModel(np.array([2, 2]), [np.array([0, 1])], [np.zeros((2, 2))])  # NumPy integers are legal
 
 
 def test_neg_inf_clamped_to_floor():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import warnings
 from fractions import Fraction
 
@@ -111,6 +112,18 @@ def test_cluster_validation_errors():
         build_cvm([(0, 5)], 3)
     with pytest.raises(GraphError):
         build_cvm([], 3)
+
+
+@pytest.mark.parametrize("build, clusters, match", [
+    (build_cvm, [(0, 1.5), (1, 2)], "cluster (0, 1.5): variable 1.5 is not an integer"),
+    (build_bethe, [(0, True), (1, 2)], "cluster (0, True): variable True is not an integer"),
+], ids=["cvm-float", "bethe-bool"])
+def test_the_builders_refuse_a_variable_that_is_no_integer(build, clusters, match):
+    # Truncating 1.5 to variable 1, or reading True as variable 1, would
+    # build a graph over other clusters than the ones given.
+    with pytest.raises(GraphError, match=f"^{re.escape(match)}$"):
+        build(clusters, 3)
+    assert build([(0, np.int64(1)), (1, 2)], 3).by_id[0].vars == (0, 1)  # NumPy integers are legal
 
 
 def test_a_layout_refuses_cards_that_leave_a_variable_without_one():
