@@ -260,13 +260,14 @@ def inner_potentials(base: ClusterPotentials, subset_counts, anchor) -> ClusterP
     region whose entropy is (partially) linearized contributes the anchor's
     log table, split evenly across the outer clusters containing it:
     ``base.layout.into_clusters``, with each subset's share at every entry
-    group of ``cluster_sums``, subsets in layout order.  The result is new
-    ``ClusterPotentials`` on that layout and ``base`` is untouched.  The
-    anchor must lie on the same layout.
+    group of ``cluster_sums``, subsets in layout order.  The layout binds
+    the count map once (``Layout.bind_counts``), so a fold is one gather of
+    the anchor's logs, one multiply by the binding's ``fold`` and the
+    scatter.  The result is new ``ClusterPotentials`` on that layout and
+    ``base`` is untouched.  The anchor must lie on the same layout.
     """
     layout = base.layout
     _, logs = anchor.flat(layout)
-    gap = layout.overcounts - layout.kept_counts(subset_counts)
-    share = (gap / layout.outer_counts)[layout.seg] * logs
-    pots = layout.into_clusters(base.logs, -share[layout.cluster_sums[3]])
+    fold = layout.bind_counts(subset_counts).fold
+    pots = layout.into_clusters(base.logs, fold * logs[layout.cluster_sums[3]])
     return ClusterPotentials(layout, pots, base.meta)

@@ -22,14 +22,13 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 from .bounds import BoundSpec, ConvexityError, check_convex_over_constraints, inner_potentials
 from .energy import Beliefs, free_energy, uniform_beliefs
 from .model import FactorModel, outer_log_potentials
-from .propagation import constraint_residual, run_gbp
-from .regions import RegionGraph, _is_integer
+from .propagation import _check_knob, constraint_residual, run_gbp
+from .regions import RegionGraph
 
 DESCENT_SLACK = 1e-9
 RESIDUAL_TOL = 1e-6  # converged=True promises a final constraint residual within this
@@ -52,7 +51,8 @@ class OuterRecord:
 @dataclass
 class OuterSettings:
     """The solver's five knobs; ``ValueError`` unless each is a finite, nonnegative number
-    and the two budgets, ``max_outer`` and ``inner_max_sweeps``, are integers."""
+    and the two budgets, ``max_outer`` and ``inner_max_sweeps``, are integers (a ``bool`` is
+    neither), by the rule ``run_gbp`` applies to its own two."""
 
     outer_tol: float = 1e-8
     marginal_tol: float = 1e-6
@@ -62,10 +62,7 @@ class OuterSettings:
 
     def __post_init__(self):
         for key, value in asdict(self).items():
-            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
-                raise ValueError(f"{key} must be finite and nonnegative, got {value!r}")
-            if key in ("max_outer", "inner_max_sweeps") and not _is_integer(value):
-                raise ValueError(f"{key} must be an integer, got {value!r}")
+            _check_knob(key, value, integer=key in ("max_outer", "inner_max_sweeps"))
 
 
 @dataclass

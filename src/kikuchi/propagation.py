@@ -26,7 +26,10 @@ and the cards off ``pots.layout``; ``pots`` is ``ClusterPotentials`` (a
 model enters through ``model.outer_log_potentials``); ``free_energy`` and
 ``inner_potentials`` read the same count map.
 The layout compiles the sweep, once per graph and cards: it colours the
-subsets greedily, one level per colour.
+subsets greedily, one level per colour.  It binds a count map once
+(``Layout.bind_counts``), and a solver is bound once per such binding: the
+messages a call returns hand its solver on to the call they warm-start, so
+the solves of one outer loop bind one solver and only start it afresh.
 The subsets of one level touch disjoint clusters and messages, so their
 updates commute, and one batched update per level, levels in order,
 replays the sequential sweep that visits the subsets colour by colour,
@@ -38,16 +41,29 @@ layout: the beliefs on it, the messages in sweep order, located by its
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
 from .energy import Beliefs
 from .model import ClusterPotentials
-from .regions import Layout
+from .regions import CountBinding, Layout, _is_integer
 
 
 class ConfigurationError(ValueError):
     """Inner-loop setup that cannot run (bad exponent, foreign warm messages)."""
+
+
+def _check_knob(key, value, integer=False) -> None:
+    """Raise ``ValueError`` naming ``key`` unless ``value`` is a finite, nonnegative number,
+    an integer if ``integer``; a ``bool`` is no tolerance, and no integer either."""
+    kind = type(value)
+    if kind is not float and kind is not int and (
+        isinstance(value, bool) and not integer or not isinstance(value, numbers.Real)
+    ) or not 0 <= value < math.inf:
+        raise ValueError(f"{key} must be finite and nonnegative, got {value!r}")
+    if integer and not _is_integer(value):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 def _log_normalize(x, starts, seg):
@@ -66,24 +82,28 @@ class MessageSet:
     def __init__(self, layout: Layout, log_up, log_down):
         self.layout = layout
         self.logs = (log_up, log_down)
+        self._solve = None  # the solver that computed them, until a warm start takes it over
 
 
 class _Solve:
-    """One inner solve's state on ``pots.layout``, from its start, and its sweep.
+    """The inner solver of one count binding on a layout, and its sweep.
 
     The state is the cluster log tables ``logacc``, the up and down log
     messages ``log_up`` and ``log_down`` in sweep order, and the subset
-    log-belief block ``log_sub``.  The constructor checks each subset's
-    update exponent, starts on uniform messages or on copies of ``warm``'s,
-    and binds each level of ``Layout.sweep_steps`` to its views of the state
-    once: its block of cluster entries and their columns, its slices of the
-    messages and of the subset block, its message bounds and block entries,
-    its slice of the damping buffer ``mix`` (None when undamped) and its
-    share.  ``logacc`` is a view of one array that holds, past the cluster
-    tables, the sentinel slot of the padded blocks at -inf.  So every writer
-    of the state, the driver's rebuild as much as any mixing of iterates,
-    writes into these arrays in place (``solve.logacc[...] = ...``) and never
-    rebinds them.
+    log-belief block ``log_sub``.  The constructor binds the solver to
+    ``counts``, a ``CountBinding`` of ``layout``: it checks each subset's
+    update exponent, sets the damping, allocates the state and binds each
+    level of ``Layout.sweep_steps`` to its views of the state once: its block
+    of cluster entries and their columns, its slices of the messages and of
+    the subset block, its message bounds and block entries, its slice of the
+    damping buffer ``mix`` (None when undamped) and its share.  ``start``
+    then starts one solve on potentials; a solver serves one solve after
+    another, as ``run_gbp`` hands it on with the messages it returns.
+    ``logacc`` is a view of one array that holds, past the cluster tables,
+    the sentinel slot of the padded blocks at -inf.  So every writer of the
+    state, ``start`` and the driver's rebuild as much as any mixing of
+    iterates, writes into these arrays in place (``solve.logacc[...] =
+    ...``) and never rebinds them.
 
     A negative kept count c lifts the power n / (n + c) of the geometric mean
     of a region's n upward messages above one, so the update overshoots; then
@@ -92,26 +112,39 @@ class _Solve:
     log messages: the update exponent times the undamped share.
     """
 
-    def __init__(self, pots: ClusterPotentials, subset_counts, warm=None):
-        layout = self.layout = pots.layout
+    def __init__(self, layout: Layout, counts: CountBinding):
+        self.layout, self.counts = layout, counts
         n_outer = len(layout.graph.outer_ids)
-        kept = layout.kept_counts(subset_counts)[n_outer:]
-        # The update exponent's denominator of each subset, and below of each
-        # subset-block entry.
-        den = layout.outer_counts[n_outer:] + kept
-        low = np.flatnonzero(den <= 1e-12)
+        low = np.flatnonzero(counts.den <= 1e-12)
         if len(low):
             raise ConfigurationError(
                 f"region {layout.ids[n_outer + low[0]]}: containing-cluster count plus effective "
-                f"overcounting number is {den[low[0]]}; the update exponent needs it positive"
+                f"overcounting number is {counts.den[low[0]]}; the update exponent needs it positive"
             )
-        self.damping = damping = 0.0 if (kept >= 0).all() else 0.5
+        self.damping = damping = 0.0 if (counts.kept[n_outer:] >= 0).all() else 0.5
+        # The update exponent's denominator of each subset-block entry.
+        self._den = den = counts.den[layout.subset_segments[1]]
+        n_msg = len(layout.message_segments[1])
+        self.log_up, self.log_down, self.log_sub = np.empty(n_msg), np.empty(n_msg), np.empty(len(den))
+        self.mix = mix = np.empty_like(den) if damping else None
+        # The cluster tables and, past them, the sentinel slot of the padded blocks.
+        self._acc = np.empty(layout.outer_size + 1)
+        self.logacc = self._acc[:-1]
+        self.levels = [
+            (block, column, self.log_up[msg], self.log_down[msg], msg_starts, msg_pair, msg_sub,
+             self.log_sub[sub], None if mix is None else mix[sub], (1.0 - damping) / den[sub])
+            for block, column, msg, msg_starts, msg_pair, msg_sub, sub in layout.sweep_steps
+        ]
 
+    def start(self, pots: ClusterPotentials, warm=None) -> None:
+        """Start a solve on ``pots``: uniform messages, or copies of ``warm``'s, and the
+        subset block and cluster tables they give."""
+        layout = self.layout
         pair = layout.message_segments[1]
         if warm is None:
             # log(1 / entries of its table) at each message entry
-            log_up = -np.log(np.bincount(pair))[pair]
-            log_down = log_up.copy()
+            self.log_up[...] = -np.log(np.bincount(pair))[pair]
+            self.log_down[...] = self.log_up
         elif not (isinstance(warm, MessageSet) and warm.layout is layout):
             raise ConfigurationError("warm messages must come from run_gbp on this layout object")
         elif any(np.shape(x) != pair.shape for x in warm.logs):
@@ -120,22 +153,11 @@ class _Solve:
                 f"this layout has {len(pair)} message entries"
             )
         else:
-            log_up, log_down = warm.logs[0].copy(), warm.logs[1].copy()
-        sub_starts, sub_seg = layout.subset_segments
-        den = den[sub_seg]
-        acc = np.bincount(layout.cluster_sums[3], weights=log_up, minlength=layout.size)
-        log_sub = _log_normalize(acc[layout.outer_size:] / den, sub_starts, sub_seg)
-        mix = np.empty_like(log_sub) if damping else None
-        self.log_up, self.log_down, self.log_sub, self.mix = log_up, log_down, log_sub, mix
-        # The cluster tables and, past them, the sentinel slot of the padded blocks.
-        self._acc = np.full(layout.outer_size + 1, -np.inf)
-        self.logacc = self._acc[:-1]
-        self.logacc[...] = layout.into_clusters(pots.logs, log_down)
-        self.levels = [
-            (block, column, log_up[msg], log_down[msg], msg_starts, msg_pair, msg_sub,
-             log_sub[sub], None if mix is None else mix[sub], (1.0 - damping) / den[sub])
-            for block, column, msg, msg_starts, msg_pair, msg_sub, sub in layout.sweep_steps
-        ]
+            self.log_up[...], self.log_down[...] = warm.logs
+        acc = np.bincount(layout.cluster_sums[3], weights=self.log_up, minlength=layout.size)
+        self.log_sub[...] = _log_normalize(acc[layout.outer_size:] / self._den, *layout.subset_segments)
+        self._acc[-1] = -np.inf
+        self.logacc[...] = layout.into_clusters(pots.logs, self.log_down)
 
     def sweep(self) -> None:
         """Apply one sweep, level by level, to the state in place.
@@ -190,10 +212,21 @@ def run_gbp(pots: ClusterPotentials, subset_counts, *, tol=1e-8, max_sweeps=2000
     alone.  ``warm`` is the messages of an earlier call, carrying the same
     layout object, under any counts; anything else raises ``ConfigurationError``,
     as does a subset whose containing-cluster count plus kept count is not
-    positive.
+    positive.  ``tol`` and ``max_sweeps`` are checked as ``OuterSettings``
+    checks its knobs.  The returned messages hold the solver privately, and
+    a call warm-started from them under the same ``Layout.bind_counts``
+    binding takes it over, so a run of warm-started calls binds one solver.
     """
+    _check_knob("tol", tol)
+    _check_knob("max_sweeps", max_sweeps, integer=True)
     layout = pots.layout
-    solve = _Solve(pots, subset_counts, warm)
+    counts = layout.bind_counts(subset_counts)
+    solve = warm._solve if isinstance(warm, MessageSet) else None
+    if solve is not None:
+        warm._solve = None
+    if solve is None or solve.counts is not counts:
+        solve = _Solve(layout, counts)
+    solve.start(pots, warm)
     q_sub = np.exp(solve.log_sub)
     prev = np.empty_like(q_sub)
     sweeps, converged = 0, False
@@ -217,8 +250,10 @@ def run_gbp(pots: ClusterPotentials, subset_counts, *, tol=1e-8, max_sweeps=2000
     outer = _log_normalize(outer, layout.starts[:n_outer], layout.seg[: layout.outer_size])
     q = Beliefs(layout, np.concatenate((outer, solve.log_sub)))
     converged = converged and bool(np.isfinite(q.logs).all())
-    logs = [_log_normalize(x, *layout.message_segments) for x in (solve.log_up, solve.log_down)]
-    return q, MessageSet(layout, *logs), sweeps, converged
+    logs = (_log_normalize(x, *layout.message_segments) for x in (solve.log_up, solve.log_down))
+    messages = MessageSet(layout, *logs)
+    messages._solve = solve
+    return q, messages, sweeps, converged
 
 
 def constraint_residual(q: Beliefs) -> float:

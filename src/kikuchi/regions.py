@@ -173,6 +173,8 @@ class RegionGraph:
 
 # One level of the inner sweep, as ``Layout.sweep_steps`` describes it.
 SweepStep = namedtuple("SweepStep", "block column msg msg_starts msg_pair msg_sub sub")
+# What the fold and the inner solve derive from one count map, as ``Layout.bind_counts`` describes it.
+CountBinding = namedtuple("CountBinding", "kept den fold")
 
 
 class Layout:
@@ -188,7 +190,8 @@ class Layout:
     ``views[rid]`` is region ``rid``'s (start, stop, shape), keyed clusters
     then subsets, each by ascending id.  Only ``RegionGraph.layout`` builds one.
     It is the inner sweep's one compiled form (``edge_views`` to
-    ``sweep_steps``) and keeps no numbers of a run.
+    ``sweep_steps``) and keeps no numbers of a run; beside it, it keeps
+    the ``CountBinding`` of the last count map it was given (``bind_counts``).
     """
 
     def __init__(self, graph: RegionGraph, cards: tuple[int, ...]):
@@ -216,6 +219,7 @@ class Layout:
         self.outer_size = int(sizes[: len(graph.outer_ids)].sum())
         self.outer_counts = np.array([len(graph.containing_outers.get(r, (r,))) for r in self.ids], dtype=np.intp)
         self._number = {r: i for i, r in enumerate(self.ids)}
+        self._bound = None  # (a copy of the last count map, its CountBinding)
 
     @cached_property
     def overcounts(self) -> np.ndarray:
@@ -226,10 +230,26 @@ class Layout:
         """``overcounts`` with ``subset_counts[b]`` for each subset ``b`` the map holds.
 
         Raises ``ValueError`` naming the first key that is not a subset
-        region, or else a region whose count is not finite.
+        region, or else a region whose count is not finite.  The array of a
+        map is its ``bind_counts(subset_counts).kept``, read-only.
         """
-        if subset_counts is None:
-            return self.overcounts
+        return self.overcounts if subset_counts is None else self.bind_counts(subset_counts).kept
+
+    def bind_counts(self, subset_counts) -> CountBinding:
+        """What the fold and the inner solve derive from the count map ``subset_counts`` (None: none) alone.
+
+        ``kept`` is ``kept_counts``'s array, checked as it says; ``den`` holds
+        each subset's containing-cluster count plus kept count, the
+        denominator of its update exponent; ``fold`` holds, per group of
+        ``cluster_sums``, minus the share of its subset's linearized count,
+        ``(overcount - kept) / outer_counts``, that the group's cluster takes.
+        The arrays are read-only.  The layout keeps the binding of the last
+        map it was given and returns that same object while the map it is
+        given equals it.
+        """
+        subset_counts = {} if subset_counts is None else subset_counts
+        if self._bound is not None and self._bound[0] == subset_counts:
+            return self._bound[1]
         n_outer = len(self.graph.outer_ids)
         keep = self.overcounts.copy()
         for b, c in subset_counts.items():
@@ -241,7 +261,13 @@ class Layout:
         if not finite.all():
             i = finite.argmin()
             raise ValueError(f"region {self.ids[i]}: count {keep[i]} is not finite")
-        return keep
+        share = (self.overcounts - keep) / self.outer_counts
+        binding = CountBinding(keep, self.outer_counts[n_outer:] + keep[n_outer:],
+                               -share[self.seg[self.cluster_sums[3]]])
+        for x in binding:
+            x.flags.writeable = False
+        self._bound = (dict(subset_counts), binding)
+        return binding
 
     def tables(self, flat: np.ndarray) -> dict[int, np.ndarray]:
         """Each region's table as a view into ``flat``."""

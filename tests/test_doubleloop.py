@@ -420,11 +420,13 @@ def test_dense_graph_conv3_inner_solve_fails_as_a_known_defect():
     ("outer_tol", math.nan), ("outer_tol", -1e-8), ("marginal_tol", math.inf), ("max_outer", -1),
     ("inner_tol", -1.0), ("inner_tol", math.nan), ("inner_max_sweeps", -3),
     ("outer_tol", "1e-8"), ("inner_tol", None),
+    ("outer_tol", True), ("marginal_tol", True), ("inner_tol", False),
 ])
 def test_settings_refuse_a_knob_that_cannot_run(key, value):
     # The check the command line reports as a usage error: a NaN, infinite
     # or negative knob would run every outer step or fail every inner solve,
-    # and one that is no number could not be compared at all.
+    # and one that is no number could not be compared at all.  A bool is no
+    # tolerance: True would run as 1.0.
     with pytest.raises(ValueError, match=f"^{key} must be finite and nonnegative, got {re.escape(repr(value))}$"):
         OuterSettings(**{key: value})
     OuterSettings(**{key: 0})  # zero is legal

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from itertools import combinations
 
@@ -30,6 +31,7 @@ from kikuchi import (
     run_gbp,
     uniform_beliefs,
 )
+import kikuchi.doubleloop
 from kikuchi.propagation import _Solve, _log_normalize
 from conftest import (
     assert_greedy_colouring,
@@ -625,16 +627,137 @@ def test_levels_group_regions_with_disjoint_clusters():
         run_gbp(outer_log_potentials(plaq, plaq_graph), bad)
 
 
+def _plaquettes_5x5():
+    m = generate(ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0))
+    return m, build_cvm(_plaquettes(5, 5), 25)
+
+
+def _qmr_20x10():
+    m = generate(ModelSpec("qmr_like", diseases=20, findings=10, seed=0))
+    return m, build_bethe(m.scopes, m.num_vars)
+
+
 def test_warm_start_keeps_the_layout_and_returns_fresh_tables():
+    # Each call's beliefs and messages are its own: a later call, which takes
+    # over the solver the earlier one handed on with its messages, shares no
+    # memory with them and leaves their values as they were.
     m = chain_model(5, seed=6)
     g = build_bethe(m.scopes, m.num_vars)
     pots = outer_log_potentials(m, g)
     c = _true_counts(g)
     q1, msgs1, _, _ = run_gbp(pots, c, max_sweeps=3)
+    kept = [x.copy() for x in msgs1.logs + (q1.logs, q1.probs)]
     q2, msgs2, _, _ = run_gbp(pots, c, warm=msgs1)
     assert msgs2.layout is msgs1.layout is pots.layout
     for a, b in zip(msgs1.logs + (q1.logs, q1.probs), msgs2.logs + (q2.logs, q2.probs)):
         assert not np.shares_memory(a, b)
+    kept2 = [x.copy() for x in msgs2.logs + (q2.logs, q2.probs)]
+    run_gbp(pots, c, max_sweeps=3, warm=msgs2)
+    run_gbp(pots, c, max_sweeps=3)
+    for now, then in zip(msgs1.logs + (q1.logs, q1.probs) + msgs2.logs + (q2.logs, q2.probs), kept + kept2):
+        np.testing.assert_array_equal(now, then)
+
+
+def _count_bindings(monkeypatch):
+    """The solvers bound from here on, appended as each one is made."""
+    made, init = [], _Solve.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_Solve, "__init__", counted)
+    return made
+
+
+def _assert_same_bits(got, want):
+    (q, msgs, sweeps, ok), (q_ref, msgs_ref, sweeps_ref, ok_ref) = got, want
+    assert (sweeps, ok) == (sweeps_ref, ok_ref)
+    for mine, ref in zip(msgs.logs + (q.logs,), msgs_ref.logs + (q_ref.logs,)):
+        assert mine.tobytes() == ref.tobytes()
+
+
+def test_run_gbp_binds_its_solver_once_per_count_binding(monkeypatch):
+    # A run of warm-started calls under one count map binds one solver; a
+    # warm set from another count map (conv1, then cccp as in
+    # test_warm_start_carries_across_count_sets) rebinds, and its solve
+    # equals, bit for bit, one on a fresh binding.  A warm set gives its
+    # solver up when a call takes it over, so a warm set used twice binds
+    # afresh the second time and gives the same result.
+    m = cycle_model(6, seed=3)
+    g = build_bethe(m.scopes, m.num_vars)
+    pots = outer_log_potentials(m, g)
+    c1, cc = (make_bound_spec(g, v).inner_overcounts for v in ("conv1", "cccp"))
+    made = _count_bindings(monkeypatch)
+    msgs = run_gbp(pots, c1, max_sweeps=3)[1]
+    for _ in range(3):
+        msgs = run_gbp(pots, dict(c1), max_sweeps=3, warm=msgs)[1]
+    assert len(made) == 1
+    fresh = MessageSet(msgs.layout, *msgs.logs)
+    got = run_gbp(pots, cc, tol=1e-12, warm=msgs)
+    assert len(made) == 2 and msgs._solve is None and got[1]._solve is made[1]
+    _assert_same_bits(got, run_gbp(pots, cc, tol=1e-12, warm=fresh))
+    assert len(made) == 3
+    again = run_gbp(pots, cc, tol=1e-12, warm=msgs)
+    assert len(made) == 4
+    _assert_same_bits(again, got)
+
+
+@pytest.mark.parametrize("problem", [_plaquettes_5x5, _qmr_20x10, lambda: _problem("mixed-cards", 0, 0)],
+                         ids=["plaquettes-5x5", "qmr-20x10-bethe", "mixed-cards-cvm"])
+@pytest.mark.parametrize("variant", ["conv3", "conv1"])
+def test_a_reused_warm_solve_matches_a_fresh_binding(monkeypatch, problem, variant):
+    # The solver handed on with a call's messages, dirty from that call,
+    # starts the next call exactly as a solver bound afresh from the same
+    # messages does: damped under conv3, undamped under conv1.
+    m, g = problem()
+    counts = make_bound_spec(g, variant).inner_overcounts
+    base = outer_log_potentials(m, g)
+    q, msgs, _, _ = run_gbp(inner_potentials(base, counts, uniform_beliefs(g, m.cards)), counts, max_sweeps=5)
+    assert bool(msgs._solve.damping) == (variant == "conv3")
+    pots = inner_potentials(base, counts, q)
+    fresh = MessageSet(msgs.layout, *msgs.logs)
+    made = _count_bindings(monkeypatch)
+    got = run_gbp(pots, counts, max_sweeps=150, warm=msgs)
+    assert made == []
+    _assert_same_bits(got, run_gbp(pots, counts, max_sweeps=150, warm=fresh))
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("problem, variant", [(_plaquettes_5x5, "conv3"), (_qmr_20x10, "conv1")],
+                         ids=["plaquettes-5x5-conv3", "qmr-20x10-bethe-conv1"])
+def test_minimize_binds_one_solver_per_run(monkeypatch, problem, variant):
+    # ``minimize`` calls ``run_gbp`` once per outer step, each call
+    # warm-started from the last; the solver is bound once per run.
+    m, g = problem()
+    made, calls, inner = _count_bindings(monkeypatch), [], run_gbp
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(kikuchi.doubleloop, "run_gbp", counted)
+    trace = minimize(m, g, make_bound_spec(g, variant))
+    assert trace.converged and len(calls) == trace.outer_iterations > 10
+    assert len(made) == 1
+
+
+@pytest.mark.parametrize("key, value, rule", [
+    ("max_sweeps", 2.5, "an integer"), ("max_sweeps", True, "an integer"),
+    ("max_sweeps", -1, "finite and nonnegative"), ("tol", math.nan, "finite and nonnegative"),
+    ("tol", True, "finite and nonnegative"), ("tol", -1e-8, "finite and nonnegative"),
+    ("tol", "1e-8", "finite and nonnegative"),
+])
+def test_run_gbp_refuses_a_knob_that_cannot_run(key, value, rule):
+    # The rule ``OuterSettings`` applies to the knobs it passes on: 2.5
+    # sweeps cannot run, True is no budget of one sweep, -1 would run none
+    # and a NaN tolerance every one of them.
+    m = chain_model(5, seed=6)
+    g = build_bethe(m.scopes, m.num_vars)
+    pots = outer_log_potentials(m, g)
+    with pytest.raises(ValueError, match=f"^{key} must be {rule}, got {re.escape(repr(value))}$"):
+        run_gbp(pots, _true_counts(g), **{key: value})
+    assert run_gbp(pots, _true_counts(g), tol=0, max_sweeps=np.int64(3))[2] == 3
 
 
 def test_stopping_test_passes_over_nan_regions():
@@ -705,16 +828,6 @@ def test_log_normalize_matches_the_max_shifted_reference():
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
-def _plaquettes_5x5():
-    m = generate(ModelSpec("grid_boltzmann", rows=5, cols=5, seed=0))
-    return m, build_cvm(_plaquettes(5, 5), 25)
-
-
-def _qmr_20x10():
-    m = generate(ModelSpec("qmr_like", diseases=20, findings=10, seed=0))
-    return m, build_bethe(m.scopes, m.num_vars)
-
-
 @pytest.mark.parametrize("problem, variant, damped", [
     (_plaquettes_5x5, "conv3", True),
     (_qmr_20x10, "conv1", False),
@@ -735,7 +848,9 @@ def test_sweep_is_a_map_on_the_solver_state(problem, variant, damped):
     layout = pots.layout
     _, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
     assert sweeps == 5
-    solve, twin = (_Solve(pots, bound.inner_overcounts, msgs) for _ in range(2))
+    solve, twin = (_Solve(layout, layout.bind_counts(bound.inner_overcounts)) for _ in range(2))
+    for s in (solve, twin):
+        s.start(pots, msgs)
     assert bool(solve.damping) == damped
 
     def state(s):
@@ -767,7 +882,8 @@ def test_the_message_shift_bounds_the_messages():
     layout, n_outer = pots.layout, len(g.outer_ids)
     _, msgs, sweeps, _ = run_gbp(pots, bound.inner_overcounts, max_sweeps=5)
     assert sweeps == 5
-    solve = _Solve(pots, bound.inner_overcounts, msgs)
+    solve = _Solve(layout, layout.bind_counts(bound.inner_overcounts))
+    solve.start(pots, msgs)
     kept, n = layout.kept_counts(bound.inner_overcounts)[n_outer:], layout.outer_counts[n_outer:]
     assert (kept.min(), (n / (n + kept)).max(), solve.damping) == (-6.0, 7.0, 0.5)
     for _ in range(200):
